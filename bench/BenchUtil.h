@@ -33,10 +33,10 @@ struct Measurement {
 
 /// Builds (once) and runs a program, timing the run.
 inline Measurement measure(const BuildResult &Prog,
-                           const RunOptions &Opts = {}) {
+                           const RunRequest &Req = {}) {
   Measurement M;
   auto T0 = std::chrono::steady_clock::now();
-  M.R = runSession(Prog, Opts).Combined;
+  M.R = runSession(Prog, Req).Combined;
   auto T1 = std::chrono::steady_clock::now();
   M.WallSeconds = std::chrono::duration<double>(T1 - T0).count();
   return M;
@@ -62,11 +62,6 @@ inline BuildResult mustBuild(const PipelinePlan &Plan) {
     std::abort();
   }
   return Prog;
-}
-
-/// Legacy-options overload.
-inline BuildResult mustBuild(const std::string &Src, const BuildOptions &B) {
-  return mustBuild(planFromBuildOptions(Src, B));
 }
 
 /// Builds \p Src through a textual pipeline spec; aborts on a malformed

@@ -342,7 +342,7 @@ int main(int argc, char **argv) {
       Measurement MP = measure(mustBuild(W.Source, "optimize"));
 
       ObjectTableChecker OT;
-      RunOptions R;
+      RunRequest R;
       R.Checker = &OT;
       Measurement MO = measure(mustBuild(W.Source, "optimize"), R);
 

@@ -28,7 +28,7 @@ int main() {
   double Prev = -1.0;
   bool Sorted = true;
   for (const auto &W : benchmarkSuite()) {
-    BuildResult Prog = mustBuild(W.Source, BuildOptions{});
+    BuildResult Prog = mustBuild(W.Source, "optimize");
     Measurement M = measure(Prog);
     if (!M.R.ok()) {
       std::fprintf(stderr, "%s failed: %s\n", W.Name.c_str(),

@@ -64,7 +64,8 @@
 ///                            gated counts are model-independent.
 ///
 /// The simulated cost is the §5.1 checking-cost component of a run,
-/// separated from the program's own instructions:
+/// separated from the program's own instructions (checkingCost in
+/// vm/VM.h):
 ///
 ///   sim_cost = checks * check cost (3)
 ///            + metadata loads * MetadataFacility::lookupCost()
@@ -106,12 +107,6 @@ const Config Configs[] = {
     {"hash-store", CheckMode::StoreOnly, FacilityKind::Hash},
     {"shadow-store", CheckMode::StoreOnly, FacilityKind::Shadow},
 };
-
-/// The checking-cost component of one measured run (see the file header).
-uint64_t simCost(const VMCounters &C, const MetadataFacility &Meta) {
-  return C.Checks * 3 + C.MetaLoads * Meta.lookupCost() +
-         C.MetaStores * Meta.updateCost() + C.CheckGuards * 1;
-}
 
 /// One row of the --profile hot-site table (full-opt shadow run).
 struct SiteRow {
@@ -642,8 +637,8 @@ int main(int argc, char **argv) {
     WorkloadNumbers Num;
     Num.Name = W.Name;
 
-    BuildResult Base = mustBuild(W.Source, BuildOptions{});
-    RunOptions BaseR;
+    BuildResult Base = mustBuild(W.Source, "optimize");
+    RunRequest BaseR;
     BaseR.Lanes = Lanes; // Same lane count as the instrumented runs, so
                          // overhead ratios compare like with like.
     Measurement MBase = measure(Base, BaseR);
@@ -655,11 +650,12 @@ int main(int argc, char **argv) {
     Num.BaseCycles = MBase.R.Counters.Cycles;
 
     for (int C = 0; C < 4; ++C) {
-      BuildOptions B;
-      B.Instrument = true;
-      B.SB.Mode = Configs[C].Mode;
-      BuildResult Prog = mustBuild(W.Source, B);
-      RunOptions R;
+      SoftBoundConfig SB;
+      SB.Mode = Configs[C].Mode;
+      PipelinePlan Plan;
+      Plan.frontend(W.Source).optimize().softbound(SB).checkOpt();
+      BuildResult Prog = mustBuild(Plan);
+      RunRequest R;
       R.Facility = Configs[C].Facility;
       R.Lanes = Lanes;
       R.FacilityShards = Shards;
@@ -738,20 +734,21 @@ int main(int argc, char **argv) {
     const Workload &W = mustFindWorkload(Num.Name);
     double ElimRate = 0;
     for (int K = 0; K < 4; ++K) {
-      BuildOptions B;
-      B.Instrument = true;
-      B.SB.Mode = K < 2 ? CheckMode::Full : CheckMode::StoreOnly;
-      B.CheckOpt.Enable = K % 2 == 1;
+      SoftBoundConfig SB;
+      SB.Mode = K < 2 ? CheckMode::Full : CheckMode::StoreOnly;
+      CheckOptConfig CO;
+      CO.Enable = K % 2 == 1;
       // K == 1 is the default pipeline (full checking, checkopt on): the
       // run --profile / --trace observe. Telemetry attaches only there,
       // and only when requested, so the gated runs keep the null sink.
       const bool Observed = K == 1 && DoTelemetry;
-      PipelinePlan Plan = planFromBuildOptions(W.Source, B);
+      PipelinePlan Plan;
+      Plan.frontend(W.Source).optimize().softbound(SB).checkOpt(CO);
       if (Observed)
         Plan.telemetry(&Telem, Num.Name + ":");
       BuildResult Prog = mustBuild(Plan);
       SiteProfile Prof;
-      RunOptions R;
+      RunRequest R;
       R.Lanes = Lanes;
       R.FacilityShards = Shards;
       R.LockFreeReads = LockFree;
@@ -772,9 +769,11 @@ int main(int argc, char **argv) {
       Num.MetaOps[K] = M.R.Counters.MetaLoads + M.R.Counters.MetaStores;
       // Simulated checking cost of the measured (shadow-facility) run.
       ShadowSpaceMetadata ShadowCosts;
-      Num.SimCost[K] = simCost(M.R.Counters, ShadowCosts);
+      Num.SimCost[K] = checkingCost(M.R.Counters, R.CheckCost,
+                                    ShadowCosts.lookupCost(),
+                                    ShadowCosts.updateCost());
       if (K == 1) {
-        ElimRate = 100.0 * Prog.Stats.CheckOpt.eliminationRate();
+        ElimRate = 100.0 * Prog.Pipeline.CheckOpt.eliminationRate();
         Num.CheckOpt = Prog.Pipeline.CheckOpt;
         Num.Timings = Prog.Pipeline.Passes;
         Num.CheckGuards = M.R.Counters.CheckGuards;

@@ -398,7 +398,7 @@ int main(int argc, char **argv) {
   TrafficConfig BenignCfg = Cfg;
   BenignCfg.AttackPerMille = 0;
 
-  RunOptions R;
+  RunRequest R;
   R.Lanes = Lanes;
   R.FacilityShards = Shards;
   R.LockFreeReads = LockFree;
@@ -418,19 +418,16 @@ int main(int argc, char **argv) {
     // Uninstrumented cycle baseline. The attacks' overflows land in
     // adjacent buffers by construction, so the plain run is
     // deterministic and exits 0 at one lane.
-    Measurement MP = measure(mustBuild(Src, BuildOptions{}), R);
+    Measurement MP = measure(mustBuild(Src, "optimize"), R);
     S.PlainCycles = MP.R.Counters.Cycles;
     S.PlainOk = MP.R.ok() && (Lanes > 1 || MP.R.ExitCode == 0);
 
-    BuildOptions BF;
-    BF.Instrument = true;
-    SessionResult Full = runSession(planFromBuildOptions(Src, BF), R);
+    SessionResult Full =
+        runSession(mustBuild(Src, "optimize,softbound,checkopt"), R);
     S.Full = foldSession(Full, S.Sched, S.PlainCycles, Lanes);
 
-    BuildOptions BS;
-    BS.Instrument = true;
-    BS.SB.Mode = CheckMode::StoreOnly;
-    SessionResult Store = runSession(planFromBuildOptions(Src, BS), R);
+    SessionResult Store = runSession(
+        mustBuild(Src, "optimize,softbound(store-only),checkopt"), R);
     S.Store = foldSession(Store, S.Sched, S.PlainCycles, Lanes);
 
     // The §6.4 no-false-positive claim under traffic: an all-benign
@@ -438,8 +435,9 @@ int main(int argc, char **argv) {
     // checking. Gated at one lane (lanes share the global segment).
     TrafficSchedule Benign = TrafficSchedule::generate(K, BenignCfg);
     std::string BenignSrc = Benign.driverSource(/*Vuln=*/false);
-    Measurement BP = measure(mustBuild(BenignSrc, BuildOptions{}), R);
-    Measurement BFull = measure(mustBuild(BenignSrc, BF), R);
+    Measurement BP = measure(mustBuild(BenignSrc, "optimize"), R);
+    Measurement BFull =
+        measure(mustBuild(BenignSrc, "optimize,softbound,checkopt"), R);
     S.BenignIdentical = BFull.R.Output == BP.R.Output &&
                         (Lanes > 1 || BFull.R.ExitCode == BP.R.ExitCode);
     S.IdentityGated = Lanes == 1;
@@ -486,13 +484,11 @@ int main(int argc, char **argv) {
 
   // The classic single-shot claim, kept from the pre-traffic bench: the
   // vulnerable query-copy variant is stopped in store-only mode.
-  BuildOptions BS;
-  BS.Instrument = true;
-  BS.SB.Mode = CheckMode::StoreOnly;
-  RunOptions RV;
+  RunRequest RV;
   RV.Args = {1};
-  RunResult V =
-      runSession(planFromBuildOptions(httpServerSource(), BS), RV).Combined;
+  BuildResult StoreProg =
+      mustBuild(httpServerSource(), "optimize,softbound(store-only),checkopt");
+  RunResult V = runSession(StoreProg, RV).Combined;
   std::printf("\nvulnerable query-copy variant under store-only checking: "
               "%s (paper: store-only stops all such attacks)\n",
               V.violationDetected() ? "stopped" : "MISSED");

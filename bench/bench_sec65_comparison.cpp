@@ -10,8 +10,9 @@
 ///     (modelled as the hash facility + no shrink) — the paper reports
 ///     MSCC above SoftBound (e.g. go: 144% vs 55%).
 ///   * CCured-like: whole-program SAFE-pointer inference removes checks
-///     statically (modelled with the static in-bounds elision) — lower
-///     than SoftBound on average, at the price of source-compatibility.
+///     statically (modelled with the safe-elision pass between
+///     instrumentation and re-optimization) — lower than SoftBound on
+///     average, at the price of source-compatibility.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,31 +32,27 @@ int main() {
   int N = 0;
 
   for (const auto &W : benchmarkSuite()) {
-    BuildResult Base = mustBuild(W.Source, BuildOptions{});
+    BuildResult Base = mustBuild(W.Source, "optimize");
     Measurement MB = measure(Base);
     uint64_t BaseCycles = MB.R.Counters.Cycles;
 
     // SoftBound proper: shadow facility, full checking.
-    BuildOptions BSB;
-    BSB.Instrument = true;
-    Measurement MSB = measure(mustBuild(W.Source, BSB));
+    Measurement MSB =
+        measure(mustBuild(W.Source, "optimize,softbound,checkopt"));
 
     // MSCC-like: no shrinking, hash facility (linked metadata cost).
-    BuildOptions BM;
-    BM.Instrument = true;
-    BM.SB.ShrinkBounds = false;
-    RunOptions RM;
+    RunRequest RM;
     RM.Facility = FacilityKind::Hash;
     // MSCC's per-dereference check consults its linked metadata structures
     // (~8 instructions vs SoftBound's 3-instruction compare pair).
     RM.CheckCost = 8;
-    Measurement MM = measure(mustBuild(W.Source, BM), RM);
+    Measurement MM = measure(
+        mustBuild(W.Source, "optimize,softbound(no-shrink),checkopt"), RM);
 
     // CCured-like: static SAFE-pointer check elision, shadow facility.
-    BuildOptions BC;
-    BC.Instrument = true;
-    BC.SB.ElideSafePointerChecks = true;
-    BuildResult CCProg = mustBuild(W.Source, BC);
+    BuildResult CCProg = mustBuild(
+        W.Source,
+        "optimize,softbound(no-reopt),safe-elision,reoptimize,checkopt");
     Measurement MC = measure(CCProg);
 
     double SB = overheadPct(MSB.R.Counters.Cycles, BaseCycles);
@@ -71,7 +68,7 @@ int main() {
     }
     T.addRow({W.Name, TablePrinter::fmt(SB, 1), TablePrinter::fmt(MSCC, 1),
               TablePrinter::fmt(CC, 1),
-              std::to_string(CCProg.Stats.ChecksElidedStatically)});
+              std::to_string(CCProg.Pipeline.CheckOpt.SafeChecksElided)});
   }
   T.addRow({"average", TablePrinter::fmt(SumSB / N, 1),
             TablePrinter::fmt(SumMSCC / N, 1),

@@ -23,18 +23,15 @@ int main() {
 
   int Landed = 0, FullDet = 0, StoreDet = 0;
   for (const auto &A : attackSuite()) {
-    BuildResult Plain = mustBuild(A.Source, BuildOptions{});
+    BuildResult Plain = mustBuild(A.Source, "optimize");
     RunResult RPlain = runSession(Plain).Combined;
 
-    BuildOptions BF;
-    BF.Instrument = true;
-    BF.SB.Mode = CheckMode::Full;
-    RunResult RFull = runSession(mustBuild(A.Source, BF)).Combined;
+    BuildResult Full = mustBuild(A.Source, "optimize,softbound,checkopt");
+    RunResult RFull = runSession(Full).Combined;
 
-    BuildOptions BS;
-    BS.Instrument = true;
-    BS.SB.Mode = CheckMode::StoreOnly;
-    RunResult RStore = runSession(mustBuild(A.Source, BS)).Combined;
+    BuildResult Store =
+        mustBuild(A.Source, "optimize,softbound(store-only),checkopt");
+    RunResult RStore = runSession(Store).Combined;
 
     bool L = RPlain.attackLanded();
     bool F = RFull.violationDetected();

@@ -41,33 +41,28 @@ int main() {
   bool AllMatch = true;
   int Idx = 0;
   for (const auto &Bug : bugbenchSuite()) {
-    BuildResult Plain = mustBuild(Bug.Source, BuildOptions{});
+    BuildResult Plain = mustBuild(Bug.Source, "optimize");
 
     MemcheckLite MC;
-    RunOptions RMC;
+    RunRequest RMC;
     RMC.Checker = &MC;
     RMC.RedzonePad = MemcheckLite::RecommendedRedzone;
     bool Valgrind = runSession(Plain, RMC).Combined.violationDetected();
 
     ObjectTableChecker OT;
-    RunOptions ROT;
+    RunRequest ROT;
     ROT.Checker = &OT;
     ROT.RedzonePad = 16;
     ROT.GlobalPad = 16;
-    bool Mudflap = runSession(mustBuild(Bug.Source, BuildOptions{}), ROT)
+    bool Mudflap = runSession(mustBuild(Bug.Source, "optimize"), ROT)
                        .Combined.violationDetected();
 
-    BuildOptions BS;
-    BS.Instrument = true;
-    BS.SB.Mode = CheckMode::StoreOnly;
-    bool Store =
-        runSession(mustBuild(Bug.Source, BS)).Combined.violationDetected();
+    BuildResult StoreProg =
+        mustBuild(Bug.Source, "optimize,softbound(store-only),checkopt");
+    bool Store = runSession(StoreProg).Combined.violationDetected();
 
-    BuildOptions BF;
-    BF.Instrument = true;
-    BF.SB.Mode = CheckMode::Full;
-    bool Full =
-        runSession(mustBuild(Bug.Source, BF)).Combined.violationDetected();
+    BuildResult FullProg = mustBuild(Bug.Source, "optimize,softbound,checkopt");
+    bool Full = runSession(FullProg).Combined.violationDetected();
 
     bool Match = Valgrind == Paper[Idx][0] && Mudflap == Paper[Idx][1] &&
                  Store == Paper[Idx][2] && Full == Paper[Idx][3];

@@ -54,7 +54,7 @@ int main() {
 
   // 2. Object-table baseline: the write stays inside `struct node`.
   ObjectTableChecker OT;
-  RunOptions R;
+  RunRequest R;
   R.Checker = &OT;
   R.RedzonePad = 16;
   R.GlobalPad = 16;

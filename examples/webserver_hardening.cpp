@@ -36,7 +36,7 @@ int main() {
     return 1;
   }
 
-  RunOptions Traffic;
+  RunRequest Traffic;
   Traffic.Args = {0};
 
   RunResult Plain = runSession(Stock, Traffic).Combined;
@@ -64,7 +64,7 @@ int main() {
 
   // Now the attack: a request whose query string overflows a fixed buffer
   // through an unbounded strcpy (the vulnerable code path).
-  RunOptions Attack;
+  RunRequest Attack;
   Attack.Args = {1};
   RunResult Hit = runSession(Stock, Attack).Combined;
   std::printf("attack vs stock server:      trap=%s (exploitable "

@@ -27,8 +27,8 @@
 ///     ("optimize,softbound,checkopt(range,redundant,hoist)") with
 ///     round-trip canonicalization via spec().
 ///
-/// The legacy BuildOptions driver (driver/Pipeline.h) is a thin wrapper
-/// over this API; PipelineResult *is* the legacy BuildResult.
+/// driver/Pipeline.h runs the result (runSession); PipelineResult is its
+/// BuildResult.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,9 +58,7 @@ struct PassTiming {
   double Millis = 0; ///< Time spent inside ModulePass::run.
 };
 
-/// The single owner of everything the pipeline measured. Replaces the old
-/// scatter across SoftBoundStats / CheckOptStats / driver locals; the
-/// legacy PipelineResult::Stats view is synthesized from this.
+/// The single owner of everything the pipeline measured.
 struct PipelineStats {
   /// SoftBound transformation counters (checks/metadata inserted, calls
   /// rewritten, post-instrumentation eliminations). Its nested CheckOpt
@@ -126,8 +124,7 @@ public:
 //===----------------------------------------------------------------------===//
 
 /// String-keyed pass factory table. The five built-in phases are
-/// pre-registered; new optimizations become one `add` call instead of
-/// another BuildOptions bool.
+/// pre-registered; new optimizations become one `add` call.
 class PassRegistry {
 public:
   /// Builds a pass from spec knobs. On failure, sets \p Err (naming the
@@ -168,14 +165,12 @@ private:
 //===----------------------------------------------------------------------===//
 
 /// Result of running a plan: the built module plus everything measured.
-/// This *is* the legacy BuildResult (driver/Pipeline.h aliases it).
+/// driver/Pipeline.h aliases it as BuildResult.
 struct PipelineResult {
   std::unique_ptr<Module> M;
   /// Single owner of all pipeline statistics.
   PipelineStats Pipeline;
-  /// \deprecated Legacy view for pre-PipelinePlan call sites: Pipeline.SB
-  /// with Stats.CheckOpt / Stats.ChecksElidedStatically synced from
-  /// Pipeline.CheckOpt. Reads the same numbers; prefer Pipeline.
+  /// Unused by build(); only wallbench/ still writes it.
   SoftBoundStats Stats;
   std::vector<std::string> Errors;
   bool Instrumented = false;

@@ -13,22 +13,6 @@
 
 using namespace softbound;
 
-PipelinePlan softbound::planFromBuildOptions(const std::string &Source,
-                                             const BuildOptions &Opts) {
-  PipelinePlan Plan;
-  Plan.frontend(Source);
-  if (Opts.Optimize)
-    Plan.optimize();
-  if (Opts.Instrument)
-    Plan.softbound(Opts.SB).checkOpt(Opts.CheckOpt);
-  return Plan;
-}
-
-BuildResult softbound::buildProgram(const std::string &Source,
-                                    const BuildOptions &Opts) {
-  return planFromBuildOptions(Source, Opts).build();
-}
-
 namespace {
 
 /// A SessionResult whose Combined run refused to start.
@@ -192,20 +176,4 @@ SessionResult softbound::runSession(const PipelinePlan &Plan,
   if (!Prog.ok())
     return refuse("build failed: " + Prog.errorText());
   return runSession(Prog, Req);
-}
-
-RunResult softbound::runProgram(const BuildResult &Prog,
-                                const RunOptions &Opts) {
-  return runSession(Prog, Opts).Combined;
-}
-
-RunResult softbound::runPipeline(const PipelinePlan &Plan,
-                                 const RunOptions &Opts) {
-  return runSession(Plan, Opts).Combined;
-}
-
-RunResult softbound::compileAndRun(const std::string &Source,
-                                   const BuildOptions &BOpts,
-                                   const RunOptions &ROpts) {
-  return runSession(planFromBuildOptions(Source, BOpts), ROpts).Combined;
 }

@@ -9,20 +9,11 @@
 /// SoftBound instrumentation -> VM execution with a chosen metadata
 /// facility.
 ///
-/// The build side is now a thin compatibility wrapper over the composable
-/// PipelinePlan API (driver/PassManager.h): buildProgram translates
-/// BuildOptions into the equivalent plan
-/// (frontend -> optimize -> softbound -> checkopt) and BuildResult is the
-/// plan's PipelineResult. New code should construct PipelinePlan directly;
-/// buildProgram/compileAndRun are kept indefinitely for existing call
-/// sites but gain no new knobs (see README "Pipeline API" for the
-/// deprecation policy).
-///
-/// The run side follows the same shape (docs/runtime.md): runSession
-/// takes a RunRequest — facility kind, shard count, lane count, sinks —
-/// and returns a SessionResult with the lane-merged Combined view plus
-/// per-lane results. runProgram / runPipeline / compileAndRun are frozen
-/// wrappers over it.
+/// The build side is the composable PipelinePlan API
+/// (driver/PassManager.h); BuildResult is the plan's PipelineResult. The
+/// run side (docs/runtime.md): runSession takes a RunRequest — facility
+/// kind, shard count, lane count, sinks — and returns a SessionResult
+/// with the lane-merged Combined view plus per-lane results.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,36 +34,13 @@ namespace softbound {
 /// Which §5.1 metadata facility implementation to execute with.
 enum class FacilityKind { Shadow, Hash };
 
-/// Build-time options.
-/// \deprecated Prefer composing a PipelinePlan; every field here is a
-/// frozen alias for a pass (or pass knob) in the plan.
-struct BuildOptions {
-  bool Optimize = true;    ///< Run the optimizer before instrumentation.
-  bool Instrument = false; ///< Apply the SoftBound transformation.
-  SoftBoundConfig SB;      ///< Pass configuration when instrumenting.
-  /// Static check-optimization subsystem (opt/checks/), run after the
-  /// SoftBound pass. On by default; per-sub-pass ablation knobs inside.
-  CheckOptConfig CheckOpt;
-};
-
 /// A built program ready to run (the PipelinePlan result type).
 using BuildResult = PipelineResult;
-
-/// Translates \p Opts into the equivalent PipelinePlan for \p Source:
-/// frontend, then optimize / softbound / checkopt as the flags dictate.
-PipelinePlan planFromBuildOptions(const std::string &Source,
-                                  const BuildOptions &Opts);
-
-/// Compiles, verifies, optimizes and (optionally) instruments \p Source.
-/// \deprecated Thin wrapper: planFromBuildOptions(Source, Opts).build().
-BuildResult buildProgram(const std::string &Source, const BuildOptions &Opts);
 
 /// One run request: everything the session layer needs to execute a
 /// built program — facility choice and concurrency shape, entry point
 /// and arguments, cost knobs, observation sinks. This is the single
-/// options struct behind runSession (and, via thin wrappers, the
-/// deprecated runProgram / runPipeline / compileAndRun trio; RunOptions
-/// is a frozen alias for it).
+/// options struct behind runSession.
 struct RunRequest {
   FacilityKind Facility = FacilityKind::Shadow;
   MemoryChecker *Checker = nullptr; ///< Baseline checker (uninstrumented).
@@ -82,8 +50,9 @@ struct RunRequest {
   /// classic single-threaded sequence — byte-identical counters and
   /// cycles to every release before the session API. N > 1 runs N
   /// lanes concurrently over one shared SimMemory and one shared
-  /// metadata facility (forced to ConcurrencyModel::Sharded); each lane
-  /// executes Entry(Args) on a private 1/N slice of the stack segment.
+  /// metadata facility (ConcurrencyModel::Sharded, or LockFreeRead when
+  /// LockFreeReads selects it); each lane executes Entry(Args) on a
+  /// private 1/N slice of the stack segment.
   /// Refused (explanatory Message, Segfault trap) when combined with a
   /// baseline Checker — checkers keep single-threaded object tables.
   unsigned Lanes = 1;
@@ -111,7 +80,7 @@ struct RunRequest {
   /// exhaustive, so entering one directly with arbitrary arguments
   /// bypasses the proofs that elided its entry checks. Enforced:
   /// checkopt(interproc) records the contract on the Module
-  /// (Module::recordInterProcContract) and runProgram refuses — with an
+  /// (Module::recordInterProcContract) and runSession refuses — with an
   /// explanatory Message — any Entry the pass's call graph considered
   /// non-externally-reachable.
   std::string Entry = "main";
@@ -132,10 +101,6 @@ struct RunRequest {
   /// attributable after the deterministic merge.
   std::string TraceTag;
 };
-
-/// Frozen alias for RunRequest: the name every pre-session call site
-/// used. \deprecated New code should say RunRequest.
-using RunOptions = RunRequest;
 
 /// Everything one session produced. Combined is the lane-merged view
 /// (counters summed, MaxFrameDepth maxed, trap taken from the first
@@ -160,30 +125,12 @@ struct SessionResult {
 /// facility for instrumented programs (sharded per \p Req), runs
 /// Req.Lanes interpreter lanes, and merges per-lane profiles and
 /// telemetry deterministically (lane-index order) into Req's sinks.
-/// This is the primary run entry point; runProgram / runPipeline /
-/// compileAndRun are thin wrappers returning .Combined.
 SessionResult runSession(const BuildResult &Prog, const RunRequest &Req = {});
 
 /// Builds \p Plan and runs the result as a session. Build errors are
 /// reported as a Combined RunResult with a Segfault trap and the error
 /// text as Message.
 SessionResult runSession(const PipelinePlan &Plan, const RunRequest &Req = {});
-
-/// Runs a built program in a fresh VM. Creates the metadata facility for
-/// instrumented programs.
-/// \deprecated Thin wrapper: runSession(Prog, Opts).Combined.
-RunResult runProgram(const BuildResult &Prog, const RunOptions &Opts = {});
-
-/// Builds \p Plan and runs the result. Build errors are reported as a
-/// RunResult with a Segfault trap and the error text as Message.
-/// \deprecated Thin wrapper: runSession(Plan, Opts).Combined.
-RunResult runPipeline(const PipelinePlan &Plan, const RunOptions &Opts = {});
-
-/// Convenience: build + run in one call.
-/// \deprecated Thin wrapper: runSession(planFromBuildOptions(...),
-/// ROpts).Combined.
-RunResult compileAndRun(const std::string &Source, const BuildOptions &BOpts,
-                        const RunOptions &ROpts = {});
 
 } // namespace softbound
 

@@ -1316,7 +1316,7 @@ unsigned Engine::run(CheckOptStats &Stats,
 
   // Every deletion above leans on the closed-module assumption, so once
   // anything was elided, record which functions must no longer be entered
-  // directly: the run driver enforces this (see RunOptions::Entry).
+  // directly: the run driver enforces this (see RunRequest::Entry).
   if (N > 0) {
     std::vector<const Function *> Internal;
     for (Function *F : Defined)

@@ -63,11 +63,11 @@
 /// Whole-program assumption: the module is closed — execution enters at
 /// Module::entryFunction() ("main"/"_sb_main") and every other call
 /// arrives through an analyzed site. Driving a transformed module from a
-/// custom RunOptions::Entry naming an internally-called function would
+/// custom RunRequest::Entry naming an internally-called function would
 /// bypass these proofs, so whenever the pass deletes a check it records
 /// the contract on the module (Module::recordInterProcContract) with the
-/// set of functions that must not be entered directly, and runProgram
-/// refuses such entries (see the contract note on RunOptions::Entry).
+/// set of functions that must not be entered directly, and runSession
+/// refuses such entries (see the contract note on RunRequest::Entry).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -13,14 +13,8 @@
 /// SAFE-pointer inference: such accesses can never leave the allocation,
 /// so the dynamic check is pure overhead.
 ///
-/// The proof is a faithful port of the inline staticallyInBounds this
-/// sub-pass replaced (formerly in SoftBoundPass.cpp), so the deprecated
-/// SoftBoundConfig::ElideSafePointerChecks path keeps its seed behavior
-/// on load/store checks — the only intentional delta is that checks
-/// synthesized for setjmp/longjmp buffers are now also eligible (the
-/// inline proof ran only at loads and stores). Such checks are provably
-/// in bounds, so traps are unchanged; only check counters can differ on
-/// setjmp-heavy code. An out-of-range constant interior index
+/// Every spatial check is eligible, including those synthesized for
+/// setjmp/longjmp buffers. An out-of-range constant interior index
 /// (s.buf[9] on char buf[8]) is *rejected* and its check survives to trap;
 /// only containment of the leading pointer-arithmetic step is judged
 /// against the whole object, so sub-object overflows through a derived

@@ -672,23 +672,6 @@ SoftBoundStats SoftBoundTransform::run() {
   for (Function *F : Work)
     instrumentFunction(*F);
 
-  // Deprecated CCured-SAFE flag: forward to the opt/checks/ SafeElision
-  // sub-pass, which now owns the logic (preserving the old elide-before-
-  // reoptimize ordering).
-  if (Cfg.ElideSafePointerChecks) {
-    CheckOptStats ES;
-    for (Function *F : Work)
-      checkopt::elideSafeChecks(*F, ES);
-    Stats.ChecksElidedStatically += ES.SafeChecksElided;
-    // Keep the seed meaning of ChecksInserted under this flag: checks that
-    // instrumentation emitted *and kept* (elided ones were never counted
-    // when the proof ran inline).
-    Stats.ChecksInserted -= ES.SafeChecksElided;
-    if (!Cfg.ReoptimizeAfter)
-      for (Function *F : Work)
-        dce(*F); // Sweep the bounds arithmetic the deletions stranded.
-  }
-
   // Phase 3: re-optimize (the paper re-runs LLVM's optimizers after
   // instrumentation, §6.1).
   if (Cfg.ReoptimizeAfter)

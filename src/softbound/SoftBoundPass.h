@@ -52,14 +52,6 @@ struct SoftBoundConfig {
   /// Run redundant-check elimination + DCE after instrumentation (the
   /// paper re-runs LLVM's optimizers, §6.1).
   bool ReoptimizeAfter = true;
-  /// CCured-style SAFE-pointer elision (§6.5 comparison): statically prove
-  /// constant-offset accesses into known-size objects in bounds and delete
-  /// their checks. SoftBound proper leaves this to later passes.
-  /// \deprecated The logic lives in opt/checks/SafeElision.cpp; prefer
-  /// CheckOptConfig::ElideSafeChecks (the `checkopt(safe)` /
-  /// `safe-elision` pipeline passes). This flag now invokes that sub-pass
-  /// after instrumentation and keeps old call sites working.
-  bool ElideSafePointerChecks = false;
 };
 
 /// What the pass did (for tests and the instrumentation-cost benches).
@@ -72,12 +64,8 @@ struct SoftBoundStats {
   unsigned BoundsShrunk = 0;
   unsigned CallsRewritten = 0;
   unsigned ChecksEliminated = 0;
-  /// \deprecated Alias of CheckOptStats::SafeChecksElided for old call
-  /// sites; PipelineStats::CheckOpt is the owner of elision counters.
-  unsigned ChecksElidedStatically = 0;
-  /// \deprecated Alias filled by the driver from PipelineStats::CheckOpt
-  /// (the single owner) when the post-instrumentation check-optimization
-  /// subsystem (opt/checks/) runs; zeroed otherwise.
+  /// Never filled by the pipeline (PipelineStats::CheckOpt owns these
+  /// counters); only wallbench/ still writes it.
   CheckOptStats CheckOpt;
 
   SoftBoundStats &operator+=(const SoftBoundStats &O) {
@@ -89,7 +77,6 @@ struct SoftBoundStats {
     BoundsShrunk += O.BoundsShrunk;
     CallsRewritten += O.CallsRewritten;
     ChecksEliminated += O.ChecksEliminated;
-    ChecksElidedStatically += O.ChecksElidedStatically;
     CheckOpt += O.CheckOpt;
     return *this;
   }

@@ -118,6 +118,15 @@ struct VMCounters {
   }
 };
 
+/// The §5.1 checking-cost model behind the sim-cost gates: checks at
+/// \p CheckCost, metadata loads and stores at the facility's lookup and
+/// update costs, guard evaluations at 1. FuncPtrChecks are not priced.
+inline uint64_t checkingCost(const VMCounters &C, uint64_t CheckCost,
+                             uint64_t LookupCost, uint64_t UpdateCost) {
+  return C.Checks * CheckCost + C.MetaLoads * LookupCost +
+         C.MetaStores * UpdateCost + C.CheckGuards * 1;
+}
+
 /// One request window recorded by the `sb_request_end` builtin: the
 /// counter delta since the previous window boundary plus the contained
 /// trap (if any) that `sb_guard` recovered from inside the window.

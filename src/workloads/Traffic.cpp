@@ -196,12 +196,7 @@ TrafficReport::fromSamples(const std::vector<TrafficRequest> &Reqs,
     Rep.MetaOps += S.Delta.MetaLoads + S.Delta.MetaStores;
     Rep.GuardEvals += S.Delta.CheckGuards;
     Rep.Cycles += S.Delta.Cycles;
-    // Identical formula to the fig2 bench gate: checks at CheckCost,
-    // metadata ops at the facility's lookup/update cost, guard tests
-    // at 1 (FuncPtrChecks excluded there too).
-    Rep.SimCost += S.Delta.Checks * CheckCost +
-                   S.Delta.MetaLoads * LookupCost +
-                   S.Delta.MetaStores * UpdateCost + S.Delta.CheckGuards * 1;
+    Rep.SimCost += checkingCost(S.Delta, CheckCost, LookupCost, UpdateCost);
   }
   return Rep;
 }

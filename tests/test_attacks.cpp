@@ -26,7 +26,7 @@ class AttackSuite : public ::testing::TestWithParam<int> {};
 TEST_P(AttackSuite, LandsWithoutProtection) {
   const AttackCase &A = attackSuite()[GetParam()];
   RunResult R =
-      runSession(planFromBuildOptions(A.Source, BuildOptions{})).Combined;
+      runSession(PipelinePlan().frontend(A.Source).optimize()).Combined;
   EXPECT_TRUE(R.attackLanded())
       << A.Name << ": trap=" << trapName(R.Trap) << " exit=" << R.ExitCode
       << " msg=" << R.Message;
@@ -34,10 +34,9 @@ TEST_P(AttackSuite, LandsWithoutProtection) {
 
 TEST_P(AttackSuite, DetectedByFullChecking) {
   const AttackCase &A = attackSuite()[GetParam()];
-  BuildOptions B;
-  B.Instrument = true;
-  B.SB.Mode = CheckMode::Full;
-  RunResult R = runSession(planFromBuildOptions(A.Source, B)).Combined;
+  PipelinePlan Plan;
+  Plan.frontend(A.Source).optimize().softbound().checkOpt();
+  RunResult R = runSession(Plan).Combined;
   EXPECT_TRUE(R.violationDetected())
       << A.Name << ": trap=" << trapName(R.Trap) << " exit=" << R.ExitCode;
   EXPECT_FALSE(R.attackLanded()) << A.Name;
@@ -45,10 +44,11 @@ TEST_P(AttackSuite, DetectedByFullChecking) {
 
 TEST_P(AttackSuite, DetectedByStoreOnlyChecking) {
   const AttackCase &A = attackSuite()[GetParam()];
-  BuildOptions B;
-  B.Instrument = true;
-  B.SB.Mode = CheckMode::StoreOnly;
-  RunResult R = runSession(planFromBuildOptions(A.Source, B)).Combined;
+  SoftBoundConfig SB;
+  SB.Mode = CheckMode::StoreOnly;
+  PipelinePlan Plan;
+  Plan.frontend(A.Source).optimize().softbound(SB).checkOpt();
+  RunResult R = runSession(Plan).Combined;
   EXPECT_TRUE(R.violationDetected())
       << A.Name << ": trap=" << trapName(R.Trap) << " exit=" << R.ExitCode;
   EXPECT_FALSE(R.attackLanded()) << A.Name;

@@ -28,12 +28,21 @@ using namespace softbound;
 
 namespace {
 
+/// The default instrumented pipeline over \p Src in checking mode \p Mode.
+PipelinePlan softboundPlan(const std::string &Src, CheckMode Mode) {
+  SoftBoundConfig SB;
+  SB.Mode = Mode;
+  PipelinePlan Plan;
+  Plan.frontend(Src).optimize().softbound(SB).checkOpt();
+  return Plan;
+}
+
 bool detectedByMemcheck(const std::string &Src) {
   MemcheckLite Checker;
-  RunOptions R;
+  RunRequest R;
   R.Checker = &Checker;
   R.RedzonePad = MemcheckLite::RecommendedRedzone;
-  return runSession(planFromBuildOptions(Src, BuildOptions{}), R)
+  return runSession(PipelinePlan().frontend(Src).optimize(), R)
       .Combined.violationDetected();
 }
 
@@ -41,19 +50,16 @@ bool detectedByObjTable(const std::string &Src) {
   // Mudflap-style deployments pad tracked objects with guard zones so
   // off-by-one overflows into a neighbour are distinguishable.
   ObjectTableChecker Checker;
-  RunOptions R;
+  RunRequest R;
   R.Checker = &Checker;
   R.RedzonePad = 16;
   R.GlobalPad = 16;
-  return runSession(planFromBuildOptions(Src, BuildOptions{}), R)
+  return runSession(PipelinePlan().frontend(Src).optimize(), R)
       .Combined.violationDetected();
 }
 
 bool detectedBySoftBound(const std::string &Src, CheckMode Mode) {
-  BuildOptions B;
-  B.Instrument = true;
-  B.SB.Mode = Mode;
-  return runSession(planFromBuildOptions(Src, B)).Combined.violationDetected();
+  return runSession(softboundPlan(Src, Mode)).Combined.violationDetected();
 }
 
 struct Expect {
@@ -97,22 +103,17 @@ INSTANTIATE_TEST_SUITE_P(AllBugs, BugBenchMatrix, ::testing::Range(0, 4),
 //===----------------------------------------------------------------------===//
 
 TEST(Servers, HttpTransformsWithNoFalsePositives) {
-  RunOptions Plain;
+  RunRequest Plain;
   Plain.Args = {0};
   RunResult Base =
-      runSession(planFromBuildOptions(httpServerSource(), BuildOptions{}),
-                 Plain)
+      runSession(PipelinePlan().frontend(httpServerSource()).optimize(), Plain)
           .Combined;
   ASSERT_TRUE(Base.ok()) << Base.Message;
   ASSERT_EQ(Base.ExitCode, 0);
 
   for (CheckMode Mode : {CheckMode::Full, CheckMode::StoreOnly}) {
-    BuildOptions B;
-    B.Instrument = true;
-    B.SB.Mode = Mode;
     RunResult R =
-        runSession(planFromBuildOptions(httpServerSource(), B), Plain)
-            .Combined;
+        runSession(softboundPlan(httpServerSource(), Mode), Plain).Combined;
     EXPECT_TRUE(R.ok()) << R.Message;
     EXPECT_EQ(R.ExitCode, 0);
     EXPECT_EQ(R.Output, Base.Output);
@@ -120,36 +121,30 @@ TEST(Servers, HttpTransformsWithNoFalsePositives) {
 }
 
 TEST(Servers, HttpVulnerableModeCaught) {
-  RunOptions Vuln;
+  RunRequest Vuln;
   Vuln.Args = {1};
   // Without protection: the long query overruns query[32] into path[],
   // silently corrupting the response (no crash).
   RunResult Base =
-      runSession(planFromBuildOptions(httpServerSource(), BuildOptions{}),
-                 Vuln)
+      runSession(PipelinePlan().frontend(httpServerSource()).optimize(), Vuln)
           .Combined;
   EXPECT_TRUE(Base.ok());
 
-  BuildOptions B;
-  B.Instrument = true;
-  B.SB.Mode = CheckMode::StoreOnly; // Production mode is enough (§6.3).
+  // Production mode is enough (§6.3).
   RunResult R =
-      runSession(planFromBuildOptions(httpServerSource(), B), Vuln).Combined;
+      runSession(softboundPlan(httpServerSource(), CheckMode::StoreOnly), Vuln)
+          .Combined;
   EXPECT_EQ(R.Trap, TrapKind::SpatialViolation) << trapName(R.Trap);
 }
 
 TEST(Servers, FtpTransformsWithNoFalsePositives) {
   RunResult Base =
-      runSession(planFromBuildOptions(ftpServerSource(), BuildOptions{}))
+      runSession(PipelinePlan().frontend(ftpServerSource()).optimize())
           .Combined;
   ASSERT_TRUE(Base.ok()) << Base.Message;
 
   for (CheckMode Mode : {CheckMode::Full, CheckMode::StoreOnly}) {
-    BuildOptions B;
-    B.Instrument = true;
-    B.SB.Mode = Mode;
-    RunResult R =
-        runSession(planFromBuildOptions(ftpServerSource(), B)).Combined;
+    RunResult R = runSession(softboundPlan(ftpServerSource(), Mode)).Combined;
     EXPECT_TRUE(R.ok()) << R.Message;
     EXPECT_EQ(R.ExitCode, Base.ExitCode);
     EXPECT_EQ(R.Output, Base.Output);

@@ -16,8 +16,8 @@
 ///     unit tests of the range analysis and instruction-dominance helper.
 ///
 /// Source-level builds go through the PipelinePlan API
-/// (driver/PassManager.h); spec-parser and wrapper-equivalence coverage
-/// lives in test_pipeline.cpp.
+/// (driver/PassManager.h); spec-parser and default-pipeline baseline
+/// coverage lives in test_pipeline.cpp.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -60,7 +60,7 @@ BuildResult planBuild(const std::string &Src, const SoftBoundConfig &SB = {},
 }
 
 RunResult planRun(const std::string &Src, const SoftBoundConfig &SB = {},
-                  const CheckOptConfig &CO = {}, const RunOptions &RO = {}) {
+                  const CheckOptConfig &CO = {}, const RunRequest &RO = {}) {
   return runSession(plan(Src, SB, CO), RO).Combined;
 }
 
@@ -503,7 +503,7 @@ TEST(RuntimeHulls, VariableLimitLoopCollapsesToGuardedHull) {
   EXPECT_EQ(S.RuntimeHullChecks, 2u) << "one guarded hull per endpoint";
   EXPECT_GE(S.RuntimeGuardedFallbacks, 1u);
 
-  RunOptions RO;
+  RunRequest RO;
   RO.Args = {16};
   RunResult R = runSession(Prog, RO).Combined;
   ASSERT_TRUE(R.ok()) << R.Message;
@@ -526,7 +526,7 @@ TEST(RuntimeHulls, ZeroTripAndNegativeLimitsPerformNoCheck) {
   BuildResult Prog = planBuild(VarLimitSweepSrc);
   ASSERT_TRUE(Prog.ok()) << Prog.errorText();
   for (int64_t N : {int64_t(0), int64_t(-3)}) {
-    RunOptions RO;
+    RunRequest RO;
     RO.Args = {N};
     RunResult R = runSession(Prog, RO).Combined;
     ASSERT_TRUE(R.ok()) << "n=" << N << " " << trapName(R.Trap) << " "
@@ -541,7 +541,7 @@ TEST(RuntimeHulls, ZeroTripAndNegativeLimitsPerformNoCheck) {
 TEST(RuntimeHulls, OverflowingLimitTrapsViaHull) {
   BuildResult Prog = planBuild(VarLimitSweepSrc);
   ASSERT_TRUE(Prog.ok()) << Prog.errorText();
-  RunOptions RO;
+  RunRequest RO;
   RO.Args = {64};
   EXPECT_TRUE(runSession(Prog, RO).Combined.ok()) << "n == extent is clean";
   RO.Args = {65};
@@ -561,7 +561,7 @@ TEST(RuntimeHulls, DecreasingLoopWithSymbolicLowerLimit) {
   ASSERT_TRUE(Prog.ok()) << Prog.errorText();
   EXPECT_GE(Prog.Pipeline.CheckOpt.LoopsCountedRuntime, 1u);
 
-  RunOptions RO;
+  RunRequest RO;
   RO.Args = {60};
   RunResult R = runSession(Prog, RO).Combined;
   ASSERT_TRUE(R.ok()) << R.Message;
@@ -625,7 +625,7 @@ TEST(RuntimeHulls, OutOfWindowLimitFallsBackToInLoopChecks) {
   ASSERT_TRUE(Prog.ok()) << Prog.errorText();
   EXPECT_EQ(Prog.Pipeline.CheckOpt.RuntimeHullChecks, 2u);
 
-  RunOptions RO;
+  RunRequest RO;
   RO.Args = {4};
   RunResult RIn = runSession(Prog, RO).Combined;
   ASSERT_TRUE(RIn.ok()) << RIn.Message;
@@ -656,7 +656,7 @@ TEST(RuntimeHulls, WrappingEndpointFallsBackAndStillTraps) {
   BuildResult Prog = planBuild(Src);
   ASSERT_TRUE(Prog.ok()) << Prog.errorText();
 
-  RunOptions RO;
+  RunRequest RO;
   RO.Args = {1};
   EXPECT_TRUE(runSession(Prog, RO).Combined.ok())
       << "n=1 stays inside the window";
@@ -695,7 +695,7 @@ TEST(RuntimeHulls, InterProcArgumentRangesDischargeGuards) {
   EXPECT_EQ(R.Counters.CheckGuards, 0u) << "discharged guards emit no test";
 
   // Entering fill directly would bypass the range proof; refused.
-  RunOptions RO;
+  RunRequest RO;
   RO.Entry = "fill";
   RunResult RBad = runSession(Prog, RO).Combined;
   EXPECT_FALSE(RBad.ok());
@@ -720,7 +720,7 @@ TEST(RuntimeHulls, SymbolicNestWithDistinctLimitsStaysSound) {
   ASSERT_TRUE(verifyModule(*Prog.M).empty())
       << verifyModule(*Prog.M).front();
 
-  RunOptions RO;
+  RunRequest RO;
   RO.Args = {8, 32};
   RunResult R = runSession(Prog, RO).Combined;
   ASSERT_TRUE(R.ok()) << R.Message;
@@ -762,7 +762,7 @@ TEST(RuntimeHulls, TwoSymbolSweepCollapsesToGuardedHull) {
   EXPECT_EQ(S.RuntimeHullChecks, 2u) << "one guarded hull per endpoint";
   EXPECT_GE(S.RuntimeGuardedFallbacks, 1u);
 
-  RunOptions RO;
+  RunRequest RO;
   RO.Args = {0, 16};
   RunResult R = runSession(Prog, RO).Combined;
   ASSERT_TRUE(R.ok()) << R.Message;
@@ -796,7 +796,7 @@ TEST(RuntimeHulls, TwoSymbolZeroTripPerformsNoCheck) {
   for (auto [Lo, Hi] : {std::pair<int64_t, int64_t>{5, 2},
                         {9, 9},
                         {100, -100}}) {
-    RunOptions RO;
+    RunRequest RO;
     RO.Args = {Lo, Hi};
     RunResult R = runSession(Prog, RO).Combined;
     ASSERT_TRUE(R.ok()) << "lo=" << Lo << " hi=" << Hi << " "
@@ -811,7 +811,7 @@ TEST(RuntimeHulls, TwoSymbolZeroTripPerformsNoCheck) {
 TEST(RuntimeHulls, TwoSymbolHullTrapsOnEitherEndpoint) {
   BuildResult Prog = planBuild(TwoSymSweepSrc);
   ASSERT_TRUE(Prog.ok()) << Prog.errorText();
-  RunOptions RO;
+  RunRequest RO;
   RO.Args = {0, 64};
   EXPECT_TRUE(runSession(Prog, RO).Combined.ok()) << "hi == extent is clean";
   RO.Args = {0, 65}; // Overflow: the high hull corner traps.
@@ -840,7 +840,7 @@ TEST(RuntimeHulls, DecreasingFromSymbolicInitStillTrapsUnderflow) {
   EXPECT_GE(Prog.Pipeline.CheckOpt.LoopsCountedSymInit, 1u);
   EXPECT_EQ(Prog.Pipeline.CheckOpt.RuntimeHullChecks, 2u);
 
-  RunOptions RO;
+  RunRequest RO;
   RO.Args = {64};
   RunResult R = runSession(Prog, RO).Combined;
   ASSERT_TRUE(R.ok()) << R.Message;
@@ -874,7 +874,7 @@ TEST(RuntimeHulls, StrideDivisibilityGuardGatesTheHull) {
   EXPECT_GE(S.RuntimeDivisGuards, 1u);
   EXPECT_EQ(S.RuntimeHullChecks, 2u);
 
-  RunOptions RO;
+  RunRequest RO;
   RO.Args = {16}; // Divisible span: hull pair covers the loop.
   RunResult RIn = runSession(Prog, RO).Combined;
   ASSERT_TRUE(RIn.ok()) << RIn.Message;
@@ -920,7 +920,7 @@ TEST(RuntimeHulls, MutatedBoundVariablesStaySound) {
   CheckOptConfig Off;
   Off.Enable = false;
   for (int64_t N : {int64_t(0), int64_t(1), int64_t(3)}) {
-    RunOptions RO;
+    RunRequest RO;
     RO.Args = {N};
     RunResult R = runSession(Prog, RO).Combined;
     RunResult ROff = planRun(MutHi, {}, Off, RO);
@@ -940,7 +940,7 @@ TEST(RuntimeHulls, MutatedBoundVariablesStaySound) {
   BuildResult Prog2 = planBuild(MutLo);
   ASSERT_TRUE(Prog2.ok()) << Prog2.errorText();
   for (int64_t N : {int64_t(0), int64_t(5), int64_t(12)}) {
-    RunOptions RO;
+    RunRequest RO;
     RO.Args = {N};
     RunResult R = runSession(Prog2, RO).Combined;
     RunResult ROff = planRun(MutLo, {}, Off, RO);
@@ -969,7 +969,7 @@ TEST(RuntimeHulls, TriangularNestWithDerivedSymbolNeverFalselyTraps) {
   CheckOptConfig Off;
   Off.Enable = false;
   for (int64_t N : {int64_t(0), int64_t(2), int64_t(5)}) {
-    RunOptions RO;
+    RunRequest RO;
     RO.Args = {N};
     RunResult R = runSession(Prog, RO).Combined;
     RunResult ROff = planRun(Src, {}, Off, RO);
@@ -979,7 +979,7 @@ TEST(RuntimeHulls, TriangularNestWithDerivedSymbolNeverFalselyTraps) {
     EXPECT_EQ(R.ExitCode, ROff.ExitCode) << "n=" << N;
   }
   // And the genuinely violating span still traps.
-  RunOptions RO;
+  RunRequest RO;
   RO.Args = {6}; // i reaches 5: a[5*16+7] = a[87] >= 68.
   EXPECT_EQ(runSession(Prog, RO).Combined.Trap, TrapKind::SpatialViolation);
 }
@@ -1009,7 +1009,7 @@ TEST(RuntimeHulls, TwoSymbolInterProcRangesDischargeGuards) {
   EXPECT_EQ(R.Counters.CheckGuards, 0u) << "discharged guards emit no test";
 
   // Entering fill directly would bypass the range proof; refused.
-  RunOptions RO;
+  RunRequest RO;
   RO.Entry = "fill";
   RunResult RBad = runSession(Prog, RO).Combined;
   EXPECT_FALSE(RBad.ok());
@@ -1067,7 +1067,7 @@ TEST(CheckOptRCE, StructFieldRepeatsEliminatedAcrossBlocks) {
                 Prog.Pipeline.CheckOpt.RangeEliminated,
             2u)
       << "branch store and final load are both covered by the first check";
-  RunOptions RO;
+  RunRequest RO;
   RO.Args = {1};
   RunResult R = runSession(Prog, RO).Combined;
   ASSERT_TRUE(R.ok()) << R.Message;

@@ -14,8 +14,6 @@
 ///    per-shard statistics add up, including lock-acquire counts;
 ///  - a 4-lane runSession over the full Table 3 attack suite and the
 ///    Table 4 BugBench kernels misses nothing in any lane;
-///  - a 1-lane session is counter-identical to the classic runProgram
-///    path the gated baselines were recorded against;
 ///  - multi-lane sessions surface contention accounting and merge lane
 ///    outputs deterministically;
 ///  - the LockFreeRead model (docs/runtime.md "Lock-free reads"): a
@@ -45,6 +43,13 @@ using namespace softbound;
 namespace {
 
 constexpr uint64_t Stripe = 1ULL << ShardStripeLog2;
+
+/// Builds \p Src through the default instrumented pipeline.
+BuildResult buildInstrumented(const std::string &Src) {
+  PipelinePlan Plan;
+  Plan.frontend(Src).optimize().softbound().checkOpt();
+  return Plan.build();
+}
 
 //===----------------------------------------------------------------------===//
 // Stripe-spanning range operations vs a single-threaded oracle
@@ -184,10 +189,7 @@ TEST(ShardedConcurrency, ParallelHammerLosesNoSlotsAndCountsLocks) {
 
 TEST(MultiLaneSessions, FourLaneAttackSweepMissesNothing) {
   for (const AttackCase &A : attackSuite()) {
-    BuildOptions B;
-    B.Instrument = true;
-    B.SB.Mode = CheckMode::Full;
-    BuildResult Prog = buildProgram(A.Source, B);
+    BuildResult Prog = buildInstrumented(A.Source);
     ASSERT_TRUE(Prog.ok()) << A.Name << ": " << Prog.errorText();
 
     RunRequest Req;
@@ -210,10 +212,7 @@ TEST(MultiLaneSessions, FourLaneBugBenchSweepMissesNothing) {
   // Every Table 4 kernel is detected under full checking (the matrix in
   // test_bugbench.cpp); four concurrent lanes must not change that.
   for (const BugCase &Bug : bugbenchSuite()) {
-    BuildOptions B;
-    B.Instrument = true;
-    B.SB.Mode = CheckMode::Full;
-    BuildResult Prog = buildProgram(Bug.Source, B);
+    BuildResult Prog = buildInstrumented(Bug.Source);
     ASSERT_TRUE(Prog.ok()) << Bug.Name << ": " << Prog.errorText();
 
     RunRequest Req;
@@ -225,35 +224,6 @@ TEST(MultiLaneSessions, FourLaneBugBenchSweepMissesNothing) {
       EXPECT_TRUE(S.PerLane[L].violationDetected())
           << Bug.Name << " lane " << L << ": trap="
           << trapName(S.PerLane[L].Trap);
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// Single-lane sessions reproduce the classic (gated) execution exactly
-//===----------------------------------------------------------------------===//
-
-TEST(SessionDeterminism, SingleLaneMatchesLegacyRunProgram) {
-  for (const Workload &W : benchmarkSuite()) {
-    BuildOptions B;
-    B.Instrument = true;
-    B.SB.Mode = CheckMode::Full;
-    BuildResult Prog = buildProgram(W.Source, B);
-    ASSERT_TRUE(Prog.ok()) << W.Name << ": " << Prog.errorText();
-
-    RunResult Legacy = runProgram(Prog);
-    SessionResult S = runSession(Prog);
-    ASSERT_EQ(S.PerLane.size(), 1u) << W.Name;
-
-    EXPECT_EQ(S.Combined.Counters.Checks, Legacy.Counters.Checks) << W.Name;
-    EXPECT_EQ(S.Combined.Counters.MetaLoads, Legacy.Counters.MetaLoads)
-        << W.Name;
-    EXPECT_EQ(S.Combined.Counters.MetaStores, Legacy.Counters.MetaStores)
-        << W.Name;
-    EXPECT_EQ(S.Combined.Counters.Cycles, Legacy.Counters.Cycles) << W.Name;
-    EXPECT_EQ(S.Combined.Output, Legacy.Output) << W.Name;
-    EXPECT_EQ(S.Combined.ExitCode, Legacy.ExitCode) << W.Name;
-    // Default request: SingleThread facility, so zero lock traffic.
-    EXPECT_EQ(S.Meta.LockAcquires, 0u) << W.Name;
   }
 }
 
@@ -273,10 +243,7 @@ TEST(MultiLaneSessions, ContentionCountersAndDeterministicMerge) {
       Chosen = &W;
   ASSERT_NE(Chosen, nullptr);
 
-  BuildOptions B;
-  B.Instrument = true;
-  B.SB.Mode = CheckMode::Full;
-  BuildResult Prog = buildProgram(Chosen->Source, B);
+  BuildResult Prog = buildInstrumented(Chosen->Source);
   ASSERT_TRUE(Prog.ok()) << Prog.errorText();
   RunResult Single = runSession(Prog).Combined;
   ASSERT_TRUE(Single.ok()) << Single.Message;
@@ -480,10 +447,7 @@ TEST(LockFreeRead, ShadowMixedOpsMatchOracle) {
 
 TEST(LockFreeRead, FourLaneAttackSweepMissesNothing) {
   for (const AttackCase &A : attackSuite()) {
-    BuildOptions B;
-    B.Instrument = true;
-    B.SB.Mode = CheckMode::Full;
-    BuildResult Prog = buildProgram(A.Source, B);
+    BuildResult Prog = buildInstrumented(A.Source);
     ASSERT_TRUE(Prog.ok()) << A.Name << ": " << Prog.errorText();
 
     RunRequest Req;
@@ -507,10 +471,7 @@ TEST(LockFreeRead, FourLaneAttackSweepMissesNothing) {
 
 TEST(LockFreeRead, FourLaneBugBenchSweepMissesNothing) {
   for (const BugCase &Bug : bugbenchSuite()) {
-    BuildOptions B;
-    B.Instrument = true;
-    B.SB.Mode = CheckMode::Full;
-    BuildResult Prog = buildProgram(Bug.Source, B);
+    BuildResult Prog = buildInstrumented(Bug.Source);
     ASSERT_TRUE(Prog.ok()) << Bug.Name << ": " << Prog.errorText();
 
     RunRequest Req;

@@ -21,7 +21,7 @@ using namespace softbound;
 namespace {
 
 /// Compiles, verifies and runs a program; returns the RunResult.
-RunResult runProgram(const std::string &Src,
+RunResult execSource(const std::string &Src,
                      const std::vector<int64_t> &Args = {}) {
   CompileResult CR = compileC(Src);
   EXPECT_TRUE(CR.ok()) << CR.errorText();
@@ -34,19 +34,19 @@ RunResult runProgram(const std::string &Src,
 }
 
 TEST(FrontendVM, ReturnsConstant) {
-  RunResult R = runProgram("int main() { return 42; }");
+  RunResult R = execSource("int main() { return 42; }");
   EXPECT_TRUE(R.ok()) << R.Message;
   EXPECT_EQ(R.ExitCode, 42);
 }
 
 TEST(FrontendVM, Arithmetic) {
-  RunResult R = runProgram(
+  RunResult R = execSource(
       "int main() { int a = 6; int b = 7; return a * b + 10 / 2 - 5; }");
   EXPECT_EQ(R.ExitCode, 42);
 }
 
 TEST(FrontendVM, WhileLoopSum) {
-  RunResult R = runProgram("int main() {\n"
+  RunResult R = execSource("int main() {\n"
                            "  int i = 0; int sum = 0;\n"
                            "  while (i < 10) { sum += i; i++; }\n"
                            "  return sum;\n"
@@ -55,7 +55,7 @@ TEST(FrontendVM, WhileLoopSum) {
 }
 
 TEST(FrontendVM, ForLoopAndBreakContinue) {
-  RunResult R = runProgram("int main() {\n"
+  RunResult R = execSource("int main() {\n"
                            "  int sum = 0;\n"
                            "  for (int i = 0; i < 100; i++) {\n"
                            "    if (i % 2 == 0) continue;\n"
@@ -68,7 +68,7 @@ TEST(FrontendVM, ForLoopAndBreakContinue) {
 }
 
 TEST(FrontendVM, PointersAndArrays) {
-  RunResult R = runProgram("int main() {\n"
+  RunResult R = execSource("int main() {\n"
                            "  int a[10];\n"
                            "  int* p = a;\n"
                            "  for (int i = 0; i < 10; i++) p[i] = i * i;\n"
@@ -79,7 +79,7 @@ TEST(FrontendVM, PointersAndArrays) {
 }
 
 TEST(FrontendVM, PointerArithmetic) {
-  RunResult R = runProgram("int main() {\n"
+  RunResult R = execSource("int main() {\n"
                            "  int a[8];\n"
                            "  int* p = a;\n"
                            "  int* q = p + 5;\n"
@@ -91,7 +91,7 @@ TEST(FrontendVM, PointerArithmetic) {
 }
 
 TEST(FrontendVM, StructsAndFields) {
-  RunResult R = runProgram("struct point { int x; int y; };\n"
+  RunResult R = execSource("struct point { int x; int y; };\n"
                            "int main() {\n"
                            "  struct point p;\n"
                            "  p.x = 11; p.y = 31;\n"
@@ -102,7 +102,7 @@ TEST(FrontendVM, StructsAndFields) {
 }
 
 TEST(FrontendVM, StructWithInternalArray) {
-  RunResult R = runProgram(
+  RunResult R = execSource(
       "struct node { char str[8]; int tag; };\n"
       "int main() {\n"
       "  struct node n;\n"
@@ -115,7 +115,7 @@ TEST(FrontendVM, StructWithInternalArray) {
 }
 
 TEST(FrontendVM, HeapAllocation) {
-  RunResult R = runProgram("int main() {\n"
+  RunResult R = execSource("int main() {\n"
                            "  int* p = (int*)malloc(10 * sizeof(int));\n"
                            "  for (int i = 0; i < 10; i++) p[i] = i;\n"
                            "  int sum = 0;\n"
@@ -127,7 +127,7 @@ TEST(FrontendVM, HeapAllocation) {
 }
 
 TEST(FrontendVM, FunctionsAndRecursion) {
-  RunResult R = runProgram("int fib(int n) {\n"
+  RunResult R = execSource("int fib(int n) {\n"
                            "  if (n < 2) return n;\n"
                            "  return fib(n - 1) + fib(n - 2);\n"
                            "}\n"
@@ -136,21 +136,21 @@ TEST(FrontendVM, FunctionsAndRecursion) {
 }
 
 TEST(FrontendVM, GlobalsWithInitializers) {
-  RunResult R = runProgram("int counter = 40;\n"
+  RunResult R = execSource("int counter = 40;\n"
                            "int table[4] = {1, 2, 3, 4};\n"
                            "int main() { return counter + table[1]; }");
   EXPECT_EQ(R.ExitCode, 42);
 }
 
 TEST(FrontendVM, GlobalPointerInitializer) {
-  RunResult R = runProgram("int value = 33;\n"
+  RunResult R = execSource("int value = 33;\n"
                            "int* vp = &value;\n"
                            "int main() { return *vp + 9; }");
   EXPECT_EQ(R.ExitCode, 42);
 }
 
 TEST(FrontendVM, StringsAndBuiltins) {
-  RunResult R = runProgram("int main() {\n"
+  RunResult R = execSource("int main() {\n"
                            "  char buf[16];\n"
                            "  strcpy(buf, \"hello\");\n"
                            "  print_str(buf);\n"
@@ -161,7 +161,7 @@ TEST(FrontendVM, StringsAndBuiltins) {
 }
 
 TEST(FrontendVM, FunctionPointers) {
-  RunResult R = runProgram("int add(int a, int b) { return a + b; }\n"
+  RunResult R = execSource("int add(int a, int b) { return a + b; }\n"
                            "int mul(int a, int b) { return a * b; }\n"
                            "int apply(int (*f)(int, int), int a, int b) {\n"
                            "  return f(a, b);\n"
@@ -177,7 +177,7 @@ TEST(FrontendVM, FunctionPointers) {
 }
 
 TEST(FrontendVM, LinkedList) {
-  RunResult R = runProgram(
+  RunResult R = execSource(
       "struct node { int val; struct node* next; };\n"
       "int main() {\n"
       "  struct node* head = NULL;\n"
@@ -193,7 +193,7 @@ TEST(FrontendVM, LinkedList) {
 }
 
 TEST(FrontendVM, SetjmpLongjmp) {
-  RunResult R = runProgram("long jb[4];\n"
+  RunResult R = execSource("long jb[4];\n"
                            "void thrower(int depth) {\n"
                            "  if (depth == 0) longjmp(jb, 7);\n"
                            "  thrower(depth - 1);\n"
@@ -208,7 +208,7 @@ TEST(FrontendVM, SetjmpLongjmp) {
 }
 
 TEST(FrontendVM, TernaryAndLogicalOps) {
-  RunResult R = runProgram("int main() {\n"
+  RunResult R = execSource("int main() {\n"
                            "  int a = 5;\n"
                            "  int b = (a > 3 && a < 10) ? 30 : 1;\n"
                            "  int c = (a == 0 || a == 5) ? 12 : 2;\n"
@@ -218,7 +218,7 @@ TEST(FrontendVM, TernaryAndLogicalOps) {
 }
 
 TEST(FrontendVM, CharAndSignExtension) {
-  RunResult R = runProgram("int main() {\n"
+  RunResult R = execSource("int main() {\n"
                            "  char c = 200;\n" // Wraps to -56 as signed char.
                            "  int i = c;\n"
                            "  return i == -56;\n"
@@ -227,7 +227,7 @@ TEST(FrontendVM, CharAndSignExtension) {
 }
 
 TEST(FrontendVM, UnionThroughCast) {
-  RunResult R = runProgram("int main() {\n"
+  RunResult R = execSource("int main() {\n"
                            "  long x = 0x0102030405060708;\n"
                            "  char* p = (char*)&x;\n"
                            "  return p[0] + p[7];\n" // 8 + 1 little endian
@@ -236,7 +236,7 @@ TEST(FrontendVM, UnionThroughCast) {
 }
 
 TEST(FrontendVM, MultiDimensionalArray) {
-  RunResult R = runProgram("int m[3][4];\n"
+  RunResult R = execSource("int m[3][4];\n"
                            "int main() {\n"
                            "  for (int i = 0; i < 3; i++)\n"
                            "    for (int j = 0; j < 4; j++)\n"
@@ -247,22 +247,22 @@ TEST(FrontendVM, MultiDimensionalArray) {
 }
 
 TEST(FrontendVM, NullDerefSegfaults) {
-  RunResult R = runProgram("int main() { int* p = NULL; return *p; }");
+  RunResult R = execSource("int main() { int* p = NULL; return *p; }");
   EXPECT_EQ(R.Trap, TrapKind::Segfault);
 }
 
 TEST(FrontendVM, DivByZeroTraps) {
-  RunResult R = runProgram("int main(int x) { return 10 / x; }", {0});
+  RunResult R = execSource("int main(int x) { return 10 / x; }", {0});
   EXPECT_EQ(R.Trap, TrapKind::DivByZero);
 }
 
 TEST(FrontendVM, ExitBuiltin) {
-  RunResult R = runProgram("int main() { exit(3); return 9; }");
+  RunResult R = execSource("int main() { exit(3); return 9; }");
   EXPECT_EQ(R.ExitCode, 3);
 }
 
 TEST(FrontendVM, SizeofSemantics) {
-  RunResult R = runProgram(
+  RunResult R = execSource(
       "struct s { char c; long l; int i; };\n"
       "int main() {\n"
       "  return sizeof(char) + sizeof(int) + sizeof(long) + sizeof(int*) +\n"
@@ -276,7 +276,7 @@ TEST(FrontendVM, StackSmashIsDetectedByVM) {
   // control data; the VM notices at function return.
   // buf is the first local, so it sits just below the saved-FP word and
   // the return-address word: 24 bytes of overflow covers both.
-  RunResult R = runProgram("int smash() {\n"
+  RunResult R = execSource("int smash() {\n"
                            "  char buf[8];\n"
                            "  for (int i = 0; i < 24; i++) buf[i] = 0x41;\n"
                            "  return 0;\n"

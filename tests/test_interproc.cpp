@@ -217,7 +217,7 @@ TEST(InterProcSoundness, InternalEntryRejectedAfterInterProc) {
   BuildResult On = buildSpec(Src, "optimize,softbound,checkopt");
   ASSERT_TRUE(On.M->hasInterProcContract());
 
-  RunOptions RO;
+  RunRequest RO;
   RO.Entry = "take";
   RunResult RR = runSession(On, RO).Combined;
   EXPECT_FALSE(RR.ok());

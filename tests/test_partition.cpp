@@ -526,7 +526,7 @@ TEST(PartitionContract, StrippedModuleRefusesCustomEntry) {
   ASSERT_TRUE(Main.ok()) << Main.Message;
   EXPECT_EQ(Main.ExitCode, 42);
 
-  RunOptions RO;
+  RunRequest RO;
   RO.Entry = "use";
   RunResult RR = runSession(On, RO).Combined;
   EXPECT_FALSE(RR.ok());

@@ -24,25 +24,31 @@ struct ModeCase {
   FacilityKind Facility;
 };
 
+/// The default instrumented pipeline over \p Src with pass config \p SB.
+PipelinePlan sbPlan(const std::string &Src, const SoftBoundConfig &SB = {}) {
+  PipelinePlan Plan;
+  Plan.frontend(Src).optimize().softbound(SB).checkOpt();
+  return Plan;
+}
+
 /// Builds + runs under a given mode/facility.
 RunResult runSB(const std::string &Src, CheckMode Mode,
                 FacilityKind Facility = FacilityKind::Shadow,
                 std::vector<int64_t> Args = {}) {
-  BuildOptions B;
-  B.Instrument = true;
-  B.SB.Mode = Mode;
-  RunOptions R;
+  SoftBoundConfig SB;
+  SB.Mode = Mode;
+  RunRequest R;
   R.Facility = Facility;
   R.Args = std::move(Args);
-  RunResult Out = runSession(planFromBuildOptions(Src, B), R).Combined;
+  RunResult Out = runSession(sbPlan(Src, SB), R).Combined;
   EXPECT_NE(Out.Message.substr(0, 12), "build failed") << Out.Message;
   return Out;
 }
 
 RunResult runPlain(const std::string &Src, std::vector<int64_t> Args = {}) {
-  RunOptions R;
+  RunRequest R;
   R.Args = std::move(Args);
-  return runSession(planFromBuildOptions(Src, BuildOptions{}), R).Combined;
+  return runSession(PipelinePlan().frontend(Src).optimize(), R).Combined;
 }
 
 //===----------------------------------------------------------------------===//
@@ -169,12 +175,9 @@ TEST(SoftBoundDetect, GlobalArrayOverflow) {
                     "  for (int i = 0; i < n; i++) table[i] = i;\n"
                     "  return 0;\n"
                     "}";
-  BuildOptions B;
-  B.Instrument = true;
-  B.SB.Mode = CheckMode::Full;
-  BuildResult Prog = buildProgram(Src, B);
+  BuildResult Prog = sbPlan(Src).build();
   ASSERT_TRUE(Prog.ok()) << Prog.errorText();
-  RunOptions R;
+  RunRequest R;
   R.Args = {16};
   EXPECT_TRUE(runSession(Prog, R).Combined.ok());
   R.Args = {17};
@@ -200,11 +203,9 @@ TEST(SoftBoundDetect, SubObjectOverflowCaught) {
 
   // With bound shrinking disabled (the MSCC-like configuration) the
   // overflow stays inside the struct object: silent data corruption.
-  BuildOptions B;
-  B.Instrument = true;
-  B.SB.Mode = CheckMode::Full;
-  B.SB.ShrinkBounds = false;
-  RunResult R = runSession(planFromBuildOptions(Src, B)).Combined;
+  SoftBoundConfig NoShrink;
+  NoShrink.ShrinkBounds = false;
+  RunResult R = runSession(sbPlan(Src, NoShrink)).Combined;
   EXPECT_TRUE(R.ok()) << R.Message;
   EXPECT_NE(R.ExitCode, 1000); // n.count was silently overwritten.
 }
@@ -228,10 +229,9 @@ TEST(SoftBoundDetect, SubObjectOverflowIntoFunctionPointer) {
   EXPECT_EQ(runSB(Src, CheckMode::Full).Trap, TrapKind::SpatialViolation);
 
   // Without shrinking: caught later, at the corrupted indirect call.
-  BuildOptions B;
-  B.Instrument = true;
-  B.SB.ShrinkBounds = false;
-  RunResult R = runSession(planFromBuildOptions(Src, B)).Combined;
+  SoftBoundConfig NoShrink;
+  NoShrink.ShrinkBounds = false;
+  RunResult R = runSession(sbPlan(Src, NoShrink)).Combined;
   EXPECT_EQ(R.Trap, TrapKind::FuncPtrViolation) << trapName(R.Trap);
 }
 
@@ -349,14 +349,13 @@ TEST(SoftBoundPassStats, ChecksAndMetadataInserted) {
                     "  g->next = g;\n"
                     "  return g->next->v;\n"
                     "}";
-  BuildOptions B;
-  B.Instrument = true;
-  BuildResult Prog = buildProgram(Src, B);
+  BuildResult Prog = sbPlan(Src).build();
   ASSERT_TRUE(Prog.ok()) << Prog.errorText();
-  EXPECT_GT(Prog.Stats.ChecksInserted, 0u);
-  EXPECT_GT(Prog.Stats.MetaLoadsInserted, 0u);
-  EXPECT_GT(Prog.Stats.MetaStoresInserted, 0u);
-  EXPECT_EQ(Prog.Stats.FunctionsTransformed, 1u);
+  const SoftBoundStats &Stats = Prog.Pipeline.SB;
+  EXPECT_GT(Stats.ChecksInserted, 0u);
+  EXPECT_GT(Stats.MetaLoadsInserted, 0u);
+  EXPECT_GT(Stats.MetaStoresInserted, 0u);
+  EXPECT_EQ(Stats.FunctionsTransformed, 1u);
   // Functions are renamed with the _sb_ prefix (§3.3).
   EXPECT_NE(Prog.M->getFunction("_sb_main"), nullptr);
   EXPECT_EQ(Prog.M->getFunction("main"), nullptr);
@@ -369,17 +368,16 @@ TEST(SoftBoundPassStats, StoreOnlyInsertsFewerChecks) {
                     "  for (int i = 0; i < 16; i++) { p[i] = i; s += p[i]; }\n"
                     "  return s;\n"
                     "}";
-  BuildOptions Full, Store;
-  Full.Instrument = Store.Instrument = true;
-  Full.SB.Mode = CheckMode::Full;
-  Store.SB.Mode = CheckMode::StoreOnly;
-  BuildResult F = buildProgram(Src, Full);
-  BuildResult S = buildProgram(Src, Store);
+  SoftBoundConfig Store;
+  Store.Mode = CheckMode::StoreOnly;
+  BuildResult F = sbPlan(Src).build();
+  BuildResult S = sbPlan(Src, Store).build();
   ASSERT_TRUE(F.ok() && S.ok());
-  EXPECT_LT(S.Stats.ChecksInserted, F.Stats.ChecksInserted);
+  const SoftBoundStats &FS = F.Pipeline.SB, &SS = S.Pipeline.SB;
+  EXPECT_LT(SS.ChecksInserted, FS.ChecksInserted);
   // Metadata propagation is identical in both modes (§6.3).
-  EXPECT_EQ(S.Stats.MetaLoadsInserted, F.Stats.MetaLoadsInserted);
-  EXPECT_EQ(S.Stats.MetaStoresInserted, F.Stats.MetaStoresInserted);
+  EXPECT_EQ(SS.MetaLoadsInserted, FS.MetaLoadsInserted);
+  EXPECT_EQ(SS.MetaStoresInserted, FS.MetaStoresInserted);
 }
 
 TEST(SoftBoundPassStats, RedundantCheckElimination) {
@@ -390,12 +388,9 @@ TEST(SoftBoundPassStats, RedundantCheckElimination) {
                     "  p[1] = 3;\n"
                     "  return p[1];\n"
                     "}";
-  BuildOptions B;
-  B.Instrument = true;
-  B.SB.ReoptimizeAfter = true;
-  BuildResult Prog = buildProgram(Src, B);
+  BuildResult Prog = sbPlan(Src).build(); // ReoptimizeAfter is the default.
   ASSERT_TRUE(Prog.ok()) << Prog.errorText();
-  EXPECT_GT(Prog.Stats.ChecksEliminated, 0u);
+  EXPECT_GT(Prog.Pipeline.SB.ChecksEliminated, 0u);
   RunResult R = runSession(Prog).Combined;
   EXPECT_TRUE(R.ok()) << R.Message;
   EXPECT_EQ(R.ExitCode, 3);

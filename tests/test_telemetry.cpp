@@ -98,9 +98,8 @@ const char *ProfiledSource =
     "}";
 
 BuildResult buildInstrumented(Telemetry *T = nullptr) {
-  BuildOptions B;
-  B.Instrument = true;
-  PipelinePlan Plan = planFromBuildOptions(ProfiledSource, B);
+  PipelinePlan Plan;
+  Plan.frontend(ProfiledSource).optimize().softbound().checkOpt();
   if (T)
     Plan.telemetry(T, "test:");
   BuildResult Prog = Plan.build();
@@ -123,7 +122,7 @@ TEST(Telemetry, DisabledModeIsObservationFree) {
   Telemetry Telem;
   SiteProfile Prof;
   BuildResult Observed = buildInstrumented(&Telem);
-  RunOptions Opts;
+  RunRequest Opts;
   Opts.Telem = &Telem;
   Opts.ProfileOut = &Prof;
   Opts.TraceTag = "test:";
@@ -185,7 +184,7 @@ TEST(Telemetry, SiteProfilesAreIdenticalAcrossRuns) {
   BuildResult Prog = buildInstrumented();
   auto RunProfiled = [&] {
     SiteProfile P;
-    RunOptions Opts;
+    RunRequest Opts;
     Opts.ProfileOut = &P;
     RunResult R = runSession(Prog, Opts).Combined;
     EXPECT_TRUE(R.ok()) << R.Message;
@@ -264,7 +263,7 @@ TEST(Telemetry, ChromeTraceJsonIsWellFormed) {
   Telemetry Telem;
   SiteProfile Prof;
   BuildResult Prog = buildInstrumented(&Telem);
-  RunOptions Opts;
+  RunRequest Opts;
   Opts.Telem = &Telem;
   Opts.ProfileOut = &Prof;
   Opts.TraceTag = "test:";

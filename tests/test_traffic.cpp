@@ -49,11 +49,13 @@ TrafficConfig smallConfig(unsigned Requests, unsigned AttackPerMille) {
 
 BuildResult buildTraffic(const std::string &Src, CheckMode Mode,
                          bool CheckOpt = true) {
-  BuildOptions B;
-  B.Instrument = true;
-  B.SB.Mode = Mode;
-  B.CheckOpt.Enable = CheckOpt;
-  return buildProgram(Src, B);
+  SoftBoundConfig SB;
+  SB.Mode = Mode;
+  CheckOptConfig CO;
+  CO.Enable = CheckOpt;
+  PipelinePlan Plan;
+  Plan.frontend(Src).optimize().softbound(SB).checkOpt(CO);
+  return Plan.build();
 }
 
 RunRequest sessionReq(unsigned Lanes, unsigned Shards = 1,
@@ -173,9 +175,9 @@ TEST(TrafficDetection, BenignTrafficIsFalsePositiveFree) {
   for (ServerKind K : BothServers) {
     TrafficSchedule S = TrafficSchedule::generate(K, smallConfig(150, 0));
     ASSERT_EQ(S.adversarialCount(), 0u);
-    BuildOptions Plain;
-    SessionResult P =
-        runSession(buildProgram(S.driverSource(false), Plain), sessionReq(1));
+    SessionResult P = runSession(
+        PipelinePlan().frontend(S.driverSource(false)).optimize(),
+        sessionReq(1));
     SessionResult F = runSession(
         buildTraffic(S.driverSource(false), CheckMode::Full), sessionReq(1));
     ASSERT_TRUE(P.ok());
@@ -251,8 +253,7 @@ TEST(TrafficTotals, OneLaneTotalsEqualSumOfSingleShots) {
     ASSERT_TRUE(T.ok()) << T.Combined.Message;
     ASSERT_EQ(T.Combined.Requests.size(), S.Requests.size() + 1);
 
-    uint64_t SumChecks = 0, SumMetaLoads = 0, SumMetaStores = 0,
-             SumGuards = 0;
+    VMCounters Sum;
     for (size_t I = 0; I < S.Requests.size(); ++I) {
       std::vector<TrafficRequest> One = {S.Requests[I]};
       SessionResult Single = runSession(
@@ -268,18 +269,15 @@ TEST(TrafficTotals, OneLaneTotalsEqualSumOfSingleShots) {
       EXPECT_EQ(SS.Delta.MetaLoads, TS.Delta.MetaLoads) << "request " << I;
       EXPECT_EQ(SS.Delta.MetaStores, TS.Delta.MetaStores) << "request " << I;
       EXPECT_EQ(SS.Delta.CheckGuards, TS.Delta.CheckGuards) << "request " << I;
-      SumChecks += SS.Delta.Checks;
-      SumMetaLoads += SS.Delta.MetaLoads;
-      SumMetaStores += SS.Delta.MetaStores;
-      SumGuards += SS.Delta.CheckGuards;
+      Sum.accumulate(SS.Delta);
     }
     TrafficReport Rep = reportFor(S, T.Combined);
-    EXPECT_EQ(Rep.Checks, SumChecks);
-    EXPECT_EQ(Rep.MetaOps, SumMetaLoads + SumMetaStores);
-    EXPECT_EQ(Rep.GuardEvals, SumGuards);
+    EXPECT_EQ(Rep.Checks, Sum.Checks);
+    EXPECT_EQ(Rep.MetaOps, Sum.MetaLoads + Sum.MetaStores);
+    EXPECT_EQ(Rep.GuardEvals, Sum.CheckGuards);
     ShadowSpaceMetadata Costs;
-    EXPECT_EQ(Rep.SimCost, SumChecks * 3 + SumMetaLoads * Costs.lookupCost() +
-                               SumMetaStores * Costs.updateCost() + SumGuards);
+    EXPECT_EQ(Rep.SimCost,
+              checkingCost(Sum, 3, Costs.lookupCost(), Costs.updateCost()));
   }
 }
 

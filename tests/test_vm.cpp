@@ -21,6 +21,11 @@ using namespace softbound;
 
 namespace {
 
+/// Builds \p Src through the optimizer only and runs it.
+RunResult runPlain(const std::string &Src) {
+  return runSession(PipelinePlan().frontend(Src).optimize()).Combined;
+}
+
 //===----------------------------------------------------------------------===//
 // SimMemory
 //===----------------------------------------------------------------------===//
@@ -102,63 +107,59 @@ TEST(SimMemory, InvalidFreeReported) {
 TEST(VMControlData, GarbageReturnAddressIsACrash) {
   // Corrupting the return word with a non-function value is a crash
   // (CorruptedReturn), not a hijack.
-  RunResult R = runSession(planFromBuildOptions("int f() {\n"
-                              "  char buf[16];\n"
-                              "  long* w = (long*)buf;\n"
-                              "  w[3] = 0x41414141;\n"
-                              "  return 1;\n"
-                              "}\n"
-                              "int main() { return f(); }",
-                              BuildOptions{}))
-                    .Combined;
+  RunResult R = runPlain("int f() {\n"
+                         "  char buf[16];\n"
+                         "  long* w = (long*)buf;\n"
+                         "  w[3] = 0x41414141;\n"
+                         "  return 1;\n"
+                         "}\n"
+                         "int main() { return f(); }");
   EXPECT_EQ(R.Trap, TrapKind::CorruptedReturn) << trapName(R.Trap);
 }
 
 TEST(VMControlData, FunctionAddressInReturnSlotHijacks) {
-  RunResult R = runSession(planFromBuildOptions("int pay(int x) { return x; }\n"
-      "int f() {\n"
-      "  char buf[16];\n"
-      "  long* w = (long*)buf;\n"
-      "  w[3] = (long)pay;\n"
-      "  return 1;\n"
-      "}\n"
-      "int main() { return f(); }", BuildOptions{})).Combined;
+  RunResult R = runPlain("int pay(int x) { return x; }\n"
+                         "int f() {\n"
+                         "  char buf[16];\n"
+                         "  long* w = (long*)buf;\n"
+                         "  w[3] = (long)pay;\n"
+                         "  return 1;\n"
+                         "}\n"
+                         "int main() { return f(); }");
   EXPECT_EQ(R.Trap, TrapKind::Hijacked);
   EXPECT_EQ(R.HijackTarget, "pay");
 }
 
 TEST(VMControlData, CorruptedJmpBufMagicTraps) {
-  RunResult R = runSession(planFromBuildOptions("long jb[4];\n"
-                              "int main() {\n"
-                              "  if (setjmp(jb) != 0) return 7;\n"
-                              "  jb[0] = 12345;\n" // Smash the magic.
-                              "  longjmp(jb, 1);\n"
-                              "  return 0;\n"
-                              "}", BuildOptions{})).Combined;
+  RunResult R = runPlain("long jb[4];\n"
+                         "int main() {\n"
+                         "  if (setjmp(jb) != 0) return 7;\n"
+                         "  jb[0] = 12345;\n" // Smash the magic.
+                         "  longjmp(jb, 1);\n"
+                         "  return 0;\n"
+                         "}");
   EXPECT_EQ(R.Trap, TrapKind::CorruptedJmpBuf);
 }
 
 TEST(VMControlData, LongjmpToDeadFrameTraps) {
-  RunResult R = runSession(planFromBuildOptions("long jb[4];\n"
-                              "int arm() { return setjmp(jb); }\n"
-                              "int main() {\n"
-                              "  arm();\n" // The armed frame returns.
-                              "  longjmp(jb, 1);\n"
-                              "  return 0;\n"
-                              "}", BuildOptions{})).Combined;
+  RunResult R = runPlain("long jb[4];\n"
+                         "int arm() { return setjmp(jb); }\n"
+                         "int main() {\n"
+                         "  arm();\n" // The armed frame returns.
+                         "  longjmp(jb, 1);\n"
+                         "  return 0;\n"
+                         "}");
   EXPECT_EQ(R.Trap, TrapKind::CorruptedJmpBuf);
 }
 
 TEST(VMControlData, DeepRecursionHitsStackGuard) {
-  RunResult R = runSession(planFromBuildOptions("int down(int n) {\n"
-                              "  long pad[64];\n"
-                              "  pad[0] = n;\n"
-                              "  if (n == 0) return 0;\n"
-                              "  return down(n - 1) + (int)pad[0];\n"
-                              "}\n"
-                              "int main() { return down(1000000); }",
-                              BuildOptions{}))
-                    .Combined;
+  RunResult R = runPlain("int down(int n) {\n"
+                         "  long pad[64];\n"
+                         "  pad[0] = n;\n"
+                         "  if (n == 0) return 0;\n"
+                         "  return down(n - 1) + (int)pad[0];\n"
+                         "}\n"
+                         "int main() { return down(1000000); }");
   EXPECT_EQ(R.Trap, TrapKind::StackOverflow);
 }
 
@@ -171,11 +172,10 @@ TEST(VMCounters, CycleModelComponentsAdd) {
                     "  q = p;\n"
                     "  return (int)q[9];\n"
                     "}";
-  RunResult Plain =
-      runSession(planFromBuildOptions(Src, BuildOptions{})).Combined;
-  BuildOptions B;
-  B.Instrument = true;
-  RunResult SB = runSession(planFromBuildOptions(Src, B)).Combined;
+  RunResult Plain = runPlain(Src);
+  PipelinePlan Plan;
+  Plan.frontend(Src).optimize().softbound().checkOpt();
+  RunResult SB = runSession(Plan).Combined;
   ASSERT_TRUE(Plain.ok() && SB.ok()) << SB.Message;
   EXPECT_EQ(SB.ExitCode, 9);
   uint64_t Expected = SB.Counters.Insts + 3 * SB.Counters.Checks +
@@ -187,13 +187,11 @@ TEST(VMCounters, CycleModelComponentsAdd) {
 }
 
 TEST(VMCounters, MaxFrameDepthTracksRecursion) {
-  RunResult R = runSession(planFromBuildOptions("int f(int n) {\n"
-                              "  if (n == 0) return 0;\n"
-                              "  return f(n - 1) + 1;\n"
-                              "}\n"
-                              "int main() { return f(40); }",
-                              BuildOptions{}))
-                    .Combined;
+  RunResult R = runPlain("int f(int n) {\n"
+                         "  if (n == 0) return 0;\n"
+                         "  return f(n - 1) + 1;\n"
+                         "}\n"
+                         "int main() { return f(40); }");
   EXPECT_EQ(R.ExitCode, 40);
   EXPECT_GE(R.Counters.MaxFrameDepth, 41u);
 }

@@ -35,15 +35,16 @@ TEST_P(WorkloadTransparency, InstrumentedMatchesPlain) {
   };
 
   RunResult Plain =
-      runSession(planFromBuildOptions(W.Source, BuildOptions{})).Combined;
+      runSession(PipelinePlan().frontend(W.Source).optimize()).Combined;
   ASSERT_TRUE(Plain.ok()) << W.Name << ": " << Plain.Message;
 
-  BuildOptions B;
-  B.Instrument = true;
-  B.SB.Mode = Cases[Cfg].first;
-  RunOptions R;
+  SoftBoundConfig SBCfg;
+  SBCfg.Mode = Cases[Cfg].first;
+  PipelinePlan Plan;
+  Plan.frontend(W.Source).optimize().softbound(SBCfg).checkOpt();
+  RunRequest R;
   R.Facility = Cases[Cfg].second;
-  RunResult SB = runSession(planFromBuildOptions(W.Source, B), R).Combined;
+  RunResult SB = runSession(Plan, R).Combined;
   EXPECT_TRUE(SB.ok()) << W.Name << ": " << trapName(SB.Trap) << " "
                        << SB.Message;
   EXPECT_EQ(SB.ExitCode, Plain.ExitCode) << W.Name;
@@ -70,7 +71,7 @@ TEST(WorkloadSuite, PointerDensityRampMatchesFigure1) {
   std::vector<double> Density;
   for (const auto &W : benchmarkSuite()) {
     RunResult R =
-        runSession(planFromBuildOptions(W.Source, BuildOptions{})).Combined;
+        runSession(PipelinePlan().frontend(W.Source).optimize()).Combined;
     ASSERT_TRUE(R.ok()) << W.Name << ": " << R.Message;
     Density.push_back(R.Counters.ptrOpFraction());
   }
@@ -90,7 +91,7 @@ TEST(WorkloadSuite, PointerDensityRampMatchesFigure1) {
 TEST(WorkloadSuite, AllBenchmarksAreNontrivial) {
   for (const auto &W : benchmarkSuite()) {
     RunResult R =
-        runSession(planFromBuildOptions(W.Source, BuildOptions{})).Combined;
+        runSession(PipelinePlan().frontend(W.Source).optimize()).Combined;
     ASSERT_TRUE(R.ok()) << W.Name;
     EXPECT_GT(R.Counters.Insts, 50'000u) << W.Name << " is too small";
     EXPECT_GT(R.Counters.memOps(), 5'000u) << W.Name;
@@ -99,11 +100,9 @@ TEST(WorkloadSuite, AllBenchmarksAreNontrivial) {
 
 TEST(WorkloadSuite, OptimizerPreservesBehaviour) {
   for (const auto &W : benchmarkSuite()) {
-    BuildOptions NoOpt;
-    NoOpt.Optimize = false;
-    RunResult Raw = runSession(planFromBuildOptions(W.Source, NoOpt)).Combined;
+    RunResult Raw = runSession(PipelinePlan().frontend(W.Source)).Combined;
     RunResult Opt =
-        runSession(planFromBuildOptions(W.Source, BuildOptions{})).Combined;
+        runSession(PipelinePlan().frontend(W.Source).optimize()).Combined;
     ASSERT_TRUE(Raw.ok() && Opt.ok()) << W.Name;
     EXPECT_EQ(Raw.ExitCode, Opt.ExitCode) << W.Name;
     // Register promotion must reduce dynamic memory operations.

@@ -46,14 +46,16 @@
 ///                            suite-wide shape checks' denominators as
 ///                            needed; do not combine with --baseline.
 ///   --lanes <N>              run every measurement as an N-lane VM
-///                            session (docs/runtime.md). Lane counters
+///                            session (docs/runtime.md); N is at most
+///                            MaxLanesOrShards. Lane counters
 ///                            are summed, so N > 1 cannot be combined
 ///                            with --baseline / --write-baseline; the
 ///                            JSON gains non-gated `lanes` and
 ///                            `contention_*` keys (like `timings_*`).
 ///   --shards <N>             shard the metadata facility over N
 ///                            address-stripe locks (rounded to a power
-///                            of two). Lookup/update results and the
+///                            of two, at most MaxLanesOrShards).
+///                            Lookup/update results and the
 ///                            gated counts are shard-independent.
 ///   --lockfree               run the facility in the LockFreeRead
 ///                            model (docs/runtime.md "Lock-free
@@ -582,8 +584,10 @@ int main(int argc, char **argv) {
       return 2;
     }
   }
-  if (Lanes == 0 || Shards == 0) {
-    std::fprintf(stderr, "--lanes/--shards require a positive count\n");
+  if (Lanes == 0 || Shards == 0 || Lanes > MaxLanesOrShards ||
+      Shards > MaxLanesOrShards) {
+    std::fprintf(stderr, "--lanes/--shards require a count in [1, %u]\n",
+                 MaxLanesOrShards);
     return 2;
   }
   if (Lanes > 1 && (!BaselinePath.empty() || !WriteBaselinePath.empty())) {

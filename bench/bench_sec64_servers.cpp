@@ -31,7 +31,9 @@
 ///   --seed <S>            schedule seed (default 64).
 ///   --lanes <N>           N-lane VM session over one shared heap +
 ///                         facility; detection gates hold per lane.
-///   --shards <N>          facility shard count (power of two).
+///                         At most MaxLanesOrShards.
+///   --shards <N>          facility shard count (power of two, at most
+///                         MaxLanesOrShards).
 ///   --lockfree            LockFreeRead facility (seqlock read path).
 ///   --json <path>         machine-readable results, including the
 ///                         per-request metric keys (checks_per_request,
@@ -374,6 +376,11 @@ int main(int argc, char **argv) {
   if (Lanes == 0 || Shards == 0 || Requests == 0) {
     std::fprintf(stderr, "--lanes/--shards/--requests require a positive "
                          "count\n");
+    return 2;
+  }
+  if (Lanes > MaxLanesOrShards || Shards > MaxLanesOrShards) {
+    std::fprintf(stderr, "--lanes/--shards accept at most %u\n",
+                 MaxLanesOrShards);
     return 2;
   }
   if ((!BaselinePath.empty() || !WriteBaselinePath.empty()) && Lanes != 1) {

@@ -42,6 +42,14 @@ SessionResult softbound::runSession(const BuildResult &Prog,
   }
 
   unsigned Lanes = Req.Lanes ? Req.Lanes : 1;
+  if (Lanes > MaxLanesOrShards || Req.FacilityShards > MaxLanesOrShards)
+    return refuse("sessions are limited to " +
+                  std::to_string(MaxLanesOrShards) +
+                  " lanes and facility shards (MaxLanesOrShards): each "
+                  "lane is a host thread with a 1/N stack slice and each "
+                  "shard owns its own table; asked for " +
+                  std::to_string(Lanes) + " lanes, " +
+                  std::to_string(Req.FacilityShards) + " shards");
   if (Lanes > 1 && Req.Checker)
     return refuse("multi-lane sessions cannot use a baseline checker: "
                   "checker object tables are single-threaded; run with "

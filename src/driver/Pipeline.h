@@ -54,7 +54,8 @@ struct RunRequest {
   /// LockFreeReads selects it); each lane executes Entry(Args) on a
   /// private 1/N slice of the stack segment.
   /// Refused (explanatory Message, Segfault trap) when combined with a
-  /// baseline Checker — checkers keep single-threaded object tables.
+  /// baseline Checker — checkers keep single-threaded object tables —
+  /// and above MaxLanesOrShards.
   unsigned Lanes = 1;
   /// Shard count for the metadata facility (rounded up to a power of
   /// two). The default 1 with Lanes == 1 keeps the facility in
@@ -62,6 +63,7 @@ struct RunRequest {
   /// other combination stripes the facility's address space over
   /// power-of-two locks (ConcurrencyModel::Sharded), which adds
   /// contention accounting but never changes lookup/update results.
+  /// Refused above MaxLanesOrShards, like Lanes.
   unsigned FacilityShards = 1;
   /// Lock-free facility reads (docs/runtime.md "Lock-free reads"). When
   /// true the facility runs in ConcurrencyModel::LockFreeRead — writers

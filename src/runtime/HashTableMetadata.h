@@ -11,14 +11,15 @@
 /// no-collision case a lookup models ~9 x86 instructions: shift, mask,
 /// multiply, add, three loads, compare, branch.
 ///
-/// Sharding (facility API v2): each power-of-two address stripe
-/// (MetadataFacility.h ShardStripeLog2) owns an independent sub-table with
-/// its own striped reader-writer lock, statistics, and probe histogram.
-/// With one shard and ConcurrencyModel::SingleThread (the default) the
+/// Sharding (facility API v2, runtime/StripedFacility.h): each
+/// power-of-two address stripe (MetadataFacility.h ShardStripeLog2) owns
+/// an independent sub-table with its own striped reader-writer lock,
+/// statistics, and probe histogram.
+/// With one shard and the SingleThread model (the default) the
 /// probe sequences, collision counts and growth points are identical to
 /// the unsharded pre-v2 table.
 ///
-/// Lock-free reads (ConcurrencyModel::LockFreeRead): entry words are
+/// Lock-free reads (the LockFreeRead model): entry words are
 /// relaxed atomics and every shard's table generation is published
 /// through an atomic pointer, so a lookup probes with zero mutex
 /// acquisitions and validates its copied entry against the stripe's
@@ -32,48 +33,15 @@
 #ifndef SOFTBOUND_RUNTIME_HASHTABLEMETADATA_H
 #define SOFTBOUND_RUNTIME_HASHTABLEMETADATA_H
 
-#include "runtime/MetadataFacility.h"
+#include "runtime/StripedFacility.h"
 
 #include <memory>
 #include <vector>
 
 namespace softbound {
 
-/// Open-addressing hash table keyed by pointer-slot address.
-class HashTableMetadata : public MetadataFacility {
-public:
-  /// \p InitialLog2Size is the log2 of the initial entry count *per shard*.
-  /// The paper sizes the table "large enough to keep average utilization
-  /// low"; we grow at 50% occupancy.
-  explicit HashTableMetadata(unsigned InitialLog2Size = 16,
-                             FacilityOptions Options = {});
-
-  using MetadataFacility::update;
-
-  const char *name() const override { return "hashtable"; }
-  Bounds lookup(uint64_t Addr) override;
-  void update(uint64_t Addr, Bounds B) override;
-  void lookupN(const uint64_t *Addrs, Bounds *Out, size_t N) override;
-  void updateN(const uint64_t *Addrs, const Bounds *In, size_t N) override;
-  uint64_t clearRange(uint64_t Addr, uint64_t Size) override;
-  uint64_t copyRange(uint64_t Dst, uint64_t Src, uint64_t Size) override;
-  uint64_t lookupCost() const override { return 9; }
-  uint64_t updateCost() const override { return 9; }
-  uint64_t memoryBytes() const override;
-  void reset() override;
-  MetadataStats stats() const override;
-  unsigned shards() const override {
-    return static_cast<unsigned>(Shards.size());
-  }
-  ConcurrencyModel concurrency() const override { return Opts.Model; }
-  void attachTelemetry(Telemetry *T, const std::string &Prefix) override;
-  void flushTelemetry() override;
-
-  /// Table occupancy in [0, 1], aggregated over shards (for the ablation
-  /// bench).
-  double loadFactor() const;
-
-private:
+/// One stripe of the hash table: an independent open-addressing table.
+struct HashTableStripe {
   /// One table slot. The words are relaxed atomics so the LockFreeRead
   /// probe can race a writer without host-level undefined behaviour (the
   /// seqlock discards any torn copy); on x86/ARM a relaxed load/store is
@@ -83,41 +51,61 @@ private:
     std::atomic<uint64_t> Base{0};
     std::atomic<uint64_t> Bound{0};
   };
-  static constexpr uint64_t EmptyTag = 0;
-  static constexpr uint64_t TombstoneTag = 1;
 
-  /// One generation of a shard's open-addressing table. Grown
-  /// generations are immutable-from-then-on and, in the LockFreeRead
-  /// model, retired rather than freed (a lock-free reader may still be
-  /// probing them) until reset() or destruction.
+  /// One generation of the stripe's table. Grown generations are
+  /// immutable-from-then-on and, in the LockFreeRead model, retired
+  /// rather than freed (a lock-free reader may still be probing them)
+  /// until reset() or destruction.
   struct Table {
     explicit Table(size_t N) : Size(N), Slots(new Entry[N]) {}
     size_t Size;
     std::unique_ptr<Entry[]> Slots;
   };
 
-  /// One address-range stripe: an independent open-addressing table plus
-  /// its lock, seqlock, and statistics. Stats are relaxed atomics because
-  /// lookups (shared acquisitions or lock-free reads) bump them
-  /// concurrently.
-  struct Shard {
-    /// The live generation; readers acquire-load, writers publish with a
-    /// release store. Ownership lives in Tables.
-    std::atomic<Table *> Tab{nullptr};
-    /// Every generation ever allocated; back() is live. Writer-only.
-    std::vector<std::unique_ptr<Table>> Tables;
-    size_t Live = 0;
-    size_t Used = 0; ///< Live + tombstones.
-    ShardLock Lock;
-    StripeSeqlock Seq;
-    std::atomic<uint64_t> Lookups{0};
-    std::atomic<uint64_t> Updates{0};
-    std::atomic<uint64_t> Clears{0};
-    std::atomic<uint64_t> Collisions{0};
-    /// Probe-length histogram (slots examined per find), cached from the
-    /// attached telemetry sink; null in the disabled mode.
-    TelemetryHistogram *ProbeHist = nullptr;
-  };
+  explicit HashTableStripe(unsigned Log2Size) {
+    Tables.push_back(std::make_unique<Table>(size_t(1) << Log2Size));
+    Tab.store(Tables.back().get(), std::memory_order_release);
+  }
+
+  /// The live generation; readers acquire-load, writers publish with a
+  /// release store. Ownership lives in Tables.
+  std::atomic<Table *> Tab{nullptr};
+  /// Every generation ever allocated; back() is live. Writer-only.
+  std::vector<std::unique_ptr<Table>> Tables;
+  size_t Live = 0;
+  size_t Used = 0; ///< Live + tombstones.
+  /// Probe-length histogram (slots examined per probe), cached from the
+  /// attached telemetry sink; null in the disabled mode.
+  TelemetryHistogram *ProbeHist = nullptr;
+};
+
+/// Open-addressing hash table keyed by pointer-slot address.
+class HashTableMetadata
+    : public StripedFacility<HashTableMetadata, HashTableStripe> {
+public:
+  /// \p InitialLog2Size is the log2 of the initial entry count *per shard*.
+  /// The paper sizes the table "large enough to keep average utilization
+  /// low"; we grow at 50% occupancy.
+  explicit HashTableMetadata(unsigned InitialLog2Size = 16,
+                             FacilityOptions Options = {})
+      : StripedFacility(Options, InitialLog2Size) {}
+
+  const char *name() const override { return "hashtable"; }
+  uint64_t lookupCost() const override { return 9; }
+  uint64_t updateCost() const override { return 9; }
+  uint64_t memoryBytes() const override;
+  void attachTelemetry(Telemetry *T, const std::string &Prefix) override;
+
+  /// Table occupancy in [0, 1], aggregated over shards (for the ablation
+  /// bench).
+  double loadFactor() const;
+
+private:
+  friend StripedFacility;
+  using Entry = HashTableStripe::Entry;
+  using Table = HashTableStripe::Table;
+  static constexpr uint64_t EmptyTag = 0;
+  static constexpr uint64_t TombstoneTag = 1;
 
   static size_t hash(uint64_t Addr, size_t TableSize) {
     // Double-word address modulo table size: shift and mask (§5.1), with a
@@ -126,52 +114,27 @@ private:
     return static_cast<size_t>(H & (TableSize - 1));
   }
 
-  size_t shardOf(uint64_t Addr) const {
-    return static_cast<size_t>((Addr >> ShardStripeLog2) &
-                               (Shards.size() - 1));
+  /// The one probe: finds the entry for \p Addr in \p S, or (ForInsert)
+  /// the insertion slot; counts collisions and records the probe length.
+  Entry *probe(Stripe &S, uint64_t Addr, bool ForInsert);
+  void grow(Stripe &S);
+
+  // The stripe-core store interface (runtime/StripedFacility.h).
+  Entry *find(Stripe &S, uint64_t Addr) {
+    return probe(S, Addr, /*ForInsert=*/false);
   }
-
-  /// The stripe lock writers (and aggregate readers) guard with, or null
-  /// in SingleThread mode. Both concurrent models lock the write path.
-  const ShardLock *lockOf(const Shard &S) const {
-    return Opts.Model == ConcurrencyModel::SingleThread ? nullptr : &S.Lock;
+  /// A found entry carries metadata even when its bounds are null.
+  static bool holds(const Entry &) { return true; }
+  Entry *materialize(Stripe &S, uint64_t Addr);
+  void erase(Stripe &S, Entry &E) {
+    st(E.Tag, TombstoneTag);
+    st(E.Base, 0);
+    st(E.Bound, 0);
+    --S.Live;
   }
-
-  /// The stripe lock the *read* path guards with: only the Sharded model
-  /// takes it — SingleThread needs none, LockFreeRead reads through the
-  /// seqlock instead.
-  const ShardLock *readLockOf(const Shard &S) const {
-    return Opts.Model == ConcurrencyModel::Sharded ? &S.Lock : nullptr;
-  }
-
-  /// The stripe seqlock writers bump, or null outside LockFreeRead.
-  StripeSeqlock *seqOf(Shard &S) const {
-    return Opts.Model == ConcurrencyModel::LockFreeRead ? &S.Seq : nullptr;
-  }
-
-  /// Finds the entry for Addr in \p S, or the insertion slot; counts
-  /// collisions. Caller holds the shard's lock (or runs SingleThread).
-  Entry *find(Shard &S, uint64_t Addr, bool ForInsert);
-
-  /// The lock-free read path: probes the published generation and
-  /// validates the copied entry against the stripe's seqlock.
-  Bounds lookupLockFree(Shard &S, uint64_t Addr);
-
-  /// update() body minus locking; caller holds the shard exclusively.
-  void updateLocked(Shard &S, uint64_t Addr, Bounds B);
-
-  /// Clears the slots of [Addr, Addr+Size) that fall inside one stripe;
-  /// caller holds the shard exclusively. Returns entries dropped.
-  uint64_t clearChunkLocked(Shard &S, uint64_t Addr, uint64_t Size);
-
-  void grow(Shard &S);
-
-  FacilityOptions Opts;
-  std::vector<std::unique_ptr<Shard>> Shards;
-  std::atomic<uint64_t> ClearCalls{0};
-  std::atomic<uint64_t> ClearEntries{0};
-  std::atomic<uint64_t> CopyCalls{0};
-  std::atomic<uint64_t> CopyEntries{0};
+  void clearStore(Stripe &S);
+  void flushStripeGauges(const Stripe &S, const std::string &Prefix);
+  void flushGauges();
 };
 
 } // namespace softbound

@@ -10,37 +10,25 @@
 /// there. Two implementations, matching the paper: an open hash table
 /// (~9 x86 instructions per lookup) and a tag-less shadow space (~5).
 ///
-/// Facility API v2 (docs/runtime.md): value-returning `Bounds lookup`,
-/// batch `lookupN`/`updateN` entry points, and an optional sharded
-/// concurrency mode — the address space is divided into power-of-two
-/// stripes, each stripe owned by one shard with its own striped
-/// reader-writer lock, so N VM lanes can share one facility. The
-/// default (`ConcurrencyModel::SingleThread`, one shard) takes no locks
-/// at all and is bit-for-bit identical to the pre-v2 behaviour the
-/// bench gate's baselines were recorded against.
+/// Facility API v2 (docs/runtime.md): value-returning `Bounds lookup`
+/// and an optional concurrency mode — the address space is divided into
+/// power-of-two stripes, each owned by one shard, so N VM lanes can share
+/// one facility. The default (SingleThread, one shard) takes no locks at
+/// all and is bit-for-bit identical to the pre-v2 behaviour the bench
+/// gate's baselines were recorded against.
 ///
-/// Lock-free reads (`ConcurrencyModel::LockFreeRead`): the write path is
-/// unchanged — updates and range operations still take the stripe's
-/// exclusive ShardLock — but lookups acquire no mutex at all. Each
-/// stripe carries a seqlock (StripeSeqlock): writers bump an atomic
-/// sequence odd before mutating and even after; readers copy the entry
-/// between two sequence reads and retry when the window was dirty.
-/// Structures a reader traverses are published RCU-style (hash tables
-/// retire grown generations, shadow pages install fully-initialized
-/// behind a release store), so a racing reader can observe stale — but
-/// never torn or dangling — state.
+/// Both implementations are built on one stripe core
+/// (runtime/StripedFacility.h), the single place the concurrency model
+/// turns into lock, seqlock and statistics decisions; they supply only
+/// their per-stripe data structure.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SOFTBOUND_RUNTIME_METADATAFACILITY_H
 #define SOFTBOUND_RUNTIME_METADATAFACILITY_H
 
-#include <atomic>
-#include <cstddef>
 #include <cstdint>
-#include <shared_mutex>
 #include <string>
-#include <thread>
 
 namespace softbound {
 
@@ -85,6 +73,15 @@ enum class ConcurrencyModel {
 /// a stripe never splits a shadow page across shards.
 inline constexpr unsigned ShardStripeLog2 = 15;
 
+/// Upper bound on both RunRequest::Lanes and the facility shard count.
+/// runSession refuses wider sessions and the benches reject wider flags;
+/// facility construction clamps to it. Each lane is one host thread with
+/// a 1/N slice of the simulated stack, and each hash shard owns its own
+/// table, so an unbounded count exhausts host threads and memory.
+inline constexpr unsigned MaxLanesOrShards = 16;
+static_assert((MaxLanesOrShards & (MaxLanesOrShards - 1)) == 0,
+              "shard counts are powers of two");
+
 /// Simulated-cost prices for facility lock traffic (docs/runtime.md):
 /// an uncontended striped-lock acquisition models one atomic op; a
 /// contended one models the coherence miss plus re-acquisition. The
@@ -104,9 +101,11 @@ inline constexpr uint64_t SeqlockRetryCost = ContendedLockCost;
 
 /// Constructor-time facility configuration.
 struct FacilityOptions {
-  ConcurrencyModel Model = ConcurrencyModel::SingleThread;
-  /// Shard count; rounded up to a power of two, minimum 1. Shard choice
-  /// is `(Addr >> ShardStripeLog2) & (Shards - 1)`.
+  /// Value-initialized: SingleThread, the enum's first enumerator.
+  ConcurrencyModel Model{};
+  /// Shard count; rounded up to a power of two, minimum 1, clamped to
+  /// MaxLanesOrShards. Shard choice is
+  /// `(Addr >> ShardStripeLog2) & (Shards - 1)`.
   unsigned Shards = 1;
 };
 
@@ -130,143 +129,6 @@ struct MetadataStats {
            LockContended * ContendedLockCost +
            SeqlockRetries * SeqlockRetryCost;
   }
-};
-
-/// One shard's striped lock plus its contention tallies. A null pointer
-/// passed to the guards below means "SingleThread mode": the guard
-/// degenerates to a single branch, preserving the lock-free fast path
-/// the gated baselines were measured on.
-struct ShardLock {
-  mutable std::shared_mutex Mu;
-  mutable std::atomic<uint64_t> Acquires{0};
-  mutable std::atomic<uint64_t> Contended{0};
-};
-
-/// Reader-side guard: shared acquisition, so concurrent lookups never
-/// serialize against each other. Counts the acquisition and whether it
-/// found the stripe exclusively held.
-class ShardSharedGuard {
-public:
-  explicit ShardSharedGuard(const ShardLock *L) : L(L) {
-    if (!L)
-      return;
-    L->Acquires.fetch_add(1, std::memory_order_relaxed);
-    if (!L->Mu.try_lock_shared()) {
-      L->Contended.fetch_add(1, std::memory_order_relaxed);
-      L->Mu.lock_shared();
-    }
-  }
-  ~ShardSharedGuard() {
-    if (L)
-      L->Mu.unlock_shared();
-  }
-  ShardSharedGuard(const ShardSharedGuard &) = delete;
-  ShardSharedGuard &operator=(const ShardSharedGuard &) = delete;
-
-private:
-  const ShardLock *L;
-};
-
-/// Writer-side guard: exclusive acquisition for updates and range ops.
-class ShardExclusiveGuard {
-public:
-  explicit ShardExclusiveGuard(const ShardLock *L) : L(L) {
-    if (!L)
-      return;
-    L->Acquires.fetch_add(1, std::memory_order_relaxed);
-    if (!L->Mu.try_lock()) {
-      L->Contended.fetch_add(1, std::memory_order_relaxed);
-      L->Mu.lock();
-    }
-  }
-  ~ShardExclusiveGuard() {
-    if (L)
-      L->Mu.unlock();
-  }
-  ShardExclusiveGuard(const ShardExclusiveGuard &) = delete;
-  ShardExclusiveGuard &operator=(const ShardExclusiveGuard &) = delete;
-
-private:
-  const ShardLock *L;
-};
-
-/// One stripe's seqlock: the sequence word writers bump around every
-/// mutation in the LockFreeRead model, plus the read-side tallies behind
-/// the SeqlockReads / SeqlockRetries statistics.
-///
-/// Protocol (the classic seqlock, with the data itself held in relaxed
-/// atomics so racing copies are defined behaviour):
-///
-///   writer  — already holding the stripe's ShardLock exclusively, so
-///             writers never race each other —
-///             writeBegin(): Seq += 1 (now odd), release fence;
-///             ...mutate (relaxed stores)...;
-///             writeEnd():   Seq += 1 (now even, release).
-///   reader  S0 = readBegin() (acquire; spins past odd, yielding so a
-///             descheduled writer on a single-core host gets the CPU);
-///             ...copy (relaxed loads)...;
-///             readValidate(S0): acquire fence, re-read Seq; a changed
-///             sequence means the copy may be torn — count a retry and
-///             re-run the read.
-struct StripeSeqlock {
-  std::atomic<uint64_t> Seq{0};
-  mutable std::atomic<uint64_t> Reads{0};
-  mutable std::atomic<uint64_t> Retries{0};
-
-  void writeBegin() {
-    Seq.fetch_add(1, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_release);
-  }
-  void writeEnd() { Seq.fetch_add(1, std::memory_order_release); }
-
-  /// Starts one counted read attempt sequence; returns an even sequence
-  /// value to validate against.
-  uint64_t readBegin() const {
-    Reads.fetch_add(1, std::memory_order_relaxed);
-    return stableSeq();
-  }
-
-  /// An even (no write in flight) sequence value. Each odd observation
-  /// counts as one retry — the reader is paying for a writer's window.
-  uint64_t stableSeq() const {
-    for (;;) {
-      uint64_t S = Seq.load(std::memory_order_acquire);
-      if (!(S & 1))
-        return S;
-      Retries.fetch_add(1, std::memory_order_relaxed);
-      std::this_thread::yield();
-    }
-  }
-
-  /// True when a copy taken since sequence \p S0 is consistent; on
-  /// failure the retry is counted and the caller re-runs its read.
-  bool readValidate(uint64_t S0) const {
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (Seq.load(std::memory_order_relaxed) == S0)
-      return true;
-    Retries.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-};
-
-/// RAII writer window: brackets a mutation with writeBegin/writeEnd when
-/// \p SL is non-null (the LockFreeRead model); free otherwise. Callers
-/// hold the stripe's ShardLock exclusively for the whole window.
-class SeqlockWriteScope {
-public:
-  explicit SeqlockWriteScope(StripeSeqlock *SL) : SL(SL) {
-    if (SL)
-      SL->writeBegin();
-  }
-  ~SeqlockWriteScope() {
-    if (SL)
-      SL->writeEnd();
-  }
-  SeqlockWriteScope(const SeqlockWriteScope &) = delete;
-  SeqlockWriteScope &operator=(const SeqlockWriteScope &) = delete;
-
-private:
-  StripeSeqlock *SL;
 };
 
 /// Abstract interface of the disjoint metadata space.
@@ -313,22 +175,6 @@ public:
     update(Addr, Bounds{Base, Bound});
   }
 
-  /// Batch lookup: Out[i] = lookup(Addrs[i]). The default loops;
-  /// sharded implementations hold each stripe's lock across runs of
-  /// same-shard addresses so a batch pays one acquisition per run, not
-  /// one per slot.
-  virtual void lookupN(const uint64_t *Addrs, Bounds *Out, size_t N) {
-    for (size_t I = 0; I < N; ++I)
-      Out[I] = lookup(Addrs[I]);
-  }
-
-  /// Batch update: update(Addrs[i], In[i]) for each i. Same batching
-  /// contract as lookupN.
-  virtual void updateN(const uint64_t *Addrs, const Bounds *In, size_t N) {
-    for (size_t I = 0; I < N; ++I)
-      update(Addrs[I], In[I]);
-  }
-
   /// Clears metadata for every pointer slot in [Addr, Addr+Size) — used when
   /// memory is freed or a stack frame is deallocated (§5.2 "memory reuse and
   /// stale metadata"). Returns the number of entries cleared.
@@ -359,12 +205,10 @@ public:
   virtual MetadataStats stats() const = 0;
 
   /// Number of address-range shards (1 in the default configuration).
-  virtual unsigned shards() const { return 1; }
+  virtual unsigned shards() const = 0;
 
   /// The concurrency model this instance was constructed with.
-  virtual ConcurrencyModel concurrency() const {
-    return ConcurrencyModel::SingleThread;
-  }
+  virtual ConcurrencyModel concurrency() const = 0;
 
   /// Attaches a telemetry sink; paths are rooted at \p Prefix (the run
   /// driver uses "facility/<name>"). Null detaches. Recording never
@@ -384,14 +228,6 @@ public:
   virtual void flushTelemetry() {}
 
 protected:
-  /// Normalized shard count: power of two, at least 1, capped at 1 << 16.
-  static unsigned normalizeShards(unsigned Requested) {
-    unsigned N = 1;
-    while (N < Requested && N < (1u << 16))
-      N <<= 1;
-    return N;
-  }
-
   Telemetry *Telem = nullptr;
   std::string TelemetryPrefix;
 };

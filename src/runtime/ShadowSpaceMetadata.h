@@ -11,12 +11,13 @@
 /// lookup models ~5 x86 instructions (shift, mask, add, two loads). Pages
 /// are materialized on demand, modelling mmap's zero-fill-on-demand.
 ///
-/// Sharding (facility API v2): shadow pages span exactly one address
-/// stripe (2^ShardStripeLog2 bytes), so each shard owns whole pages and
-/// a page never splits across stripe locks. The default single-shard,
-/// SingleThread configuration behaves exactly like the pre-v2 space.
+/// Sharding (facility API v2, runtime/StripedFacility.h): shadow pages
+/// span exactly one address stripe (2^ShardStripeLog2 bytes), so each
+/// shard owns whole pages and a page never splits across stripe locks.
+/// The default single-shard, SingleThread configuration behaves exactly
+/// like the pre-v2 space.
 ///
-/// Lock-free reads (ConcurrencyModel::LockFreeRead): pages are published
+/// Lock-free reads (the LockFreeRead model): pages are published
 /// RCU-style — a writer installs a fully-initialized (zero-filled) page
 /// node at the head of its bucket chain with a release store, and a
 /// reader acquire-loads the head and walks the immutable chain, so a
@@ -30,7 +31,7 @@
 #ifndef SOFTBOUND_RUNTIME_SHADOWSPACEMETADATA_H
 #define SOFTBOUND_RUNTIME_SHADOWSPACEMETADATA_H
 
-#include "runtime/MetadataFacility.h"
+#include "runtime/StripedFacility.h"
 
 #include <array>
 #include <memory>
@@ -38,31 +39,8 @@
 
 namespace softbound {
 
-/// Demand-paged, tag-less shadow of the simulated address space; one
-/// {base, bound} pair per 8-byte pointer slot.
-class ShadowSpaceMetadata : public MetadataFacility {
-public:
-  explicit ShadowSpaceMetadata(FacilityOptions Options = {});
-
-  using MetadataFacility::update;
-
-  const char *name() const override { return "shadowspace"; }
-  Bounds lookup(uint64_t Addr) override;
-  void update(uint64_t Addr, Bounds B) override;
-  uint64_t clearRange(uint64_t Addr, uint64_t Size) override;
-  uint64_t copyRange(uint64_t Dst, uint64_t Src, uint64_t Size) override;
-  uint64_t lookupCost() const override { return 5; }
-  uint64_t updateCost() const override { return 5; }
-  uint64_t memoryBytes() const override;
-  void reset() override;
-  MetadataStats stats() const override;
-  unsigned shards() const override {
-    return static_cast<unsigned>(Shards.size());
-  }
-  ConcurrencyModel concurrency() const override { return Opts.Model; }
-  void flushTelemetry() override;
-
-private:
+/// One stripe of the shadow space: its demand-materialized pages.
+struct ShadowSpaceStripe {
   /// Slots per shadow page; one page shadows 8 * SlotsPerPage bytes —
   /// exactly one address stripe (static_assert below), so pages never
   /// straddle shards.
@@ -91,74 +69,55 @@ private:
     PageNode *Next;
   };
 
-  /// Buckets per shard for the page-pointer table. Pages are found via a
-  /// multiplicative mix of the page id, so ids that are congruent modulo
-  /// the shard count still spread across buckets.
+  /// Buckets per stripe for the page-pointer table. Pages are found via
+  /// a multiplicative mix of the page id, so ids that are congruent
+  /// modulo the shard count still spread across buckets.
   static constexpr size_t PageBuckets = 64;
 
-  /// One address-range stripe: its demand-paged shadow plus lock/stats.
-  struct Shard {
-    /// Chain heads; readers acquire-load, writers (under the exclusive
-    /// lock) release-store freshly initialized nodes.
-    std::array<std::atomic<PageNode *>, PageBuckets> Buckets{};
-    /// Ownership of every node ever published. Writer-only; reclaimed at
-    /// reset()/destruction (quiescent, per the facility contract).
-    std::vector<std::unique_ptr<PageNode>> Nodes;
-    uint64_t PageCount = 0;
-    ShardLock Lock;
-    StripeSeqlock Seq;
-    std::atomic<uint64_t> Lookups{0};
-    std::atomic<uint64_t> Updates{0};
-    std::atomic<uint64_t> Clears{0};
-  };
+  /// Chain heads; readers acquire-load, writers (under the exclusive
+  /// lock) release-store freshly initialized nodes.
+  std::array<std::atomic<PageNode *>, PageBuckets> Buckets{};
+  /// Ownership of every node ever published. Writer-only; reclaimed at
+  /// reset()/destruction (quiescent, per the facility contract).
+  std::vector<std::unique_ptr<PageNode>> Nodes;
+  uint64_t PageCount = 0;
+};
 
-  size_t shardOf(uint64_t Addr) const {
-    return static_cast<size_t>((Addr >> ShardStripeLog2) &
-                               (Shards.size() - 1));
-  }
+/// Demand-paged, tag-less shadow of the simulated address space; one
+/// {base, bound} pair per 8-byte pointer slot.
+class ShadowSpaceMetadata
+    : public StripedFacility<ShadowSpaceMetadata, ShadowSpaceStripe> {
+public:
+  explicit ShadowSpaceMetadata(FacilityOptions Options = {})
+      : StripedFacility(Options) {}
+
+  const char *name() const override { return "shadowspace"; }
+  uint64_t lookupCost() const override { return 5; }
+  uint64_t updateCost() const override { return 5; }
+  uint64_t memoryBytes() const override;
+
+private:
+  friend StripedFacility;
+  using Pair = ShadowSpaceStripe::Pair;
+  using PageNode = ShadowSpaceStripe::PageNode;
 
   static size_t bucketOf(uint64_t PageId) {
     return static_cast<size_t>((PageId * 0x9e3779b97f4a7c15ULL) >>
                                (64 - 6)) &
-           (PageBuckets - 1);
+           (ShadowSpaceStripe::PageBuckets - 1);
   }
 
-  /// The stripe lock writers (and aggregate readers) guard with, or null
-  /// in SingleThread mode. Both concurrent models lock the write path.
-  const ShardLock *lockOf(const Shard &S) const {
-    return Opts.Model == ConcurrencyModel::SingleThread ? nullptr : &S.Lock;
+  // The stripe-core store interface (runtime/StripedFacility.h).
+  Pair *find(Stripe &S, uint64_t Addr);
+  static bool holds(const Pair &P) { return ld(P.Base) || ld(P.Bound); }
+  Pair *materialize(Stripe &S, uint64_t Addr);
+  void erase(Stripe &, Pair &P) {
+    st(P.Base, 0);
+    st(P.Bound, 0);
   }
-
-  /// The stripe lock the *read* path guards with: only the Sharded model
-  /// takes it — SingleThread needs none, LockFreeRead reads through the
-  /// seqlock instead.
-  const ShardLock *readLockOf(const Shard &S) const {
-    return Opts.Model == ConcurrencyModel::Sharded ? &S.Lock : nullptr;
-  }
-
-  /// The stripe seqlock writers bump, or null outside LockFreeRead.
-  StripeSeqlock *seqOf(Shard &S) const {
-    return Opts.Model == ConcurrencyModel::LockFreeRead ? &S.Seq : nullptr;
-  }
-
-  /// Finds the page holding \p Addr's slot by walking its bucket chain.
-  /// Safe to call from the lock-free read path (acquire head, immutable
-  /// chain); returns null when the page is not materialized.
-  Pair *findSlot(const Shard &S, uint64_t Addr) const;
-
-  /// findSlot plus materialization; caller holds the shard exclusively
-  /// (or runs SingleThread).
-  Pair *slotFor(Shard &S, uint64_t Addr, bool Materialize);
-
-  /// The lock-free read path: seqlock-validated copy of the slot.
-  Bounds lookupLockFree(Shard &S, uint64_t Addr);
-
-  FacilityOptions Opts;
-  std::vector<std::unique_ptr<Shard>> Shards;
-  std::atomic<uint64_t> ClearCalls{0};
-  std::atomic<uint64_t> ClearEntries{0};
-  std::atomic<uint64_t> CopyCalls{0};
-  std::atomic<uint64_t> CopyEntries{0};
+  void clearStore(Stripe &S);
+  void flushStripeGauges(const Stripe &S, const std::string &Prefix);
+  void flushGauges();
 };
 
 } // namespace softbound

@@ -52,21 +52,30 @@ enum class TrapKind {
 /// Human-readable trap name.
 const char *trapName(TrapKind K);
 
+/// Every summed VMCounters field, listed once: the list declares the
+/// fields and generates accumulate() and since(). MaxFrameDepth is a
+/// high-water mark, not a count, so it sits outside the list with its
+/// own max/absolute rule.
+#define SOFTBOUND_VM_COUNTERS(X)                                               \
+  X(Insts)                                                                     \
+  X(Loads)                                                                     \
+  X(Stores)                                                                    \
+  X(PtrLoads)    /* Loads whose result type is a pointer (Fig. 1). */          \
+  X(PtrStores)   /* Stores whose value type is a pointer (Fig. 1). */          \
+  X(Checks)                                                                    \
+  X(CheckGuards) /* Guard evaluations on guarded spatial checks. */            \
+  X(GuardSkips)  /* Guarded checks skipped (guard was false). */               \
+  X(FuncPtrChecks)                                                             \
+  X(MetaLoads)                                                                 \
+  X(MetaStores)                                                                \
+  X(Calls)                                                                     \
+  X(Cycles)
+
 /// Dynamic execution statistics.
 struct VMCounters {
-  uint64_t Insts = 0;
-  uint64_t Loads = 0;
-  uint64_t Stores = 0;
-  uint64_t PtrLoads = 0;  ///< Loads whose result type is a pointer (Fig. 1).
-  uint64_t PtrStores = 0; ///< Stores whose value type is a pointer (Fig. 1).
-  uint64_t Checks = 0;
-  uint64_t CheckGuards = 0; ///< Guard evaluations on guarded spatial checks.
-  uint64_t GuardSkips = 0;  ///< Guarded checks skipped (guard was false).
-  uint64_t FuncPtrChecks = 0;
-  uint64_t MetaLoads = 0;
-  uint64_t MetaStores = 0;
-  uint64_t Calls = 0;
-  uint64_t Cycles = 0;
+#define SOFTBOUND_VM_COUNTER_FIELD(Name) uint64_t Name = 0;
+  SOFTBOUND_VM_COUNTERS(SOFTBOUND_VM_COUNTER_FIELD)
+#undef SOFTBOUND_VM_COUNTER_FIELD
   uint64_t MaxFrameDepth = 0;
 
   uint64_t memOps() const { return Loads + Stores; }
@@ -78,19 +87,9 @@ struct VMCounters {
   /// Folds \p O into this counter set (multi-lane joins): every count
   /// adds except MaxFrameDepth, which takes the max across lanes.
   void accumulate(const VMCounters &O) {
-    Insts += O.Insts;
-    Loads += O.Loads;
-    Stores += O.Stores;
-    PtrLoads += O.PtrLoads;
-    PtrStores += O.PtrStores;
-    Checks += O.Checks;
-    CheckGuards += O.CheckGuards;
-    GuardSkips += O.GuardSkips;
-    FuncPtrChecks += O.FuncPtrChecks;
-    MetaLoads += O.MetaLoads;
-    MetaStores += O.MetaStores;
-    Calls += O.Calls;
-    Cycles += O.Cycles;
+#define SOFTBOUND_VM_COUNTER_ADD(Name) Name += O.Name;
+    SOFTBOUND_VM_COUNTERS(SOFTBOUND_VM_COUNTER_ADD)
+#undef SOFTBOUND_VM_COUNTER_ADD
     if (O.MaxFrameDepth > MaxFrameDepth)
       MaxFrameDepth = O.MaxFrameDepth;
   }
@@ -100,19 +99,9 @@ struct VMCounters {
   /// a per-window depth delta has no meaning.
   VMCounters since(const VMCounters &Prev) const {
     VMCounters D;
-    D.Insts = Insts - Prev.Insts;
-    D.Loads = Loads - Prev.Loads;
-    D.Stores = Stores - Prev.Stores;
-    D.PtrLoads = PtrLoads - Prev.PtrLoads;
-    D.PtrStores = PtrStores - Prev.PtrStores;
-    D.Checks = Checks - Prev.Checks;
-    D.CheckGuards = CheckGuards - Prev.CheckGuards;
-    D.GuardSkips = GuardSkips - Prev.GuardSkips;
-    D.FuncPtrChecks = FuncPtrChecks - Prev.FuncPtrChecks;
-    D.MetaLoads = MetaLoads - Prev.MetaLoads;
-    D.MetaStores = MetaStores - Prev.MetaStores;
-    D.Calls = Calls - Prev.Calls;
-    D.Cycles = Cycles - Prev.Cycles;
+#define SOFTBOUND_VM_COUNTER_SUB(Name) D.Name = Name - Prev.Name;
+    SOFTBOUND_VM_COUNTERS(SOFTBOUND_VM_COUNTER_SUB)
+#undef SOFTBOUND_VM_COUNTER_SUB
     D.MaxFrameDepth = MaxFrameDepth;
     return D;
   }

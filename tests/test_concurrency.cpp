@@ -10,6 +10,8 @@
 ///  - range operations on a Sharded facility agree with a SingleThread
 ///    oracle even when the range spans several 2^ShardStripeLog2-byte
 ///    stripes (clearRange / copyRange chunk per stripe);
+///  - lane and shard counts above MaxLanesOrShards are refused by
+///    runSession and clamped by facility construction;
 ///  - a multi-threaded update/lookup hammer loses no slots and the
 ///    per-shard statistics add up, including lock-acquire counts;
 ///  - a 4-lane runSession over the full Table 3 attack suite and the
@@ -115,28 +117,22 @@ TEST(ShardedRangeOps, CopyRangeSpanningStripesMatchesOracle) {
   }
 }
 
-TEST(ShardedRangeOps, BatchOpsCrossStripesLikeScalars) {
+TEST(ShardedRangeOps, StripeHoppingOpsMatchOracle) {
   ShadowSpaceMetadata Sharded(FacilityOptions{ConcurrencyModel::Sharded, 4});
   ShadowSpaceMetadata Oracle;
 
-  // One batch whose addresses hop stripes (and wrap shard indices) on
-  // purpose: runs of same-shard addresses interleaved with jumps.
+  // Addresses that hop stripes (and wrap shard indices) on purpose: runs
+  // of same-shard addresses interleaved with jumps.
   std::vector<uint64_t> Addrs;
-  std::vector<Bounds> In;
-  for (uint64_t I = 0; I < 64; ++I) {
-    uint64_t A = 0x2000'0000 + (I % 5) * Stripe + I * 8;
-    Addrs.push_back(A);
-    In.push_back(Bounds{A + 1, A + 256});
+  for (uint64_t I = 0; I < 64; ++I)
+    Addrs.push_back(0x2000'0000 + (I % 5) * Stripe + I * 8);
+  for (uint64_t A : Addrs) {
+    Sharded.update(A, A + 1, A + 256);
+    Oracle.update(A, A + 1, A + 256);
   }
-  Sharded.updateN(Addrs.data(), In.data(), Addrs.size());
-  Oracle.updateN(Addrs.data(), In.data(), Addrs.size());
-
-  std::vector<Bounds> OutSharded(Addrs.size()), OutOracle(Addrs.size());
-  Sharded.lookupN(Addrs.data(), OutSharded.data(), Addrs.size());
-  Oracle.lookupN(Addrs.data(), OutOracle.data(), Addrs.size());
-  for (size_t I = 0; I < Addrs.size(); ++I) {
-    EXPECT_EQ(OutSharded[I], In[I]) << I;
-    EXPECT_EQ(OutSharded[I], OutOracle[I]) << I;
+  for (uint64_t A : Addrs) {
+    EXPECT_EQ(Sharded.lookup(A), (Bounds{A + 1, A + 256})) << A;
+    EXPECT_EQ(Sharded.lookup(A), Oracle.lookup(A)) << A;
   }
 }
 
@@ -225,6 +221,42 @@ TEST(MultiLaneSessions, FourLaneBugBenchSweepMissesNothing) {
           << Bug.Name << " lane " << L << ": trap="
           << trapName(S.PerLane[L].Trap);
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Lane and shard cap
+//===----------------------------------------------------------------------===//
+
+TEST(SessionLimits, LanesAndShardsAboveCapAreRefused) {
+  BuildResult Prog = buildInstrumented("int main() { return 0; }");
+  ASSERT_TRUE(Prog.ok()) << Prog.errorText();
+
+  // One past the cap, for each knob: refused before any lane starts,
+  // with an explanatory message naming the cap.
+  RunRequest Wide;
+  Wide.Lanes = MaxLanesOrShards + 1;
+  RunRequest Striped;
+  Striped.FacilityShards = MaxLanesOrShards + 1;
+  for (const RunRequest &Req : {Wide, Striped}) {
+    SessionResult S = runSession(Prog, Req);
+    EXPECT_EQ(S.Combined.Trap, TrapKind::Segfault);
+    EXPECT_TRUE(S.PerLane.empty()) << "a refused session starts no lane";
+    EXPECT_NE(S.Combined.Message.find("MaxLanesOrShards"), std::string::npos)
+        << S.Combined.Message;
+  }
+
+  // At the cap the session runs.
+  RunRequest AtCap;
+  AtCap.Lanes = 2;
+  AtCap.FacilityShards = MaxLanesOrShards;
+  SessionResult S = runSession(Prog, AtCap);
+  EXPECT_TRUE(S.ok()) << S.Combined.Message;
+  EXPECT_EQ(S.PerLane.size(), 2u);
+
+  // Facility construction clamps to the same cap.
+  FacilityOptions Over{ConcurrencyModel::Sharded, MaxLanesOrShards + 1};
+  EXPECT_EQ(ShadowSpaceMetadata(Over).shards(), MaxLanesOrShards);
+  EXPECT_EQ(HashTableMetadata(4, Over).shards(), MaxLanesOrShards);
 }
 
 //===----------------------------------------------------------------------===//

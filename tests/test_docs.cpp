@@ -171,12 +171,12 @@ TEST(DocsDrift, RuntimeDocCurrent) {
   EXPECT_NE(Readme.find("docs/runtime.md"), std::string::npos)
       << "README must point at the runtime doc";
 
-  // The runtime book names the live surface: the session API, the batch
-  // facility entry points, and the bench flags.
+  // The runtime book names the live surface: the session API, the
+  // facility range operations, the stripe core, and the bench flags.
   std::string Doc = readFile("docs/runtime.md");
   for (const char *Needle :
        {"runSession", "RunRequest", "SessionResult", "FacilityOptions",
-        "lookupN", "updateN", "clearRange", "copyRange", "--lanes",
+        "clearRange", "copyRange", "StripedFacility", "--lanes",
         "--shards", "--lockfree", "MetaStatsOut", "test_concurrency.cpp",
         "LockFreeRead", "LockFreeReads", "StripeSeqlock", "SeqlockRetryCost",
         "SeqlockReads", "SeqlockRetries",
@@ -193,6 +193,10 @@ TEST(DocsDrift, RuntimeDocCurrent) {
   EXPECT_NE(Doc.find("2^" + std::to_string(ShardStripeLog2) + "-byte"),
             std::string::npos)
       << "docs/runtime.md stripe size drifted from ShardStripeLog2";
+  EXPECT_NE(Doc.find("`MaxLanesOrShards = " +
+                     std::to_string(MaxLanesOrShards) + "`"),
+            std::string::npos)
+      << "docs/runtime.md lane/shard cap drifted from MaxLanesOrShards";
   std::vector<std::string> Costs = driftRegion(Doc, "lock-costs");
   ASSERT_FALSE(Costs.empty())
       << "docs/runtime.md lost its drift:lock-costs table";

@@ -7,18 +7,17 @@
 /// \file
 /// Unit and property tests of the §5.1 metadata facilities: basic
 /// lookup/update semantics, range clearing and copying, hash growth and
-/// collision accounting, and an equivalence sweep using the shadow space
-/// as oracle for the hash table.
+/// collision accounting, and an equivalence sweep — in every concurrency
+/// model — using the shadow space as oracle for the hash table.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "runtime/HashTableMetadata.h"
 #include "runtime/ShadowSpaceMetadata.h"
 #include "support/RNG.h"
+#include "support/Telemetry.h"
 
 #include <gtest/gtest.h>
-
-#include <vector>
 
 using namespace softbound;
 
@@ -147,37 +146,24 @@ TYPED_TEST(FacilityTest, ResetDropsEverything) {
   EXPECT_EQ(this->Facility.stats().Lookups, 1u);
 }
 
-TYPED_TEST(FacilityTest, BatchLookupMatchesScalar) {
-  // lookupN over a mix of present, missing, and shard-crossing slots
-  // must agree element-wise with scalar lookup.
-  for (uint64_t I = 0; I < 16; I += 2)
-    this->Facility.update(0x2000'0000 + I * 8, I + 1, I + 100);
-  std::vector<uint64_t> Addrs;
-  for (uint64_t I = 0; I < 16; ++I)
-    Addrs.push_back(0x2000'0000 + I * 8);
-  Addrs.push_back(0x2000'0000 + (1ULL << 20)); // Different stripe.
-  std::vector<Bounds> Out(Addrs.size());
-  this->Facility.lookupN(Addrs.data(), Out.data(), Addrs.size());
-  for (size_t I = 0; I < Addrs.size(); ++I) {
-    Bounds Want = this->Facility.lookup(Addrs[I]);
-    EXPECT_EQ(Out[I].Base, Want.Base) << "index " << I;
-    EXPECT_EQ(Out[I].Bound, Want.Bound) << "index " << I;
-  }
-}
-
-TYPED_TEST(FacilityTest, BatchUpdateMatchesScalar) {
-  std::vector<uint64_t> Addrs;
-  std::vector<Bounds> Vals;
-  for (uint64_t I = 0; I < 24; ++I) {
-    Addrs.push_back(0x8000'0000 + I * (1ULL << 17)); // Spans stripes.
-    Vals.push_back(Bounds{I + 1, I + 50});
-  }
-  this->Facility.updateN(Addrs.data(), Vals.data(), Addrs.size());
-  for (size_t I = 0; I < Addrs.size(); ++I) {
-    Bounds B = this->Facility.lookup(Addrs[I]);
-    EXPECT_EQ(B.Base, Vals[I].Base) << "index " << I;
-    EXPECT_EQ(B.Bound, Vals[I].Bound) << "index " << I;
-  }
+TYPED_TEST(FacilityTest, CopyRangeCountsDestinationClears) {
+  // A destination slot whose source has no metadata is cleared by the
+  // copy, and MetadataStats::Clears counts it for every facility; the
+  // clear_* telemetry counts clearRange calls only, so it stays at zero.
+  Telemetry Telem;
+  this->Facility.attachTelemetry(&Telem, "facility");
+  this->Facility.update(0xE000'1000, 5, 50); // Stale destination.
+  uint64_t ClearsBefore = this->Facility.stats().Clears;
+  EXPECT_EQ(this->Facility.copyRange(0xE000'1000, 0xE000'0000, 8), 0u);
+  EXPECT_TRUE(this->Facility.lookup(0xE000'1000).null());
+  EXPECT_EQ(this->Facility.stats().Clears - ClearsBefore, 1u);
+  // A destination slot that already carried nothing is not a clear.
+  EXPECT_EQ(this->Facility.copyRange(0xE000'2000, 0xE000'0000, 8), 0u);
+  EXPECT_EQ(this->Facility.stats().Clears - ClearsBefore, 1u);
+  this->Facility.flushTelemetry();
+  EXPECT_EQ(Telem.counter("facility/clear_calls"), 0u);
+  EXPECT_EQ(Telem.counter("facility/clear_entries"), 0u);
+  EXPECT_EQ(Telem.counter("facility/copy_calls"), 2u);
 }
 
 TYPED_TEST(FacilityTest, CostModelMatchesPaper) {
@@ -229,35 +215,55 @@ TEST(HashTableMetadata, TombstonesDoNotBreakProbing) {
 }
 
 TEST(FacilityEquivalence, HashMatchesShadowOracle) {
-  // Randomized op sequence: both facilities must agree on every lookup.
-  HashTableMetadata Hash(6);
-  ShadowSpaceMetadata Shadow;
-  RNG R(20260611);
-  for (int Op = 0; Op < 20000; ++Op) {
-    uint64_t Addr = 0x2000'0000 + (R.below(1 << 12) << 3);
-    switch (R.below(4)) {
-    case 0:
-    case 1: {
-      uint64_t Base = R.below(1 << 20) + 1;
-      uint64_t Bound = Base + R.below(256);
-      Hash.update(Addr, Base, Bound);
-      Shadow.update(Addr, Base, Bound);
-      break;
+  // Randomized op sequence over four stripes: both facilities must agree
+  // on every lookup and range result, in every concurrency model (run
+  // single-threaded, so the models differ only in their lock policy).
+  for (FacilityOptions Opts :
+       {FacilityOptions{ConcurrencyModel::SingleThread, 1},
+        FacilityOptions{ConcurrencyModel::Sharded, 4},
+        FacilityOptions{ConcurrencyModel::LockFreeRead, 4}}) {
+    SCOPED_TRACE(static_cast<int>(Opts.Model));
+    HashTableMetadata Hash(6, Opts);
+    ShadowSpaceMetadata Shadow(Opts);
+    RNG R(20260611);
+    auto RandomSlot = [&R] { return 0x2000'0000 + (R.below(1 << 14) << 3); };
+    for (int Op = 0; Op < 20000; ++Op) {
+      uint64_t Addr = RandomSlot();
+      switch (R.below(5)) {
+      case 0:
+      case 1: {
+        uint64_t Base = R.below(1 << 20) + 1;
+        uint64_t Bound = Base + R.below(256);
+        Hash.update(Addr, Base, Bound);
+        Shadow.update(Addr, Base, Bound);
+        break;
+      }
+      case 2: {
+        Bounds H = Hash.lookup(Addr);
+        Bounds S = Shadow.lookup(Addr);
+        ASSERT_EQ(H.Base, S.Base) << "divergence at op " << Op;
+        ASSERT_EQ(H.Bound, S.Bound);
+        break;
+      }
+      case 3: {
+        uint64_t Src = RandomSlot();
+        uint64_t Len = (R.below(8) + 1) * 8;
+        ASSERT_EQ(Hash.copyRange(Addr, Src, Len),
+                  Shadow.copyRange(Addr, Src, Len))
+            << "copy divergence at op " << Op;
+        break;
+      }
+      default: {
+        uint64_t Len = (R.below(8) + 1) * 8;
+        ASSERT_EQ(Hash.clearRange(Addr, Len), Shadow.clearRange(Addr, Len))
+            << "clear divergence at op " << Op;
+        break;
+      }
+      }
     }
-    case 2: {
-      Bounds H = Hash.lookup(Addr);
-      Bounds S = Shadow.lookup(Addr);
-      ASSERT_EQ(H.Base, S.Base) << "divergence at op " << Op;
-      ASSERT_EQ(H.Bound, S.Bound);
-      break;
-    }
-    default: {
-      uint64_t Len = (R.below(8) + 1) * 8;
-      Hash.clearRange(Addr, Len);
-      Shadow.clearRange(Addr, Len);
-      break;
-    }
-    }
+    for (uint64_t A = 0x2000'0000; A < 0x2000'0000 + (8 << 14); A += 8)
+      ASSERT_EQ(Hash.lookup(A), Shadow.lookup(A)) << "slot " << A;
+    EXPECT_EQ(Hash.stats().Clears, Shadow.stats().Clears);
   }
 }
 

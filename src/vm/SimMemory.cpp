@@ -6,19 +6,35 @@
 
 #include "vm/SimMemory.h"
 
-#include <cassert>
 #include <cstring>
+#include <new>
+
+#include <sys/mman.h>
 
 using namespace softbound;
 using namespace softbound::simlayout;
 
-SimMemory::SimMemory(uint64_t GlobalSize, uint64_t HeapSize,
-                     uint64_t StackSize) {
-  Globals.resize(GlobalSize, 0);
-  Heap.resize(HeapSize, 0);
-  Stack.resize(StackSize, 0);
-  StackTopAddr = StackBase + StackSize;
+SimMemory::Segment::Segment(uint64_t Size) : Size(Size) {
+  if (Size == 0)
+    return;
+  // MAP_NORESERVE: the segment sizes are upper bounds, not commitments;
+  // only touched pages ever get backing store.
+  void *P = mmap(nullptr, Size, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (P == MAP_FAILED)
+    throw std::bad_alloc();
+  Base = static_cast<uint8_t *>(P);
 }
+
+SimMemory::Segment::~Segment() {
+  if (Base)
+    munmap(Base, Size);
+}
+
+SimMemory::SimMemory(uint64_t GlobalSize, uint64_t HeapSize,
+                     uint64_t StackSize)
+    : Globals(GlobalSize), Heap(HeapSize), Stack(StackSize),
+      StackTopAddr(StackBase + StackSize) {}
 
 namespace {
 /// Relaxed per-byte copies for concurrent mode. Lanes racing on the same

@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <vector>
 
 namespace softbound {
 
@@ -36,8 +35,14 @@ inline constexpr uint64_t StackBase = 0x0000'7000'0000ULL;
 /// Byte-addressable simulated memory with segment bounds checking.
 /// read/write return false on access outside mapped segments — the VM turns
 /// that into a simulated segmentation fault.
+///
+/// Each segment is a demand-zero host mapping: construction reserves
+/// address space only, and the host kernel zero-fills a page the first
+/// time it is touched, so a session pays for the pages it uses rather
+/// than for the segment sizes. Bytes never written read as 0.
 class SimMemory {
 public:
+  /// Throws std::bad_alloc when a segment cannot be mapped.
   SimMemory(uint64_t GlobalSize, uint64_t HeapSize, uint64_t StackSize);
 
   //===--------------------------------------------------------------------===//
@@ -118,15 +123,32 @@ public:
   bool concurrent() const { return Concurrent; }
 
 private:
+  /// One segment's backing store: an anonymous private mapping, unmapped
+  /// on destruction. A zero-size segment maps nothing.
+  class Segment {
+  public:
+    explicit Segment(uint64_t Size);
+    ~Segment();
+    Segment(const Segment &) = delete;
+    Segment &operator=(const Segment &) = delete;
+
+    uint8_t *data() const { return Base; }
+    uint64_t size() const { return Size; }
+
+  private:
+    uint8_t *Base = nullptr;
+    uint64_t Size = 0;
+  };
+
   const uint8_t *resolve(uint64_t Addr, uint64_t N) const;
   uint8_t *resolve(uint64_t Addr, uint64_t N) {
     return const_cast<uint8_t *>(
         static_cast<const SimMemory *>(this)->resolve(Addr, N));
   }
 
-  std::vector<uint8_t> Globals;
-  std::vector<uint8_t> Heap;
-  std::vector<uint8_t> Stack;
+  Segment Globals;
+  Segment Heap;
+  Segment Stack;
   uint64_t GlobalUsed = 0;
   uint64_t StackTopAddr;
 

@@ -390,7 +390,14 @@ void VM::loadImage() {
     // Checker baselines (Mudflap-style) pad objects with guard zones.
     uint64_t Addr = Mem.allocateGlobal(Size + Cfg.GlobalPad,
                                        G->valueType()->alignment());
-    assert(Addr && "global segment exhausted");
+    if (!Addr) {
+      // The image does not fit: run() and runLanes() refuse to start.
+      ImageError = "global segment exhausted: @" + G->name() + " needs " +
+                   std::to_string(Size + Cfg.GlobalPad) +
+                   " bytes (padding included) in a " +
+                   std::to_string(Cfg.GlobalSize) + "-byte global segment";
+      return;
+    }
     GlobalAddr[G.get()] = Addr;
   }
 
@@ -421,8 +428,17 @@ void VM::loadImage() {
   }
 }
 
+RunResult VM::imageRefusal() const {
+  RunResult R;
+  R.Trap = TrapKind::OutOfMemory;
+  R.Message = ImageError;
+  return R;
+}
+
 RunResult VM::run(const std::string &EntryName,
                   const std::vector<int64_t> &Args) {
+  if (!ImageError.empty())
+    return imageRefusal();
   VMExec Exec(*this, M, Cfg, Mem, Mem.stackTop(), Mem.stackLimit(),
               Cfg.Profile, Cfg.Telem, Cfg.TraceTag);
   return Exec.run(EntryName, Args);
@@ -432,6 +448,10 @@ std::vector<RunResult> VM::runLanes(const std::vector<LaneSpec> &Lanes) {
   std::vector<RunResult> Results(Lanes.size());
   if (Lanes.empty())
     return Results;
+  if (!ImageError.empty()) {
+    Results.assign(Lanes.size(), imageRefusal());
+    return Results;
+  }
 
   if (Lanes.size() == 1) {
     // One lane runs inline with the full stack segment: byte-identical

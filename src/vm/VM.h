@@ -217,7 +217,10 @@ public:
   ~VM();
 
   /// Runs \p EntryName (falls back to the `_sb_`-renamed form), passing
-  /// integer arguments to the leading integer parameters.
+  /// integer arguments to the leading integer parameters. When the
+  /// module's globals overflow the global segment nothing runs: the
+  /// result (every lane's, for runLanes) is an OutOfMemory trap naming
+  /// the first global that did not fit.
   RunResult run(const std::string &EntryName = "main",
                 const std::vector<int64_t> &Args = {});
 
@@ -251,8 +254,12 @@ private:
   std::unordered_map<const Function *, uint64_t> FuncAddr;
   std::unordered_map<const GlobalVariable *, uint64_t> GlobalAddr;
   std::unordered_map<const Function *, int> BuiltinOf;
+  /// Why the image could not be loaded (empty when it was); runs then
+  /// return an OutOfMemory trap carrying this message.
+  std::string ImageError;
 
   void loadImage();
+  RunResult imageRefusal() const;
 
   friend class VMExec;
 };

@@ -172,7 +172,8 @@ TEST(DocsDrift, RuntimeDocCurrent) {
       << "README must point at the runtime doc";
 
   // The runtime book names the live surface: the session API, the
-  // facility range operations, the stripe core, and the bench flags.
+  // facility range operations, the stripe core, the simulated address
+  // space, and the bench flags.
   std::string Doc = readFile("docs/runtime.md");
   for (const char *Needle :
        {"runSession", "RunRequest", "SessionResult", "FacilityOptions",
@@ -183,7 +184,9 @@ TEST(DocsDrift, RuntimeDocCurrent) {
         // Traffic tier: builtins, sample plumbing, per-request keys.
         "sb_guard", "sb_request_end", "RequestSample", "TrafficSchedule",
         "TrafficReport", "checks_per_request", "sim_cost_per_request",
-        "test_traffic.cpp", "--requests"})
+        "test_traffic.cpp", "--requests",
+        // Simulated address space: demand-zero segments, global refusal.
+        "MAP_NORESERVE", "global segment exhausted"})
     EXPECT_NE(Doc.find(Needle), std::string::npos)
         << "docs/runtime.md no longer mentions '" << Needle << "'";
 

@@ -7,8 +7,9 @@
 /// \file
 /// Unit tests of the execution substrate: the simulated memory's heap
 /// allocator (adjacency, free-list reuse, red-zone padding), segment
-/// fault behaviour, and the VM's control-data corruption detection that
-/// the attack suite relies on.
+/// fault behaviour and demand-zero backing, the VM's refusal of images
+/// whose globals do not fit, and the control-data corruption detection
+/// that the attack suite relies on.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,13 +18,43 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <unistd.h>
+
 using namespace softbound;
 
 namespace {
 
 /// Builds \p Src through the optimizer only and runs it.
-RunResult runPlain(const std::string &Src) {
-  return runSession(PipelinePlan().frontend(Src).optimize()).Combined;
+RunResult runPlain(const std::string &Src, const RunRequest &Req = {}) {
+  return runSession(PipelinePlan().frontend(Src).optimize(), Req).Combined;
+}
+
+/// The data segment sizes of one SimMemory.
+struct Sizes {
+  uint64_t Globals, Heap, Stack;
+};
+
+/// The sizes every VM gets by default (4/64/2 MB).
+const Sizes Defaults{VMConfig().GlobalSize, VMConfig().HeapSize,
+                     VMConfig().StackSize};
+
+/// {base, size} of the global, heap and stack segments.
+std::vector<std::pair<uint64_t, uint64_t>> segments(const Sizes &S) {
+  return {{simlayout::GlobalBase, S.Globals},
+          {simlayout::HeapBase, S.Heap},
+          {simlayout::StackBase, S.Stack}};
+}
+
+/// True when every byte of [Addr, Addr+N) reads 0.
+bool allZero(const SimMemory &M, uint64_t Addr, uint64_t N) {
+  std::vector<uint8_t> Buf(N, 0xFF);
+  if (!M.readBytes(Addr, N, Buf.data()))
+    return false;
+  for (uint8_t B : Buf)
+    if (B != 0)
+      return false;
+  return true;
 }
 
 //===----------------------------------------------------------------------===//
@@ -98,6 +129,122 @@ TEST(SimMemory, InvalidFreeReported) {
   EXPECT_EQ(M.heapFree(A + 4), UINT64_MAX); // Interior pointer.
   EXPECT_EQ(M.heapFree(A), 16u);
   EXPECT_EQ(M.heapFree(A), UINT64_MAX); // Double free.
+}
+
+TEST(SimMemory, UntouchedSegmentEdgesReadZero) {
+  SimMemory M(Defaults.Globals, Defaults.Heap, Defaults.Stack);
+  for (auto [Base, Size] : segments(Defaults)) {
+    uint64_t V = 0xFF;
+    ASSERT_TRUE(M.read(Base, 1, V));
+    EXPECT_EQ(V, 0u) << "first byte at " << Base;
+    V = 0xFF;
+    ASSERT_TRUE(M.read(Base + Size - 1, 1, V));
+    EXPECT_EQ(V, 0u) << "last byte at " << Base + Size - 1;
+  }
+}
+
+TEST(SimMemory, FreshInstanceReadsZeroAfterAWrittenOne) {
+  // A second address space built right after a dirtied one must not see
+  // its bytes, whatever host allocation the segments reuse. Small
+  // segments are written in full (sizes an allocator would recycle from
+  // its arena); default-sized ones at both ends of each segment.
+  constexpr uint64_t Small = 64 << 10;
+  constexpr uint64_t Edge = 16 << 10;
+  for (auto [S, Span] : {std::pair{Sizes{Small, Small, Small}, Small},
+                         std::pair{Defaults, Edge}}) {
+    std::vector<uint8_t> Dirt(Span, 0xA5);
+    {
+      SimMemory First(S.Globals, S.Heap, S.Stack);
+      for (auto [Base, Size] : segments(S)) {
+        ASSERT_TRUE(First.writeBytes(Base, Span, Dirt.data()));
+        ASSERT_TRUE(First.writeBytes(Base + Size - Span, Span, Dirt.data()));
+      }
+    }
+    SimMemory Second(S.Globals, S.Heap, S.Stack);
+    for (auto [Base, Size] : segments(S)) {
+      EXPECT_TRUE(allZero(Second, Base, Span)) << "segment at " << Base;
+      EXPECT_TRUE(allZero(Second, Base + Size - Span, Span))
+          << "segment at " << Base;
+    }
+  }
+}
+
+TEST(SimMemory, ZeroSizeSegmentsFaultOnEveryAccess) {
+  SimMemory M(0, 0, 0);
+  uint8_t Byte = 0;
+  for (auto [Base, Size] : segments({0, 0, 0})) {
+    ASSERT_EQ(Size, 0u);
+    uint64_t V = 0;
+    EXPECT_FALSE(M.read(Base, 1, V));
+    EXPECT_FALSE(M.write(Base, 1, 1));
+    EXPECT_FALSE(M.readBytes(Base, 1, &Byte));
+    EXPECT_FALSE(M.writeBytes(Base, 1, &Byte));
+    EXPECT_FALSE(M.accessible(Base, 1));
+  }
+  EXPECT_EQ(M.allocateGlobal(1, 1), 0u);
+  EXPECT_EQ(M.heapAlloc(1), 0u);
+}
+
+#ifdef __linux__
+/// Resident set size in bytes, from /proc/self/statm.
+uint64_t residentBytes() {
+  std::ifstream Statm("/proc/self/statm");
+  uint64_t Pages = 0, Resident = 0;
+  Statm >> Pages >> Resident;
+  return Resident * static_cast<uint64_t>(sysconf(_SC_PAGESIZE));
+}
+
+TEST(SimMemory, ConstructionTouchesNoSegmentPages) {
+  // Demand-zero segments: building the default 4/64/2 MB address space
+  // (and reading its untouched bytes) must not make it resident.
+  uint64_t Before = residentBytes();
+  ASSERT_GT(Before, 0u);
+  SimMemory M(Defaults.Globals, Defaults.Heap, Defaults.Stack);
+  uint64_t V = 0;
+  EXPECT_TRUE(M.read(simlayout::HeapBase + Defaults.Heap / 2, 8, V));
+  uint64_t After = residentBytes();
+  EXPECT_LT(After, Before + (1u << 20))
+      << "constructing SimMemory made " << (After - Before)
+      << " bytes resident";
+}
+#endif
+
+//===----------------------------------------------------------------------===//
+// VM image loading
+//===----------------------------------------------------------------------===//
+
+TEST(VMImage, GlobalSegmentOverflowIsRefused) {
+  // One byte past the default 4 MB global segment: no lane may start, and
+  // the trap names the global, what it needs and the segment size.
+  const std::string Big = "char big[4194305];\n"
+                          "int main() { big[0] = 1; return 7; }";
+  for (unsigned Lanes : {1u, 2u}) {
+    RunRequest Req;
+    Req.Lanes = Lanes;
+    RunResult R = runPlain(Big, Req);
+    EXPECT_EQ(R.Trap, TrapKind::OutOfMemory) << "lanes " << Lanes;
+    EXPECT_EQ(R.Counters.Insts, 0u) << "lanes " << Lanes;
+    EXPECT_NE(R.Message.find("global segment exhausted"), std::string::npos)
+        << R.Message;
+    EXPECT_NE(R.Message.find("@big"), std::string::npos) << R.Message;
+    EXPECT_NE(R.Message.find("4194305 bytes"), std::string::npos)
+        << R.Message;
+    EXPECT_NE(R.Message.find("4194304-byte"), std::string::npos)
+        << R.Message;
+  }
+
+  // Global padding counts: a global that fits alone overflows once the
+  // checker-baseline guard zone is added.
+  const std::string Fits = "char big[4194300];\n"
+                           "int main() { big[0] = 1; return 7; }";
+  RunResult Plain = runPlain(Fits);
+  ASSERT_TRUE(Plain.ok()) << Plain.Message;
+  EXPECT_EQ(Plain.ExitCode, 7);
+  RunRequest Padded;
+  Padded.GlobalPad = 16;
+  RunResult R = runPlain(Fits, Padded);
+  EXPECT_EQ(R.Trap, TrapKind::OutOfMemory);
+  EXPECT_NE(R.Message.find("4194316 bytes"), std::string::npos) << R.Message;
 }
 
 //===----------------------------------------------------------------------===//

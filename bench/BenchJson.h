@@ -91,6 +91,15 @@ public:
     return std::fclose(F) == 0 && OK;
   }
 
+  /// writeTo, then says so on stdout; exits 1 when the write fails.
+  void writeToOrExit(const std::string &Path) const {
+    if (!writeTo(Path)) {
+      std::fprintf(stderr, "cannot write %s\n", Path.c_str());
+      std::exit(1);
+    }
+    std::printf("\nwrote %s\n", Path.c_str());
+  }
+
 private:
   static std::string quote(const std::string &S) {
     std::string Q = "\"";

@@ -35,8 +35,6 @@
 #include "bench/BenchJson.h"
 #include "bench/BenchUtil.h"
 
-#include <cstring>
-
 using namespace softbound;
 using namespace softbound::benchutil;
 using namespace softbound::benchjson;
@@ -166,8 +164,7 @@ void runCheckOptAblation(const std::string &JsonPath) {
       T.addRow({K.Name, std::to_string(S.ChecksAfter),
                 TablePrinter::fmt(100.0 * S.eliminationRate(), 1),
                 std::to_string(M.R.Counters.Checks),
-                std::to_string(M.R.Counters.MetaLoads +
-                               M.R.Counters.MetaStores),
+                std::to_string(M.R.Counters.metaOps()),
                 std::to_string(M.R.Counters.Cycles),
                 std::to_string(S.LoopChecksHoisted),
                 std::to_string(S.RuntimeHullChecks),
@@ -180,7 +177,7 @@ void runCheckOptAblation(const std::string &JsonPath) {
       W.kv("spec", K.Spec);
       W.kv("static_checks", S.ChecksAfter);
       W.kv("dyn_checks", M.R.Counters.Checks);
-      W.kv("meta_ops", M.R.Counters.MetaLoads + M.R.Counters.MetaStores);
+      W.kv("meta_ops", M.R.Counters.metaOps());
       W.kv("cycles", M.R.Counters.Cycles);
       W.kv("hoisted", S.LoopChecksHoisted);
       W.kv("runtime_hulls", S.RuntimeHullChecks);
@@ -205,13 +202,8 @@ void runCheckOptAblation(const std::string &JsonPath) {
   }
   W.endObject();
   W.endObject();
-  if (!JsonPath.empty()) {
-    if (!W.writeTo(JsonPath)) {
-      std::fprintf(stderr, "cannot write %s\n", JsonPath.c_str());
-      std::exit(1);
-    }
-    std::printf("\nwrote %s\n", JsonPath.c_str());
-  }
+  if (!JsonPath.empty())
+    W.writeToOrExit(JsonPath);
 }
 
 int listPasses() {
@@ -234,27 +226,12 @@ int listPasses() {
 int main(int argc, char **argv) {
   std::string JsonPath, PipelineSpec;
   bool ListPasses = false;
-  for (int I = 1; I < argc; ++I) {
-    auto NeedArg = [&](const char *Flag) -> const char * {
-      if (I + 1 >= argc) {
-        std::fprintf(stderr, "%s requires an argument\n", Flag);
-        std::exit(2);
-      }
-      return argv[++I];
-    };
-    if (std::strcmp(argv[I], "--list-passes") == 0)
-      ListPasses = true;
-    else if (std::strcmp(argv[I], "--pipeline") == 0)
-      PipelineSpec = NeedArg("--pipeline");
-    else if (std::strcmp(argv[I], "--json") == 0)
-      JsonPath = NeedArg("--json");
-    else {
-      std::fprintf(stderr, "unknown flag '%s' (try --pipeline <spec>, "
-                           "--json <path>, or --list-passes)\n",
-                   argv[I]);
-      return 2;
-    }
-  }
+  parseFlags(argc, argv,
+             {{"--pipeline", "<spec>",
+               [&](const char *A) { PipelineSpec = A; }},
+              {"--json", "<path>", [&](const char *A) { JsonPath = A; }},
+              {"--list-passes", nullptr,
+               [&](const char *) { ListPasses = true; }}});
   if (ListPasses)
     return listPasses();
   if (!PipelineSpec.empty()) {

@@ -17,18 +17,21 @@
 /// two facilities; store-only stays under 15% for at least half of the
 /// benchmarks.
 ///
-/// Flags (the CI bench-regression gate):
+/// Per kernel: five builds (`optimize`; per checking mode the default
+/// pipeline, run on both facilities, and its checkopt(off) twin, run on
+/// shadow), seven sessions.
+///
+/// Flags (the CI bench-regression gate; bench/BenchUtil.h's gate core):
 ///   --json <path>            write per-workload check counts, simulated
 ///                            checking costs, check-opt elision stats,
 ///                            and per-pass timings (a non-gated
 ///                            `timings_*` key group) as JSON.
-///   --baseline <path>        compare this run's dynamic-check counts and
-///                            simulated costs against a committed
-///                            baseline; exit 1 when any workload
-///                            regresses (counts are deterministic;
-///                            timings are never gated).
-///   --write-baseline <path>  write a fresh baseline file (the refresh
-///                            procedure documented in README.md).
+///   --baseline <path>        gate this run's checks, metadata ops and
+///                            simulated costs against the baseline's
+///                            "workloads" section; exit 1 on a failure
+///                            (timings are never gated).
+///   --write-baseline <path>  rewrite this bench's baseline sections in
+///                            place (the refresh documented in README.md).
 ///   --summary <path>         write a per-workload current-vs-baseline
 ///                            delta table as GitHub-flavoured markdown
 ///                            (appended to the CI job summary).
@@ -88,7 +91,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
 #include <set>
 
 using namespace softbound;
@@ -97,18 +99,9 @@ using namespace softbound::benchjson;
 
 namespace {
 
-struct Config {
-  const char *Name;
-  CheckMode Mode;
-  FacilityKind Facility;
-};
-
-const Config Configs[] = {
-    {"hash-full", CheckMode::Full, FacilityKind::Hash},
-    {"shadow-full", CheckMode::Full, FacilityKind::Shadow},
-    {"hash-store", CheckMode::StoreOnly, FacilityKind::Hash},
-    {"shadow-store", CheckMode::StoreOnly, FacilityKind::Shadow},
-};
+/// Figure 2's columns: facility x checking mode.
+const char *const Configs[] = {"hash-full", "shadow-full", "hash-store",
+                               "shadow-store"};
 
 /// One row of the --profile hot-site table (full-opt shadow run).
 struct SiteRow {
@@ -128,9 +121,9 @@ struct WorkloadNumbers {
   uint64_t BaseCycles = 0;
   double OverheadPct[4] = {0, 0, 0, 0};
   double WallRatio = 0;
-  uint64_t Checks[4] = {0, 0, 0, 0}; // full-unopt/full-opt/store-unopt/store-opt
-  uint64_t MetaOps[4] = {0, 0, 0, 0}; // Same runs, meta.load + meta.store.
-  uint64_t SimCost[4] = {0, 0, 0, 0}; // Same runs, shadow-facility costs.
+  // Shadow-facility totals of the full-unopt/full-opt/store-unopt/
+  // store-opt runs; the two opt runs are the gated row.
+  GatedTotals Totals[4];
   uint64_t CheckGuards = 0;           // Full-opt guard evaluations.
   uint64_t GuardSkips = 0;            // Full-opt guarded-check skips.
   CheckOptStats CheckOpt;            // Default-pipeline (full, opt) stats.
@@ -225,25 +218,16 @@ void writeJson(const std::vector<WorkloadNumbers> &All, bool Profile,
     // Facility lock traffic of the default-pipeline run (non-gated:
     // contention is scheduling-dependent for Lanes > 1). The sim-cost
     // prices are docs/runtime.md's: uncontended 1, contended 40.
-    W.kv("contention_lock_acquires", N.MetaStats.LockAcquires);
-    W.kv("contention_lock_contended", N.MetaStats.LockContended);
-    W.kv("contention_seqlock_reads", N.MetaStats.SeqlockReads);
-    W.kv("contention_seqlock_retries", N.MetaStats.SeqlockRetries);
-    W.kv("contention_sim_cost", N.MetaStats.contentionSimCost());
+    writeContention(W, N.MetaStats);
     for (int C = 0; C < 4; ++C)
-      W.kv(std::string("overhead_pct_") + Configs[C].Name, N.OverheadPct[C]);
-    W.kv("checks_full_unopt", N.Checks[0]);
-    W.kv("checks_full", N.Checks[1]);
-    W.kv("checks_store_unopt", N.Checks[2]);
-    W.kv("checks_store", N.Checks[3]);
-    W.kv("meta_ops_full_unopt", N.MetaOps[0]);
-    W.kv("meta_ops_full", N.MetaOps[1]);
-    W.kv("meta_ops_store_unopt", N.MetaOps[2]);
-    W.kv("meta_ops_store", N.MetaOps[3]);
-    W.kv("sim_cost_full_unopt", N.SimCost[0]);
-    W.kv("sim_cost_full", N.SimCost[1]);
-    W.kv("sim_cost_store_unopt", N.SimCost[2]);
-    W.kv("sim_cost_store", N.SimCost[3]);
+      W.kv(std::string("overhead_pct_") + Configs[C], N.OverheadPct[C]);
+    const char *Runs[4] = {"_full_unopt", "_full", "_store_unopt", "_store"};
+    for (int K = 0; K < 4; ++K)
+      W.kv(std::string("checks") + Runs[K], N.Totals[K].Checks);
+    for (int K = 0; K < 4; ++K)
+      W.kv(std::string("meta_ops") + Runs[K], N.Totals[K].MetaOps);
+    for (int K = 0; K < 4; ++K)
+      W.kv(std::string("sim_cost") + Runs[K], N.Totals[K].SimCost);
     W.kv("check_guards_full", N.CheckGuards);
     W.kv("guard_skips_full", N.GuardSkips);
     W.key("checkopt");
@@ -334,125 +318,15 @@ void writeJson(const std::vector<WorkloadNumbers> &All, bool Profile,
   }
   W.endObject();
   W.endObject();
-  if (!W.writeTo(Path)) {
-    std::fprintf(stderr, "cannot write %s\n", Path.c_str());
-    std::exit(1);
-  }
-  std::printf("\nwrote %s\n", Path.c_str());
+  W.writeToOrExit(Path);
 }
 
-void writeBaseline(const std::vector<WorkloadNumbers> &All,
-                   const std::string &Path) {
-  // The baseline file is shared: bench_sec64_servers keeps its traffic
-  // section in the same document. Carry any existing section this bench
-  // does not own through the refresh instead of clobbering it.
-  JsonValue Existing;
-  std::string Err;
-  bool HaveExisting = parseJsonFile(Path, Existing, Err);
-  JsonWriter W;
-  W.beginObject();
-  W.kv("schema", "softbound-check-counts-v1");
-  W.kv("pipeline", DefaultSpec);
-  W.key("workloads");
-  W.beginObject();
-  for (const auto &N : All) {
-    W.key(N.Name);
-    W.beginObject();
-    W.kv("checks_full", N.Checks[1]);
-    W.kv("checks_store", N.Checks[3]);
-    W.kv("meta_ops_full", N.MetaOps[1]);
-    W.kv("meta_ops_store", N.MetaOps[3]);
-    W.kv("sim_cost_full", N.SimCost[1]);
-    W.kv("sim_cost_store", N.SimCost[3]);
-    W.endObject();
-  }
-  W.endObject();
-  if (HaveExisting && Existing.isObject())
-    for (const std::string &Key : Existing.ObjOrder) {
-      if (Key == "schema" || Key == "pipeline" || Key == "workloads")
-        continue;
-      W.key(Key);
-      writeJsonValue(W, Existing.Obj.at(Key));
-    }
-  W.endObject();
-  if (!W.writeTo(Path)) {
-    std::fprintf(stderr, "cannot write %s\n", Path.c_str());
-    std::exit(1);
-  }
-  std::printf("\nwrote baseline %s\n", Path.c_str());
-}
-
-/// Compares this run against the committed baseline. Returns the number
-/// of regressions (any workload whose deterministic dynamic-check count
-/// exceeds the baseline, or a baseline workload that disappeared).
-int compareBaseline(const std::vector<WorkloadNumbers> &All,
-                    const std::string &Path) {
-  JsonValue Doc;
-  std::string Err;
-  if (!parseJsonFile(Path, Doc, Err)) {
-    std::fprintf(stderr, "baseline: %s\n", Err.c_str());
-    return 1;
-  }
-  const JsonValue *WL = Doc.get("workloads");
-  if (!WL || !WL->isObject()) {
-    std::fprintf(stderr, "baseline %s: missing \"workloads\" object\n",
-                 Path.c_str());
-    return 1;
-  }
-  int Regressions = 0;
-  std::printf("\n=== bench-regression gate (baseline: %s) ===\n",
-              Path.c_str());
-  for (const auto &[Name, Entry] : WL->Obj) {
-    const WorkloadNumbers *Cur = nullptr;
-    for (const auto &N : All)
-      if (N.Name == Name)
-        Cur = &N;
-    if (!Cur) {
-      std::printf("  %-12s MISSING from this run (baseline has it)\n",
-                  Name.c_str());
-      ++Regressions;
-      continue;
-    }
-    struct {
-      const char *Key;
-      uint64_t Now;
-    } Rows[] = {{"checks_full", Cur->Checks[1]},
-                {"checks_store", Cur->Checks[3]},
-                {"meta_ops_full", Cur->MetaOps[1]},
-                {"meta_ops_store", Cur->MetaOps[3]},
-                {"sim_cost_full", Cur->SimCost[1]},
-                {"sim_cost_store", Cur->SimCost[3]}};
-    for (const auto &Row : Rows) {
-      const JsonValue *Base = Entry.get(Row.Key);
-      if (!Base || !Base->isNumber())
-        continue; // Not gated in this baseline.
-      uint64_t Want = static_cast<uint64_t>(Base->asInt());
-      if (Row.Now > Want) {
-        std::printf("  %-12s %-13s REGRESSED: %llu > baseline %llu\n",
-                    Name.c_str(), Row.Key,
-                    static_cast<unsigned long long>(Row.Now),
-                    static_cast<unsigned long long>(Want));
-        ++Regressions;
-      } else if (Row.Now < Want) {
-        std::printf("  %-12s %-13s improved: %llu < baseline %llu "
-                    "(refresh the baseline to lock in)\n",
-                    Name.c_str(), Row.Key,
-                    static_cast<unsigned long long>(Row.Now),
-                    static_cast<unsigned long long>(Want));
-      }
-    }
-  }
-  // A workload in this run but not in the baseline is never gated; say
-  // so loudly instead of letting the gate's coverage erode silently.
+/// The gated row of each workload: its full-opt and store-opt totals.
+std::vector<GatedRow> gatedRows(const std::vector<WorkloadNumbers> &All) {
+  std::vector<GatedRow> Rows;
   for (const auto &N : All)
-    if (!WL->get(N.Name))
-      std::printf("  %-12s UNGATED: not in baseline (refresh with "
-                  "--write-baseline to gate it)\n",
-                  N.Name.c_str());
-  if (Regressions == 0)
-    std::printf("  OK: no workload regressed its dynamic-check count or "
-                "simulated cost\n");
-  return Regressions;
+    Rows.push_back({N.Name, N.Totals[1], N.Totals[3]});
+  return Rows;
 }
 
 /// Writes the per-workload current-vs-baseline deltas as a GitHub-flavoured
@@ -485,18 +359,18 @@ void writeSummary(const std::vector<WorkloadNumbers> &All, bool Profile,
   };
   for (const auto &N : All) {
     const JsonValue *E = WL ? WL->get(N.Name) : nullptr;
-    const JsonValue *BC = E ? E->get("checks_full") : nullptr;
-    const JsonValue *BM = E ? E->get("meta_ops_full") : nullptr;
-    const JsonValue *BS = E ? E->get("sim_cost_full") : nullptr;
-    Out += "| " + N.Name + " | " + Fmt(N.Checks[1]) + " | " +
-           (BC && BC->isNumber() ? Fmt(BC->asInt()) : std::string("—")) +
-           " | " + Delta(N.Checks[1], BC) + " | " + Fmt(N.MetaOps[1]) +
-           " | " +
-           (BM && BM->isNumber() ? Fmt(BM->asInt()) : std::string("—")) +
-           " | " + Delta(N.MetaOps[1], BM) + " | " + Fmt(N.SimCost[1]) +
-           " | " +
-           (BS && BS->isNumber() ? Fmt(BS->asInt()) : std::string("—")) +
-           " | " + Delta(N.SimCost[1], BS) + " |\n";
+    Out += "| " + N.Name;
+    const GatedTotals &T = N.Totals[1];
+    for (const auto &[Key, Now] : {std::pair<const char *, uint64_t>{
+                                       "checks_full", T.Checks},
+                                   {"meta_ops_full", T.MetaOps},
+                                   {"sim_cost_full", T.SimCost}}) {
+      const JsonValue *B = E ? E->get(Key) : nullptr;
+      Out += " | " + Fmt(Now) + " | " +
+             (B && B->isNumber() ? Fmt(B->asInt()) : std::string("—")) +
+             " | " + Delta(Now, B);
+    }
+    Out += " |\n";
   }
   Out += "\nΔ > 0 (bold) regresses the gate; metadata_ops = meta.loads + "
          "meta.stores (full-opt run); sim_cost = checks×3 + "
@@ -540,81 +414,31 @@ void writeSummary(const std::vector<WorkloadNumbers> &All, bool Profile,
 } // namespace
 
 int main(int argc, char **argv) {
-  std::string JsonPath, BaselinePath, WriteBaselinePath, SummaryPath,
-      TracePath;
+  std::string SummaryPath, TracePath;
   bool Profile = false;
-  bool LockFree = false;
-  unsigned Lanes = 1, Shards = 1;
   std::set<std::string> OnlyWorkloads;
-  for (int I = 1; I < argc; ++I) {
-    auto NeedArg = [&](const char *Flag) -> const char * {
-      if (I + 1 >= argc) {
-        std::fprintf(stderr, "%s requires an argument\n", Flag);
-        std::exit(2);
-      }
-      return argv[++I];
-    };
-    if (std::strcmp(argv[I], "--json") == 0)
-      JsonPath = NeedArg("--json");
-    else if (std::strcmp(argv[I], "--baseline") == 0)
-      BaselinePath = NeedArg("--baseline");
-    else if (std::strcmp(argv[I], "--write-baseline") == 0)
-      WriteBaselinePath = NeedArg("--write-baseline");
-    else if (std::strcmp(argv[I], "--summary") == 0)
-      SummaryPath = NeedArg("--summary");
-    else if (std::strcmp(argv[I], "--profile") == 0)
-      Profile = true;
-    else if (std::strcmp(argv[I], "--trace") == 0)
-      TracePath = NeedArg("--trace");
-    else if (std::strcmp(argv[I], "--workload") == 0)
-      OnlyWorkloads.insert(NeedArg("--workload"));
-    else if (std::strcmp(argv[I], "--lanes") == 0)
-      Lanes = static_cast<unsigned>(std::atoi(NeedArg("--lanes")));
-    else if (std::strcmp(argv[I], "--shards") == 0)
-      Shards = static_cast<unsigned>(std::atoi(NeedArg("--shards")));
-    else if (std::strcmp(argv[I], "--lockfree") == 0)
-      LockFree = true;
-    else {
-      std::fprintf(stderr,
-                   "unknown flag '%s' (flags: --json <path>, --baseline "
-                   "<path>, --write-baseline <path>, --summary <path>, "
-                   "--profile, --trace <path>, --workload <name>, "
-                   "--lanes <N>, --shards <N>, --lockfree)\n",
-                   argv[I]);
-      return 2;
-    }
-  }
-  if (Lanes == 0 || Shards == 0 || Lanes > MaxLanesOrShards ||
-      Shards > MaxLanesOrShards) {
-    std::fprintf(stderr, "--lanes/--shards require a count in [1, %u]\n",
-                 MaxLanesOrShards);
-    return 2;
-  }
-  if (Lanes > 1 && (!BaselinePath.empty() || !WriteBaselinePath.empty())) {
-    // Lane counters are summed, so an N-lane run's counts are N times
-    // the baseline's single-lane counts by construction.
-    std::fprintf(stderr, "--lanes > 1 cannot be combined with --baseline "
-                         "or --write-baseline\n");
-    return 2;
-  }
+  const BenchFlags Flags = parseBenchFlags(
+      argc, argv,
+      {{"--summary", "<path>", [&](const char *A) { SummaryPath = A; }},
+       {"--profile", nullptr, [&](const char *) { Profile = true; }},
+       {"--trace", "<path>", [&](const char *A) { TracePath = A; }},
+       {"--workload", "<name>",
+        [&](const char *A) { OnlyWorkloads.insert(A); }}});
   if (!OnlyWorkloads.empty()) {
     // A filtered run is not the suite the baseline describes; gating (or
     // refreshing) against it would corrupt the gate's meaning.
-    if (!BaselinePath.empty() || !WriteBaselinePath.empty()) {
+    if (!Flags.BaselinePath.empty() || !Flags.WriteBaselinePath.empty()) {
       std::fprintf(stderr, "--workload cannot be combined with --baseline "
                            "or --write-baseline\n");
       return 2;
     }
-    for (const auto &Name : OnlyWorkloads) {
-      bool Known = false;
-      for (const auto &W : benchmarkSuite())
-        Known = Known || W.Name == Name;
-      if (!Known) {
+    for (const auto &Name : OnlyWorkloads)
+      if (std::none_of(benchmarkSuite().begin(), benchmarkSuite().end(),
+                       [&](const Workload &W) { return W.Name == Name; })) {
         std::fprintf(stderr, "--workload %s: not in the benchmark suite\n",
                      Name.c_str());
         return 2;
       }
-    }
   }
   // One shared sink: pipeline timings + trace events from the profiled
   // builds, VM phase events and facility telemetry from the profiled
@@ -622,6 +446,15 @@ int main(int argc, char **argv) {
   // disabled mode (docs/observability.md).
   Telemetry Telem;
   const bool DoTelemetry = Profile || !TracePath.empty();
+  const unsigned Lanes = Flags.Lanes;
+  auto Session = [&](FacilityKind Facility) {
+    RunRequest R;
+    R.Facility = Facility;
+    R.Lanes = Lanes;
+    R.FacilityShards = Flags.Shards;
+    R.LockFreeReads = Flags.LockFree;
+    return R;
+  };
 
   std::printf("=== Figure 2: runtime overhead of SoftBound ===\n");
   std::printf("(percent overhead in simulated cycles vs uninstrumented;\n"
@@ -642,10 +475,9 @@ int main(int argc, char **argv) {
     Num.Name = W.Name;
 
     BuildResult Base = mustBuild(W.Source, "optimize");
-    RunRequest BaseR;
-    BaseR.Lanes = Lanes; // Same lane count as the instrumented runs, so
-                         // overhead ratios compare like with like.
-    Measurement MBase = measure(Base, BaseR);
+    // Same lane count as the instrumented runs, so overhead ratios
+    // compare like with like.
+    Measurement MBase = measure(Base, Session(FacilityKind::Shadow));
     if (!MBase.R.ok()) {
       std::fprintf(stderr, "%s baseline failed: %s\n", W.Name.c_str(),
                    MBase.R.Message.c_str());
@@ -653,47 +485,89 @@ int main(int argc, char **argv) {
     }
     Num.BaseCycles = MBase.R.Counters.Cycles;
 
-    for (int C = 0; C < 4; ++C) {
+    // Two builds per checking mode: the default pipeline, run once per
+    // facility (Figure 2's columns; its shadow run is also the
+    // check-optimization table's "opt" column), and the same plan with
+    // checkopt(off), run on shadow (the "unopt" column).
+    for (int Store = 0; Store < 2; ++Store) {
       SoftBoundConfig SB;
-      SB.Mode = Configs[C].Mode;
+      SB.Mode = Store ? CheckMode::StoreOnly : CheckMode::Full;
+      // The default pipeline under full checking is the run --profile /
+      // --trace observe. Telemetry attaches only there, and only when
+      // requested, so the gated runs keep the null sink.
+      const bool Observed = !Store && DoTelemetry;
       PipelinePlan Plan;
       Plan.frontend(W.Source).optimize().softbound(SB).checkOpt();
+      if (Observed)
+        Plan.telemetry(&Telem, Num.Name + ":");
       BuildResult Prog = mustBuild(Plan);
-      RunRequest R;
-      R.Facility = Configs[C].Facility;
-      R.Lanes = Lanes;
-      R.FacilityShards = Shards;
-      R.LockFreeReads = LockFree;
-      Measurement M = measure(Prog, R);
+      for (FacilityKind Facility : {FacilityKind::Hash, FacilityKind::Shadow}) {
+        const bool Shadow = Facility == FacilityKind::Shadow;
+        const int C = 2 * Store + Shadow; // Index into Configs.
+        SiteProfile Prof;
+        RunRequest R = Session(Facility);
+        if (Shadow && !Store)
+          R.MetaStatsOut = &Num.MetaStats;
+        if (Shadow && Observed) {
+          R.Telem = &Telem;
+          R.ProfileOut = &Prof;
+          R.TraceTag = Num.Name + ":";
+        }
+        Measurement M = measure(Prog, R);
+        if (!M.R.ok()) {
+          std::fprintf(stderr, "%s/%s failed: trap=%s msg=%s\n",
+                       W.Name.c_str(), Configs[C], trapName(M.R.Trap),
+                       M.R.Message.c_str());
+          return 1;
+        }
+        if (M.R.ExitCode != MBase.R.ExitCode) {
+          // With one lane this is a hard correctness failure. With several
+          // lanes racing on the shared heap allocator, address-dependent
+          // workloads (bh, mst, compress checksums...) legitimately differ
+          // run to run, so divergence only warrants a warning.
+          if (Lanes == 1) {
+            std::fprintf(stderr,
+                         "%s/%s diverged: trap=%s exit=%lld vs %lld\n",
+                         W.Name.c_str(), Configs[C], trapName(M.R.Trap),
+                         static_cast<long long>(M.R.ExitCode),
+                         static_cast<long long>(MBase.R.ExitCode));
+            return 1;
+          }
+          std::fprintf(stderr,
+                       "note: %s/%s exit %lld vs %lld under %u lanes "
+                       "(address-dependent workload over a shared heap)\n",
+                       W.Name.c_str(), Configs[C],
+                       static_cast<long long>(M.R.ExitCode),
+                       static_cast<long long>(MBase.R.ExitCode), Lanes);
+        }
+        Num.OverheadPct[C] = overheadPct(M.R.Counters.Cycles, Num.BaseCycles);
+        Sum[C] += Num.OverheadPct[C];
+        if (!Shadow)
+          continue;
+        Num.Totals[2 * Store + 1] = GatedTotals::of(M.R.Counters);
+        if (Store)
+          continue;
+        if (MBase.WallSeconds > 0)
+          Num.WallRatio = M.WallSeconds / MBase.WallSeconds;
+        Num.CheckOpt = Prog.Pipeline.CheckOpt;
+        Num.Timings = Prog.Pipeline.Passes;
+        Num.CheckGuards = M.R.Counters.CheckGuards;
+        Num.GuardSkips = M.R.Counters.GuardSkips;
+        if (Observed && Profile)
+          fillHotSites(Num, *Prog.M, Prof);
+      }
+
+      CheckOptConfig Off;
+      Off.Enable = false;
+      PipelinePlan Unopt;
+      Unopt.frontend(W.Source).optimize().softbound(SB).checkOpt(Off);
+      Measurement M = measure(mustBuild(Unopt), Session(FacilityKind::Shadow));
       if (!M.R.ok()) {
-        std::fprintf(stderr, "%s/%s failed: trap=%s msg=%s\n", W.Name.c_str(),
-                     Configs[C].Name, trapName(M.R.Trap),
+        std::fprintf(stderr, "%s checkopt run failed: %s\n", W.Name.c_str(),
                      M.R.Message.c_str());
         return 1;
       }
-      if (M.R.ExitCode != MBase.R.ExitCode) {
-        // With one lane this is a hard correctness failure. With several
-        // lanes racing on the shared heap allocator, address-dependent
-        // workloads (bh, mst, compress checksums...) legitimately differ
-        // run to run, so divergence only warrants a warning.
-        if (Lanes == 1) {
-          std::fprintf(stderr, "%s/%s diverged: trap=%s exit=%lld vs %lld\n",
-                       W.Name.c_str(), Configs[C].Name, trapName(M.R.Trap),
-                       static_cast<long long>(M.R.ExitCode),
-                       static_cast<long long>(MBase.R.ExitCode));
-          return 1;
-        }
-        std::fprintf(stderr,
-                     "note: %s/%s exit %lld vs %lld under %u lanes "
-                     "(address-dependent workload over a shared heap)\n",
-                     W.Name.c_str(), Configs[C].Name,
-                     static_cast<long long>(M.R.ExitCode),
-                     static_cast<long long>(MBase.R.ExitCode), Lanes);
-      }
-      Num.OverheadPct[C] = overheadPct(M.R.Counters.Cycles, Num.BaseCycles);
-      Sum[C] += Num.OverheadPct[C];
-      if (C == 1 && MBase.WallSeconds > 0)
-        Num.WallRatio = M.WallSeconds / MBase.WallSeconds;
+      Num.Totals[2 * Store] = GatedTotals::of(M.R.Counters);
     }
     if (Num.OverheadPct[3] < 15.0)
       ++UnderFifteenStore;
@@ -734,77 +608,25 @@ int main(int argc, char **argv) {
   double CountedRedSum = 0;
   int CountedN = 0;
   bool CountedAllOver30 = true;
-  for (auto &Num : All) {
-    const Workload &W = mustFindWorkload(Num.Name);
-    double ElimRate = 0;
-    for (int K = 0; K < 4; ++K) {
-      SoftBoundConfig SB;
-      SB.Mode = K < 2 ? CheckMode::Full : CheckMode::StoreOnly;
-      CheckOptConfig CO;
-      CO.Enable = K % 2 == 1;
-      // K == 1 is the default pipeline (full checking, checkopt on): the
-      // run --profile / --trace observe. Telemetry attaches only there,
-      // and only when requested, so the gated runs keep the null sink.
-      const bool Observed = K == 1 && DoTelemetry;
-      PipelinePlan Plan;
-      Plan.frontend(W.Source).optimize().softbound(SB).checkOpt(CO);
-      if (Observed)
-        Plan.telemetry(&Telem, Num.Name + ":");
-      BuildResult Prog = mustBuild(Plan);
-      SiteProfile Prof;
-      RunRequest R;
-      R.Lanes = Lanes;
-      R.FacilityShards = Shards;
-      R.LockFreeReads = LockFree;
-      if (Observed) {
-        R.Telem = &Telem;
-        R.ProfileOut = &Prof;
-        R.TraceTag = Num.Name + ":";
-      }
-      if (K == 1)
-        R.MetaStatsOut = &Num.MetaStats;
-      Measurement M = measure(Prog, R);
-      if (!M.R.ok()) {
-        std::fprintf(stderr, "%s checkopt run failed: %s\n", W.Name.c_str(),
-                     M.R.Message.c_str());
-        return 1;
-      }
-      Num.Checks[K] = M.R.Counters.Checks;
-      Num.MetaOps[K] = M.R.Counters.MetaLoads + M.R.Counters.MetaStores;
-      // Simulated checking cost of the measured (shadow-facility) run.
-      ShadowSpaceMetadata ShadowCosts;
-      Num.SimCost[K] = checkingCost(M.R.Counters, R.CheckCost,
-                                    ShadowCosts.lookupCost(),
-                                    ShadowCosts.updateCost());
-      if (K == 1) {
-        ElimRate = 100.0 * Prog.Pipeline.CheckOpt.eliminationRate();
-        Num.CheckOpt = Prog.Pipeline.CheckOpt;
-        Num.Timings = Prog.Pipeline.Passes;
-        Num.CheckGuards = M.R.Counters.CheckGuards;
-        Num.GuardSkips = M.R.Counters.GuardSkips;
-        if (Observed && Profile)
-          fillHotSites(Num, *Prog.M, Prof);
-      }
-    }
-    double RedFull =
-        Num.Checks[0]
-            ? 100.0 * (1.0 - double(Num.Checks[1]) / Num.Checks[0])
-            : 0;
-    double RedStore =
-        Num.Checks[2]
-            ? 100.0 * (1.0 - double(Num.Checks[3]) / Num.Checks[2])
-            : 0;
+  auto Reduction = [](uint64_t Unopt, uint64_t Opt) {
+    return Unopt ? 100.0 * (1.0 - double(Opt) / Unopt) : 0;
+  };
+  for (const auto &Num : All) {
+    const GatedTotals *Tot = Num.Totals;
+    double RedFull = Reduction(Tot[0].Checks, Tot[1].Checks);
+    double RedStore = Reduction(Tot[2].Checks, Tot[3].Checks);
     if (CountedLoopSet.count(Num.Name)) {
       CountedRedSum += RedFull;
       ++CountedN;
       if (RedFull < 30.0)
         CountedAllOver30 = false;
     }
-    C.addRow({Num.Name, std::to_string(Num.Checks[0]),
-              std::to_string(Num.Checks[1]), TablePrinter::fmt(RedFull, 1),
-              std::to_string(Num.Checks[2]), std::to_string(Num.Checks[3]),
-              TablePrinter::fmt(RedStore, 1), TablePrinter::fmt(ElimRate, 1),
-              std::to_string(Num.SimCost[1]),
+    C.addRow({Num.Name, std::to_string(Tot[0].Checks),
+              std::to_string(Tot[1].Checks), TablePrinter::fmt(RedFull, 1),
+              std::to_string(Tot[2].Checks), std::to_string(Tot[3].Checks),
+              TablePrinter::fmt(RedStore, 1),
+              TablePrinter::fmt(100.0 * Num.CheckOpt.eliminationRate(), 1),
+              std::to_string(Tot[1].SimCost),
               std::to_string(Num.CheckGuards)});
   }
   C.print();
@@ -828,8 +650,9 @@ int main(int argc, char **argv) {
               UnderFifteenStore * 2 >= N ? "yes" : "NO", UnderFifteenStore,
               N);
 
-  if (!JsonPath.empty())
-    writeJson(All, Profile, Lanes, Shards, LockFree, JsonPath);
+  if (!Flags.JsonPath.empty())
+    writeJson(All, Profile, Lanes, Flags.Shards, Flags.LockFree,
+              Flags.JsonPath);
   if (!TracePath.empty()) {
     if (!Telem.writeChromeTrace(TracePath)) {
       std::fprintf(stderr, "cannot write %s\n", TracePath.c_str());
@@ -838,11 +661,32 @@ int main(int argc, char **argv) {
     std::printf("wrote trace %s (%zu events)\n", TracePath.c_str(),
                 Telem.traceEvents().size());
   }
-  if (!WriteBaselinePath.empty())
-    writeBaseline(All, WriteBaselinePath);
+  auto Workloads = [&All](JsonWriter &W) {
+    W.beginObject();
+    for (const GatedRow &Row : gatedRows(All)) {
+      W.key(Row.Name);
+      W.beginObject();
+      writeGatedKeys(W, Row);
+      W.endObject();
+    }
+    W.endObject();
+  };
+  if (!Flags.WriteBaselinePath.empty())
+    writeBaselineSections(
+        Flags.WriteBaselinePath,
+        {{"schema",
+          [](JsonWriter &W) { W.value("softbound-check-counts-v1"); }},
+         {"pipeline", [](JsonWriter &W) { W.value(DefaultSpec); }},
+         {"workloads", Workloads}});
   if (!SummaryPath.empty())
-    writeSummary(All, Profile, BaselinePath, SummaryPath);
-  if (!BaselinePath.empty() && compareBaseline(All, BaselinePath) > 0)
-    return 1;
+    writeSummary(All, Profile, Flags.BaselinePath, SummaryPath);
+  if (!Flags.BaselinePath.empty()) {
+    JsonValue Doc;
+    const JsonValue *WL =
+        baselineSection(Flags.BaselinePath, "workloads", Doc);
+    if (!WL || gateSection("bench-regression", Flags.BaselinePath, *WL,
+                           gatedRows(All)) > 0)
+      return 1;
+  }
   return 0;
 }

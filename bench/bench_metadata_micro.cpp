@@ -268,11 +268,7 @@ int runJson(const std::string &Path) {
   jsonCollisionSweep(W);
   jsonContendedSweep(W);
   W.endObject();
-  if (!W.writeTo(Path)) {
-    std::fprintf(stderr, "cannot write %s\n", Path.c_str());
-    return 1;
-  }
-  std::printf("wrote %s\n", Path.c_str());
+  W.writeToOrExit(Path);
   return 0;
 }
 

@@ -26,7 +26,7 @@
 ///     pinned request count, which gates checks/request and
 ///     sim-cost/request exactly.
 ///
-/// Flags:
+/// Flags (bench/BenchUtil.h's gate core, shared with bench_fig2_overhead):
 ///   --requests <N>        schedule length per server (default 1000).
 ///   --seed <S>            schedule seed (default 64).
 ///   --lanes <N>           N-lane VM session over one shared heap +
@@ -40,7 +40,10 @@
 ///                         meta_ops_per_request, sim_cost_per_request)
 ///                         and the non-gated contention_* group.
 ///   --baseline <path>     gate traffic totals against the committed
-///                         baseline (1-lane only, like fig2's gate).
+///                         baseline's "traffic" section (1-lane only):
+///                         a value above baseline, a server on only one
+///                         side, a schedule-shape mismatch or a drifted
+///                         adversarial count fails.
 ///   --write-baseline <path>
 ///                         refresh the baseline's "traffic" section in
 ///                         place (every other section, including fig2's
@@ -55,21 +58,15 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "bench/BenchJson.h"
 #include "bench/BenchUtil.h"
 #include "runtime/ShadowSpaceMetadata.h"
 #include "workloads/Traffic.h"
 
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
 
 using namespace softbound;
 using namespace softbound::benchutil;
-using benchjson::JsonValue;
-using benchjson::JsonWriter;
-using benchjson::parseJsonFile;
-using benchjson::writeJsonValue;
 
 namespace {
 
@@ -144,168 +141,57 @@ ModeNumbers foldSession(const SessionResult &S, const TrafficSchedule &Sched,
   return M;
 }
 
-/// Emits the baseline "traffic" section: schedule shape plus the gated
-/// deterministic 1-lane totals per server.
-void emitTrafficSection(JsonWriter &W, const std::vector<ServerNumbers> &All,
-                        unsigned Requests, uint64_t Seed) {
-  W.beginObject();
-  W.kv("requests", static_cast<uint64_t>(Requests));
-  W.kv("seed", Seed);
-  for (const auto &S : All) {
-    W.key(S.Name);
-    W.beginObject();
-    W.kv("adversarial", static_cast<uint64_t>(S.Sched.adversarialCount()));
-    W.kv("checks_full", S.Full.Rep.Checks);
-    W.kv("checks_store", S.Store.Rep.Checks);
-    W.kv("meta_ops_full", S.Full.Rep.MetaOps);
-    W.kv("meta_ops_store", S.Store.Rep.MetaOps);
-    W.kv("sim_cost_full", S.Full.Rep.SimCost);
-    W.kv("sim_cost_store", S.Store.Rep.SimCost);
-    W.endObject();
-  }
-  W.endObject();
+/// The gated row of one server: its lane-summed 1-lane traffic totals.
+GatedRow gatedRow(const ServerNumbers &S) {
+  auto Totals = [](const TrafficReport &R) {
+    return GatedTotals{R.Checks, R.MetaOps, R.SimCost};
+  };
+  return {S.Name, Totals(S.Full.Rep), Totals(S.Store.Rep)};
 }
 
-/// Rewrites the baseline's "traffic" section in place. The file is shared
-/// with bench_fig2_overhead (which owns schema/pipeline/workloads), so it
-/// must already exist; every section this bench does not own is carried
-/// through via writeJsonValue in document order.
-void writeTrafficBaseline(const std::vector<ServerNumbers> &All,
-                          unsigned Requests, uint64_t Seed,
-                          const std::string &Path) {
-  JsonValue Old;
-  std::string Err;
-  if (!parseJsonFile(Path, Old, Err) || !Old.isObject()) {
-    std::fprintf(stderr,
-                 "%s: cannot refresh traffic section (%s); the baseline "
-                 "file is shared — create it with bench_fig2_overhead "
-                 "--write-baseline first\n",
-                 Path.c_str(), Err.empty() ? "not an object" : Err.c_str());
-    std::exit(1);
-  }
-  JsonWriter W;
-  W.beginObject();
-  bool Replaced = false;
-  for (const std::string &Key : Old.ObjOrder) {
-    W.key(Key);
-    if (Key == "traffic") {
-      emitTrafficSection(W, All, Requests, Seed);
-      Replaced = true;
-    } else {
-      writeJsonValue(W, Old.Obj.at(Key));
-    }
-  }
-  if (!Replaced) {
-    W.key("traffic");
-    emitTrafficSection(W, All, Requests, Seed);
-  }
-  W.endObject();
-  if (!W.writeTo(Path)) {
-    std::fprintf(stderr, "cannot write %s\n", Path.c_str());
-    std::exit(1);
-  }
-  std::printf("\nwrote traffic baseline section in %s\n", Path.c_str());
-}
-
-/// Gates this run's deterministic traffic totals against the committed
-/// baseline. Returns the number of regressions. The totals are taken at
-/// the baseline's pinned request count and seed, so a total gate is
-/// exactly a per-request gate; a schedule-shape mismatch is an error, not
-/// a silent skip.
-int compareTrafficBaseline(const std::vector<ServerNumbers> &All,
-                           unsigned Requests, uint64_t Seed,
-                           const std::string &Path) {
+/// Gates this run's deterministic traffic totals against the baseline's
+/// traffic section. Returns the number of failures. The totals are taken
+/// at the baseline's pinned request count and seed, so a total gate is
+/// exactly a per-request gate; a schedule-shape mismatch or a drifted
+/// adversarial count is a failure, not a silent skip.
+int gateTraffic(const std::vector<ServerNumbers> &All, unsigned Requests,
+                uint64_t Seed, const std::string &Path) {
   JsonValue Doc;
-  std::string Err;
-  if (!parseJsonFile(Path, Doc, Err)) {
-    std::fprintf(stderr, "baseline: %s\n", Err.c_str());
+  const JsonValue *T = baselineSection(Path, "traffic", Doc);
+  if (!T)
     return 1;
-  }
-  const JsonValue *T = Doc.get("traffic");
-  if (!T || !T->isObject()) {
-    std::fprintf(stderr,
-                 "baseline %s: missing \"traffic\" section (refresh with "
-                 "--write-baseline)\n",
-                 Path.c_str());
-    return 1;
-  }
   const JsonValue *BReq = T->get("requests");
   const JsonValue *BSeed = T->get("seed");
-  if (!BReq || !BReq->isNumber() || !BSeed || !BSeed->isNumber() ||
-      BReq->asInt() != static_cast<int64_t>(Requests) ||
-      BSeed->asInt() != static_cast<int64_t>(Seed)) {
+  auto Pinned = [](const JsonValue *V) {
+    return V && V->isNumber() ? static_cast<long long>(V->asInt()) : -1LL;
+  };
+  if (Pinned(BReq) != static_cast<long long>(Requests) ||
+      Pinned(BSeed) != static_cast<long long>(Seed)) {
     std::fprintf(stderr,
                  "baseline %s: traffic schedule shape mismatch (baseline "
                  "requests=%lld seed=%lld, run requests=%u seed=%llu); pass "
                  "matching --requests/--seed or refresh with "
                  "--write-baseline\n",
-                 Path.c_str(),
-                 BReq && BReq->isNumber()
-                     ? static_cast<long long>(BReq->asInt())
-                     : -1LL,
-                 BSeed && BSeed->isNumber()
-                     ? static_cast<long long>(BSeed->asInt())
-                     : -1LL,
-                 Requests, static_cast<unsigned long long>(Seed));
+                 Path.c_str(), Pinned(BReq), Pinned(BSeed), Requests,
+                 static_cast<unsigned long long>(Seed));
     return 1;
   }
-  int Regressions = 0;
-  std::printf("\n=== traffic bench-regression gate (baseline: %s) ===\n",
-              Path.c_str());
+  std::vector<GatedRow> Rows;
+  int Drift = 0;
   for (const auto &S : All) {
+    Rows.push_back(gatedRow(S));
     const JsonValue *Entry = T->get(S.Name);
-    if (!Entry || !Entry->isObject()) {
-      std::printf("  %-6s UNGATED: not in baseline traffic section "
-                  "(refresh with --write-baseline to gate it)\n",
-                  S.Name.c_str());
-      ++Regressions;
-      continue;
-    }
-    const JsonValue *Adv = Entry->get("adversarial");
+    const JsonValue *Adv = Entry ? Entry->get("adversarial") : nullptr;
     if (Adv && Adv->isNumber() &&
         Adv->asInt() != static_cast<int64_t>(S.Sched.adversarialCount())) {
       std::printf("  %-6s SCHEDULE DRIFT: %u adversarial requests vs "
                   "baseline %lld (generator changed under a pinned seed)\n",
                   S.Name.c_str(), S.Sched.adversarialCount(),
                   static_cast<long long>(Adv->asInt()));
-      ++Regressions;
-    }
-    struct {
-      const char *Key;
-      uint64_t Now;
-    } Rows[] = {{"checks_full", S.Full.Rep.Checks},
-                {"checks_store", S.Store.Rep.Checks},
-                {"meta_ops_full", S.Full.Rep.MetaOps},
-                {"meta_ops_store", S.Store.Rep.MetaOps},
-                {"sim_cost_full", S.Full.Rep.SimCost},
-                {"sim_cost_store", S.Store.Rep.SimCost}};
-    for (const auto &Row : Rows) {
-      const JsonValue *Base = Entry->get(Row.Key);
-      if (!Base || !Base->isNumber())
-        continue; // Not gated in this baseline.
-      uint64_t Want = static_cast<uint64_t>(Base->asInt());
-      if (Row.Now > Want) {
-        std::printf("  %-6s %-14s REGRESSED: %llu > baseline %llu "
-                    "(per-request: %.2f > %.2f)\n",
-                    S.Name.c_str(), Row.Key,
-                    static_cast<unsigned long long>(Row.Now),
-                    static_cast<unsigned long long>(Want),
-                    static_cast<double>(Row.Now) / Requests,
-                    static_cast<double>(Want) / Requests);
-        ++Regressions;
-      } else if (Row.Now < Want) {
-        std::printf("  %-6s %-14s improved: %llu < baseline %llu (refresh "
-                    "the baseline to lock in)\n",
-                    S.Name.c_str(), Row.Key,
-                    static_cast<unsigned long long>(Row.Now),
-                    static_cast<unsigned long long>(Want));
-      }
+      ++Drift;
     }
   }
-  if (Regressions == 0)
-    std::printf("  OK: no server regressed its per-request check count or "
-                "simulated cost\n");
-  return Regressions;
+  return Drift + gateSection("traffic bench-regression", Path, *T, Rows);
 }
 
 /// Prints the multi-lane divergence report for one mode (satellite of the
@@ -336,61 +222,19 @@ void printDivergence(const std::string &Server, const char *Mode,
 } // namespace
 
 int main(int argc, char **argv) {
-  unsigned Lanes = 1, Shards = 1, Requests = 1000;
+  unsigned Requests = 1000;
   uint64_t Seed = 64;
-  bool LockFree = false;
-  std::string JsonPath, BaselinePath, WriteBaselinePath;
-  for (int I = 1; I < argc; ++I) {
-    auto NeedArg = [&](const char *Flag) -> const char * {
-      if (I + 1 >= argc) {
-        std::fprintf(stderr, "%s requires an argument\n", Flag);
-        std::exit(2);
-      }
-      return argv[++I];
-    };
-    if (std::strcmp(argv[I], "--lanes") == 0)
-      Lanes = static_cast<unsigned>(std::atoi(NeedArg("--lanes")));
-    else if (std::strcmp(argv[I], "--shards") == 0)
-      Shards = static_cast<unsigned>(std::atoi(NeedArg("--shards")));
-    else if (std::strcmp(argv[I], "--requests") == 0)
-      Requests = static_cast<unsigned>(std::atoi(NeedArg("--requests")));
-    else if (std::strcmp(argv[I], "--seed") == 0)
-      Seed = std::strtoull(NeedArg("--seed"), nullptr, 10);
-    else if (std::strcmp(argv[I], "--lockfree") == 0)
-      LockFree = true;
-    else if (std::strcmp(argv[I], "--json") == 0)
-      JsonPath = NeedArg("--json");
-    else if (std::strcmp(argv[I], "--baseline") == 0)
-      BaselinePath = NeedArg("--baseline");
-    else if (std::strcmp(argv[I], "--write-baseline") == 0)
-      WriteBaselinePath = NeedArg("--write-baseline");
-    else {
-      std::fprintf(stderr,
-                   "unknown flag '%s' (flags: --requests <N>, --seed <S>, "
-                   "--lanes <N>, --shards <N>, --lockfree, --json <path>, "
-                   "--baseline <path>, --write-baseline <path>)\n",
-                   argv[I]);
-      return 2;
-    }
-  }
-  if (Lanes == 0 || Shards == 0 || Requests == 0) {
-    std::fprintf(stderr, "--lanes/--shards/--requests require a positive "
-                         "count\n");
+  const BenchFlags Flags = parseBenchFlags(
+      argc, argv,
+      {{"--requests", "<N>", [&](const char *A) { Requests = countArg(A); }},
+       {"--seed", "<S>",
+        [&](const char *A) { Seed = std::strtoull(A, nullptr, 10); }}});
+  if (Requests == 0) {
+    std::fprintf(stderr, "--requests requires a positive count\n");
     return 2;
   }
-  if (Lanes > MaxLanesOrShards || Shards > MaxLanesOrShards) {
-    std::fprintf(stderr, "--lanes/--shards accept at most %u\n",
-                 MaxLanesOrShards);
-    return 2;
-  }
-  if ((!BaselinePath.empty() || !WriteBaselinePath.empty()) && Lanes != 1) {
-    // Only 1-lane totals are deterministic (lane scheduling perturbs
-    // nothing, but shared-global trip counts in the FTP handler do).
-    std::fprintf(stderr,
-                 "--baseline/--write-baseline require --lanes 1 (the gated "
-                 "totals are the deterministic single-lane ones)\n");
-    return 2;
-  }
+  const unsigned Lanes = Flags.Lanes, Shards = Flags.Shards;
+  const bool LockFree = Flags.LockFree;
 
   std::printf("=== §6.4 servers under sustained traffic ===\n");
   std::printf("(%u requests/server, seed %llu, %u lane%s, %u facility "
@@ -501,7 +345,7 @@ int main(int argc, char **argv) {
               V.violationDetected() ? "stopped" : "MISSED");
   AllOk &= V.violationDetected();
 
-  if (!JsonPath.empty()) {
+  if (!Flags.JsonPath.empty()) {
     JsonWriter W;
     W.beginObject();
     W.kv("schema", "softbound-bench-sec64-v2");
@@ -531,12 +375,7 @@ int main(int argc, char **argv) {
       W.kv("full_overhead_pct", S.Full.OverheadPct);
       W.kv("store_overhead_pct", S.Store.OverheadPct);
       // Gated totals (1-lane) and their per-request projections.
-      W.kv("checks_full", S.Full.Rep.Checks);
-      W.kv("checks_store", S.Store.Rep.Checks);
-      W.kv("meta_ops_full", S.Full.Rep.MetaOps);
-      W.kv("meta_ops_store", S.Store.Rep.MetaOps);
-      W.kv("sim_cost_full", S.Full.Rep.SimCost);
-      W.kv("sim_cost_store", S.Store.Rep.SimCost);
+      writeGatedKeys(W, gatedRow(S));
       W.kv("checks_per_request", S.Full.Rep.checksPerRequest());
       W.kv("meta_ops_per_request", S.Full.Rep.metaOpsPerRequest());
       W.kv("sim_cost_per_request", S.Full.Rep.simCostPerRequest());
@@ -556,29 +395,36 @@ int main(int argc, char **argv) {
         W.value(E);
       W.endArray();
       // Non-gated contention group (full-checking run's facility).
-      W.kv("contention_lock_acquires", S.Full.Meta.LockAcquires);
-      W.kv("contention_lock_contended", S.Full.Meta.LockContended);
-      W.kv("contention_seqlock_reads", S.Full.Meta.SeqlockReads);
-      W.kv("contention_seqlock_retries", S.Full.Meta.SeqlockRetries);
-      W.kv("contention_sim_cost", S.Full.Meta.contentionSimCost());
+      writeContention(W, S.Full.Meta);
       W.endObject();
     }
     W.endObject();
     W.kv("vulnerable_variant_stopped", V.violationDetected());
     W.endObject();
-    if (!W.writeTo(JsonPath)) {
-      std::fprintf(stderr, "cannot write %s\n", JsonPath.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", JsonPath.c_str());
+    W.writeToOrExit(Flags.JsonPath);
   }
 
-  if (!WriteBaselinePath.empty())
-    writeTrafficBaseline(Results, Requests, Seed, WriteBaselinePath);
-  int Regressions = BaselinePath.empty() ? 0
-                                         : compareTrafficBaseline(
-                                               Results, Requests, Seed,
-                                               BaselinePath);
+  // The baseline's "traffic" section: schedule shape plus each server's
+  // adversarial count and gated totals.
+  auto Traffic = [&](JsonWriter &W) {
+    W.beginObject();
+    W.kv("requests", static_cast<uint64_t>(Requests));
+    W.kv("seed", Seed);
+    for (const auto &S : Results) {
+      W.key(S.Name);
+      W.beginObject();
+      W.kv("adversarial", static_cast<uint64_t>(S.Sched.adversarialCount()));
+      writeGatedKeys(W, gatedRow(S));
+      W.endObject();
+    }
+    W.endObject();
+  };
+  if (!Flags.WriteBaselinePath.empty())
+    writeBaselineSections(Flags.WriteBaselinePath, {{"traffic", Traffic}});
+  int Regressions = Flags.BaselinePath.empty()
+                        ? 0
+                        : gateTraffic(Results, Requests, Seed,
+                                      Flags.BaselinePath);
 
   return AllOk && Regressions == 0 ? 0 : 1;
 }

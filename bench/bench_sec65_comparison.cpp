@@ -10,9 +10,9 @@
 ///     (modelled as the hash facility + no shrink) — the paper reports
 ///     MSCC above SoftBound (e.g. go: 144% vs 55%).
 ///   * CCured-like: whole-program SAFE-pointer inference removes checks
-///     statically (modelled with the safe-elision pass between
-///     instrumentation and re-optimization) — lower than SoftBound on
-///     average, at the price of source-compatibility.
+///     statically (modelled with the safe-elision pass after checkopt, so
+///     hull hoisting sees every check first) — lower than SoftBound on
+///     average, at the price of source-compatibility (see the caveat).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,6 +30,7 @@ int main() {
   double SumSB = 0, SumMSCC = 0, SumCC = 0;
   double GoSB = 0, GoMSCC = 0;
   int N = 0;
+  bool CCEveryKernel = true;
 
   for (const auto &W : benchmarkSuite()) {
     BuildResult Base = mustBuild(W.Source, "optimize");
@@ -51,8 +52,7 @@ int main() {
 
     // CCured-like: static SAFE-pointer check elision, shadow facility.
     BuildResult CCProg = mustBuild(
-        W.Source,
-        "optimize,softbound(no-reopt),safe-elision,reoptimize,checkopt");
+        W.Source, "optimize,softbound,checkopt,safe-elision,reoptimize");
     Measurement MC = measure(CCProg);
 
     double SB = overheadPct(MSB.R.Counters.Cycles, BaseCycles);
@@ -61,6 +61,7 @@ int main() {
     SumSB += SB;
     SumMSCC += MSCC;
     SumCC += CC;
+    CCEveryKernel &= MC.R.Counters.Cycles <= MSB.R.Counters.Cycles;
     ++N;
     if (W.Name == "go") {
       GoSB = SB;
@@ -85,5 +86,10 @@ int main() {
   std::printf("  CCured-like <= SoftBound on average: %s (paper: CCured "
               "3-87%% vs SoftBound 79%%)\n",
               SumCC <= SumSB ? "yes" : "NO");
+  std::printf("   caveat: the model elides only the checks counted above and "
+              "strips no metadata;\n   the paper's 3-87%% comes from SAFE "
+              "pointers that carry no metadata at all\n");
+  std::printf("  CCured-like <= SoftBound on every kernel: %s\n",
+              CCEveryKernel ? "yes" : "NO");
   return 0;
 }

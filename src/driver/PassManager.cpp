@@ -22,6 +22,15 @@ using namespace softbound;
 
 namespace {
 
+/// "name", or "name(k1,k2)" when \p Knobs is non-empty.
+std::string specWithKnobs(std::string_view Name,
+                          const std::vector<std::string> &Knobs) {
+  std::string S(Name);
+  for (size_t I = 0; I < Knobs.size(); ++I)
+    S += (I ? "," : "(") + Knobs[I];
+  return Knobs.empty() ? S : S + ')';
+}
+
 /// "optimize": the pre-instrumentation optimizer (§6.1 layering).
 class OptimizePass : public ModulePass {
 public:
@@ -40,7 +49,6 @@ public:
   std::string_view name() const override { return "softbound"; }
 
   std::string spec() const override {
-    std::string S(name());
     std::vector<std::string> Knobs;
     if (Cfg.Mode == CheckMode::StoreOnly)
       Knobs.push_back("store-only");
@@ -54,12 +62,7 @@ public:
       Knobs.push_back("no-funcptr-check");
     if (!Cfg.ReoptimizeAfter)
       Knobs.push_back("no-reopt");
-    if (Knobs.empty())
-      return S;
-    S += '(';
-    for (size_t I = 0; I < Knobs.size(); ++I)
-      S += (I ? "," : "") + Knobs[I];
-    return S + ')';
+    return specWithKnobs(name(), Knobs);
   }
 
   void run(Module &M, PassContext &Ctx) const override {
@@ -89,62 +92,57 @@ public:
   std::string_view name() const override { return "checkopt"; }
 
   std::string spec() const override {
-    std::string S(name());
     if (!Cfg.Enable)
-      return S + "(off)";
-    const CheckOptConfig Default;
-    if (Cfg.EliminateDominated == Default.EliminateDominated &&
-        Cfg.RangeSubsumption == Default.RangeSubsumption &&
-        Cfg.HoistLoopChecks == Default.HoistLoopChecks &&
-        Cfg.RuntimeLimitHulls == Default.RuntimeLimitHulls &&
-        Cfg.InterProc == Default.InterProc &&
-        Cfg.Partition == Default.Partition &&
-        Cfg.ElideSafeChecks == Default.ElideSafeChecks)
-      return S;
-    std::vector<std::string> Knobs;
-    if (Cfg.EliminateDominated)
-      Knobs.push_back("redundant");
-    if (Cfg.RangeSubsumption)
-      Knobs.push_back("range");
-    if (Cfg.HoistLoopChecks)
-      Knobs.push_back("hoist");
-    if (Cfg.HoistLoopChecks && Cfg.RuntimeLimitHulls)
-      Knobs.push_back("runtime-limit");
-    if (Cfg.InterProc)
-      Knobs.push_back("interproc");
-    if (Cfg.Partition)
-      Knobs.push_back("partition");
-    if (Cfg.ElideSafeChecks)
-      Knobs.push_back("safe");
+      return specWithKnobs(name(), {"off"});
+    std::vector<std::string> Knobs = enabledKnobs(Cfg);
+    if (Knobs == enabledKnobs(CheckOptConfig()))
+      return std::string(name());
     if (Knobs.empty())
-      return S + "(none)";
-    S += '(';
-    for (size_t I = 0; I < Knobs.size(); ++I)
-      S += (I ? "," : "") + Knobs[I];
-    return S + ')';
+      Knobs.push_back("none");
+    return specWithKnobs(name(), Knobs);
+  }
+
+  /// The sub-pass knobs \p C enables, in canonical order.
+  static std::vector<std::string> enabledKnobs(const CheckOptConfig &C) {
+    std::vector<std::string> Knobs;
+    if (C.EliminateDominated)
+      Knobs.push_back("redundant");
+    if (C.RangeSubsumption)
+      Knobs.push_back("range");
+    if (C.HoistLoopChecks)
+      Knobs.push_back("hoist");
+    if (C.HoistLoopChecks && C.RuntimeLimitHulls)
+      Knobs.push_back("runtime-limit");
+    if (C.InterProc)
+      Knobs.push_back("interproc");
+    if (C.Partition)
+      Knobs.push_back("partition");
+    return Knobs;
   }
 
   void run(Module &M, PassContext &Ctx) const override {
-    Ctx.stats().CheckOpt += optimizeChecks(M, Cfg);
+    if (Cfg.Enable)
+      Ctx.stats().addCheckPass(optimizeChecks(M, Cfg));
   }
 
   const CheckOptConfig Cfg;
 };
 
-/// "safe-elision": just the CCured-SAFE sub-pass (§6.5 ablation surface).
+/// "safe-elision": CCured-SAFE static check elision (§6.5 comparison).
+/// Run it after checkopt: deleting a check before hull hoisting has seen
+/// it only forfeits the hull.
 class SafeElisionPass : public ModulePass {
 public:
   std::string_view name() const override { return "safe-elision"; }
   void run(Module &M, PassContext &Ctx) const override {
-    CheckOptConfig Cfg;
-    Cfg.EliminateDominated = false;
-    Cfg.RangeSubsumption = false;
-    Cfg.HoistLoopChecks = false;
-    Cfg.RuntimeLimitHulls = false;
-    Cfg.InterProc = false;
-    Cfg.Partition = false;
-    Cfg.ElideSafeChecks = true;
-    Ctx.stats().CheckOpt += optimizeChecks(M, Cfg);
+    CheckOptStats Stats;
+    for (const auto &F : M.functions()) {
+      if (!F->isDefinition())
+        continue;
+      checkopt::elideSafeChecks(*F, Stats);
+      dce(*F); // Deleted checks strand their bounds/GEP arithmetic.
+    }
+    Ctx.stats().addCheckPass(Stats);
   }
 };
 
@@ -188,9 +186,8 @@ bool parseSoftBoundKnobs(const std::vector<std::string> &Knobs,
 }
 
 const std::vector<std::string> CheckOptKnobs = {
-    "redundant", "range",     "hoist", "runtime-limit",
-    "interproc", "partition", "safe",  "none",
-    "off"};
+    "redundant", "range", "hoist", "runtime-limit",
+    "interproc", "partition", "none", "off"};
 
 /// An empty knob list means the default configuration; a non-empty list
 /// enables exactly the named sub-passes ("none" enables nothing, "off"
@@ -210,7 +207,6 @@ bool parseCheckOptKnobs(const std::vector<std::string> &Knobs,
   Cfg.RuntimeLimitHulls = false;
   Cfg.InterProc = false;
   Cfg.Partition = false;
-  Cfg.ElideSafeChecks = false;
   for (const auto &K : Knobs) {
     if (K == "redundant")
       Cfg.EliminateDominated = true;
@@ -224,8 +220,6 @@ bool parseCheckOptKnobs(const std::vector<std::string> &Knobs,
       Cfg.InterProc = true;
     else if (K == "partition")
       Cfg.Partition = true;
-    else if (K == "safe")
-      Cfg.ElideSafeChecks = true;
     else if (K == "none" || K == "off") {
       if (Knobs.size() != 1) {
         Err = "checkopt: knob '" + K + "' cannot be combined with others";
@@ -273,8 +267,7 @@ void registerBuiltins(PassRegistry &R) {
   R.add("checkopt",
         "static check optimization: dominance RCE, range subsumption, "
         "loop-hull hoisting (with runtime-limit hulls), inter-procedural "
-        "bounds propagation, checked-region partitioning, optional "
-        "CCured-SAFE elision",
+        "bounds propagation, checked-region partitioning",
         CheckOptKnobs,
         [](const std::vector<std::string> &Knobs,
            std::string &Err) -> std::shared_ptr<const ModulePass> {

@@ -64,14 +64,26 @@ struct PipelineStats {
   /// rewritten, post-instrumentation eliminations). Its nested CheckOpt
   /// member stays zero here — CheckOpt below is the owner.
   SoftBoundStats SB;
-  /// Check-optimization counters, accumulated across every checkopt /
-  /// safe-elision pass in the plan.
+  /// Check-optimization counters over every checkopt / safe-elision
+  /// pass in the plan (see addCheckPass).
   CheckOptStats CheckOpt;
+  /// Check passes folded into CheckOpt so far.
+  unsigned CheckPasses = 0;
   /// Set by the softbound pass.
   bool Instrumented = false;
   CheckMode Mode = CheckMode::Full;
   /// Per-pass timings, in execution order.
   std::vector<PassTiming> Passes;
+
+  /// Folds one check pass's counters into CheckOpt: ChecksBefore stays
+  /// the count entering the plan's first check pass, ChecksAfter becomes
+  /// the count leaving the last, and every other counter sums.
+  void addCheckPass(const CheckOptStats &Pass) {
+    unsigned Before = CheckPasses++ ? CheckOpt.ChecksBefore : Pass.ChecksBefore;
+    CheckOpt += Pass;
+    CheckOpt.ChecksBefore = Before;
+    CheckOpt.ChecksAfter = Pass.ChecksAfter;
+  }
 
   double totalMillis() const {
     double S = 0;

@@ -53,11 +53,6 @@ void optimizeChecksImpl(Function &F, const CheckOptConfig &Cfg,
     return;
   Stats.ChecksBefore += countSpatialChecks(F);
 
-  // CCured-SAFE elision first (opt-in): checks it deletes are statically
-  // settled, so the later sub-passes need not reason about them at all.
-  if (Cfg.ElideSafeChecks)
-    checkopt::elideSafeChecks(F, Stats);
-
   // Hoist before eliminating: the hull checks it plants in preheaders
   // become dominating facts that the elimination walk can use to subsume
   // checks in later loops over the same object.

@@ -27,11 +27,12 @@
 ///      are replaced by checks at the two endpoints of the access range's
 ///      convex hull (à la CHOP), turning O(trip-count) dynamic checks
 ///      into O(1).
-///   4. CCured-SAFE check elision (SafeElision.cpp, off by default): a
-///      check whose pointer is an all-constant, per-index-validated GEP
-///      chain into a known-size stack or global object, with the access
-///      contained in the object, is deleted outright — the §6.5 CCured
-///      comparison knob.
+///   4. CCured-SAFE check elision (SafeElision.cpp): a check whose
+///      pointer is an all-constant, per-index-validated GEP chain into a
+///      known-size stack or global object, with the access contained in
+///      the object, is deleted outright. Not a checkopt sub-pass: it runs
+///      only as the standalone `safe-elision` pass of the §6.5 CCured
+///      comparison, after checkopt, so hull hoisting sees every check.
 ///   5. Inter-procedural bounds propagation (InterProc.h, module-level):
 ///      a call-graph pass that elides callee-side checks every direct
 ///      call site already proves, turns callee-guaranteed checks into
@@ -52,12 +53,12 @@
 /// would have trapped still traps (possibly at an earlier instruction),
 /// and a program that ran clean still runs clean. Every transformation is
 /// gated on static proofs (constant trip counts, single-exit loops, no
-/// in-loop control-flow escapes) described in LoopHoist.cpp. Sub-pass 4
-/// is the deliberate exception: its leading pointer-arithmetic step is
-/// judged against the *whole* object, so a sub-object overflow reached
-/// through a derived field pointer plus constant arithmetic can lose its
-/// (field-shrunk) check — the CCured-SAFE trade-off §6.5 measures — and
-/// it is therefore not part of the default pipeline.
+/// in-loop control-flow escapes) described in LoopHoist.cpp. The SAFE
+/// elision (4) is the deliberate exception: its leading pointer-arithmetic
+/// step is judged against the *whole* object, so a sub-object overflow
+/// reached through a derived field pointer plus constant arithmetic can
+/// lose its (field-shrunk) check — the CCured-SAFE trade-off §6.5
+/// measures — and it is therefore not part of the default pipeline.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -105,10 +106,6 @@ struct CheckOptConfig {
   /// the fully-proven ones. Module-level only; leans on the closed-module
   /// contract like InterProc.
   bool Partition = true;
-  /// CCured-SAFE elision (§6.5 modeling knob): delete checks statically
-  /// proven inside their *whole* base object. Off by default — it gives up
-  /// sub-object protection for constant-offset accesses.
-  bool ElideSafeChecks = false;
 };
 
 /// One function's checked-region classification (Partition.cpp). Verdicts
@@ -122,45 +119,49 @@ struct PartitionVerdict {
   unsigned MetaStoresRemoved = 0; ///< meta.store instructions stripped.
 };
 
+/// Every summed CheckOptStats counter, listed once: the list declares
+/// the fields and generates operator+=. The per-function Partition
+/// verdicts sit outside it and concatenate.
+#define SOFTBOUND_CHECKOPT_COUNTERS(X)                                         \
+  X(ChecksBefore)          /* Static spatial checks entering the pass. */      \
+  X(ChecksAfter)           /* Static spatial checks remaining. */              \
+  X(DominatedEliminated)   /* Same-pointer dominance deletions. */             \
+  X(RangeEliminated)       /* Range-subsumption deletions. */                  \
+  X(FuncPtrEliminated)     /* Duplicate function-pointer checks. */            \
+  X(SafeChecksElided)      /* CCured-SAFE static elisions. */                  \
+  X(LoopChecksHoisted)     /* In-loop checks replaced/deleted. */              \
+  X(HoistedChecksInserted) /* Pre-loop hull checks added. */                   \
+  X(LoopsAnalyzed)         /* Natural loops inspected. */                      \
+  X(LoopsCounted)          /* Loops with a provable constant trip set. */      \
+  /* Runtime-bound hull hoisting (LoopHoist.cpp "Run-time bounds"). */         \
+  X(LoopsCountedRuntime)     /* Symbolic-bound counted loops. */               \
+  X(LoopsCountedSymInit)     /* ... with a symbolic init (incl. the */         \
+                             /* decreasing `i = n-1; i >= 0` shape). */        \
+  X(LoopsCountedStrided)     /* ... with |step| > 1. */                        \
+  X(RuntimeHullChecks)       /* Guard-protected hull checks added. */          \
+  X(RuntimeGuardedFallbacks) /* In-loop fallback checks kept. */               \
+  X(RuntimeGuardsDischarged) /* Guards settled by arg ranges. */               \
+  X(RuntimeDivisGuards)      /* Stride-divisibility tests emitted. */          \
+  /* Inter-procedural bounds propagation (opt/checks/InterProc.h). */          \
+  X(InterProcChecksElided)      /* Total checks the pass deleted. */           \
+  X(InterProcCalleeElided)      /* Proven at every call site. */               \
+  X(InterProcCallerElided)      /* Covered by callee/caller facts. */          \
+  X(InterProcRangeElided)       /* Static index-range proofs. */               \
+  X(InterProcSunkElided)        /* Duplicates sunk into callees. */            \
+  X(InterProcArgSummaries)      /* Argument/global check summaries. */         \
+  X(InterProcRetSummaries)      /* Functions with return summaries. */         \
+  X(InterProcFunctionsAnalyzed) /* Defined functions visited. */               \
+  /* Checked-region partitioning (opt/checks/Partition.h). */                  \
+  X(PartitionFunctions)         /* Defined functions classified. */            \
+  X(PartitionProven)            /* Classified fully-proven (stripped). */      \
+  X(PartitionMetaLoadsRemoved)  /* meta.loads stripped. */                     \
+  X(PartitionMetaStoresRemoved) /* meta.stores stripped. */
+
 /// What the subsystem did (reported by benches and asserted by tests).
 struct CheckOptStats {
-  unsigned ChecksBefore = 0;   ///< Static spatial checks entering the pass.
-  unsigned ChecksAfter = 0;    ///< Static spatial checks remaining.
-  unsigned DominatedEliminated = 0; ///< Same-pointer dominance deletions.
-  unsigned RangeEliminated = 0;     ///< Range-subsumption deletions.
-  unsigned FuncPtrEliminated = 0;   ///< Duplicate function-pointer checks.
-  unsigned SafeChecksElided = 0;    ///< CCured-SAFE static elisions.
-  unsigned LoopChecksHoisted = 0;   ///< In-loop checks replaced/deleted.
-  unsigned HoistedChecksInserted = 0; ///< Pre-loop hull checks added.
-  unsigned LoopsAnalyzed = 0;  ///< Natural loops inspected.
-  unsigned LoopsCounted = 0;   ///< Loops with a provable constant trip set.
-
-  // Runtime-bound hull hoisting (LoopHoist.cpp "Run-time bounds").
-  unsigned LoopsCountedRuntime = 0; ///< Symbolic-bound counted loops.
-  unsigned LoopsCountedSymInit = 0; ///< ... with a symbolic *init* (incl.
-                                    ///< the decreasing `i = n-1; i >= 0`
-                                    ///< shape).
-  unsigned LoopsCountedStrided = 0; ///< ... with |step| > 1.
-  unsigned RuntimeHullChecks = 0;   ///< Guard-protected hull checks added.
-  unsigned RuntimeGuardedFallbacks = 0; ///< In-loop fallback checks kept.
-  unsigned RuntimeGuardsDischarged = 0; ///< Guards settled by arg ranges.
-  unsigned RuntimeDivisGuards = 0;      ///< Stride-divisibility tests emitted.
-
-  // Inter-procedural bounds propagation (opt/checks/InterProc.h).
-  unsigned InterProcChecksElided = 0;  ///< Total checks the pass deleted.
-  unsigned InterProcCalleeElided = 0;  ///< Proven at every call site.
-  unsigned InterProcCallerElided = 0;  ///< Covered by callee/caller facts.
-  unsigned InterProcRangeElided = 0;   ///< Static index-range proofs.
-  unsigned InterProcSunkElided = 0;    ///< Duplicates sunk into callees.
-  unsigned InterProcArgSummaries = 0;  ///< Argument/global check summaries.
-  unsigned InterProcRetSummaries = 0;  ///< Functions with return summaries.
-  unsigned InterProcFunctionsAnalyzed = 0; ///< Defined functions visited.
-
-  // Checked-region partitioning (opt/checks/Partition.h).
-  unsigned PartitionFunctions = 0; ///< Defined functions classified.
-  unsigned PartitionProven = 0;    ///< Classified fully-proven (stripped).
-  unsigned PartitionMetaLoadsRemoved = 0;  ///< meta.loads stripped.
-  unsigned PartitionMetaStoresRemoved = 0; ///< meta.stores stripped.
+#define SOFTBOUND_CHECKOPT_FIELD(Name) unsigned Name = 0;
+  SOFTBOUND_CHECKOPT_COUNTERS(SOFTBOUND_CHECKOPT_FIELD)
+#undef SOFTBOUND_CHECKOPT_FIELD
   std::vector<PartitionVerdict> Partition; ///< Per-function verdicts.
 
   /// Fraction of static checks removed, in [0, 1].
@@ -171,35 +172,9 @@ struct CheckOptStats {
   }
 
   CheckOptStats &operator+=(const CheckOptStats &O) {
-    ChecksBefore += O.ChecksBefore;
-    ChecksAfter += O.ChecksAfter;
-    DominatedEliminated += O.DominatedEliminated;
-    RangeEliminated += O.RangeEliminated;
-    FuncPtrEliminated += O.FuncPtrEliminated;
-    SafeChecksElided += O.SafeChecksElided;
-    LoopChecksHoisted += O.LoopChecksHoisted;
-    HoistedChecksInserted += O.HoistedChecksInserted;
-    LoopsAnalyzed += O.LoopsAnalyzed;
-    LoopsCounted += O.LoopsCounted;
-    LoopsCountedRuntime += O.LoopsCountedRuntime;
-    LoopsCountedSymInit += O.LoopsCountedSymInit;
-    LoopsCountedStrided += O.LoopsCountedStrided;
-    RuntimeHullChecks += O.RuntimeHullChecks;
-    RuntimeGuardedFallbacks += O.RuntimeGuardedFallbacks;
-    RuntimeGuardsDischarged += O.RuntimeGuardsDischarged;
-    RuntimeDivisGuards += O.RuntimeDivisGuards;
-    InterProcChecksElided += O.InterProcChecksElided;
-    InterProcCalleeElided += O.InterProcCalleeElided;
-    InterProcCallerElided += O.InterProcCallerElided;
-    InterProcRangeElided += O.InterProcRangeElided;
-    InterProcSunkElided += O.InterProcSunkElided;
-    InterProcArgSummaries += O.InterProcArgSummaries;
-    InterProcRetSummaries += O.InterProcRetSummaries;
-    InterProcFunctionsAnalyzed += O.InterProcFunctionsAnalyzed;
-    PartitionFunctions += O.PartitionFunctions;
-    PartitionProven += O.PartitionProven;
-    PartitionMetaLoadsRemoved += O.PartitionMetaLoadsRemoved;
-    PartitionMetaStoresRemoved += O.PartitionMetaStoresRemoved;
+#define SOFTBOUND_CHECKOPT_ADD(Name) Name += O.Name;
+    SOFTBOUND_CHECKOPT_COUNTERS(SOFTBOUND_CHECKOPT_ADD)
+#undef SOFTBOUND_CHECKOPT_ADD
     Partition.insert(Partition.end(), O.Partition.begin(), O.Partition.end());
     return *this;
   }
@@ -222,9 +197,11 @@ bool instDominates(const DomTree &DT, const InstOrder &Ord,
 
 namespace checkopt {
 
-/// The SafeElision sub-pass (SafeElision.cpp): deletes every spatial
-/// check whose pointer is a constant offset into a known-size
-/// alloca/global with the access contained in the object.
+/// CCured-SAFE elision (SafeElision.cpp), the body of the `safe-elision`
+/// pass: deletes every spatial check whose pointer is a constant offset
+/// into a known-size alloca/global with the access contained in the
+/// object. Counts the checks it sees into ChecksBefore and the ones it
+/// keeps into ChecksAfter.
 void elideSafeChecks(Function &F, CheckOptStats &Stats);
 
 } // namespace checkopt

@@ -5,7 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The CCured-SAFE elision sub-pass (§6.5 comparison): a spatial check is
+/// The CCured-SAFE elision behind the `safe-elision` pass (§6.5
+/// comparison; it runs after `checkopt`): a spatial check is
 /// deleted when its pointer reaches a stack or global object of statically
 /// known size through bitcasts and GEPs whose indices are all non-negative
 /// constants with every *interior* (sub-object) step in range, and the
@@ -19,8 +20,8 @@
 /// only containment of the leading pointer-arithmetic step is judged
 /// against the whole object, so sub-object overflows through a derived
 /// field pointer plus arithmetic can still be missed — the §6.5
-/// compatibility/precision trade-off, and why this sub-pass is off by
-/// default.
+/// compatibility/precision trade-off, and why no default pipeline runs
+/// it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -84,7 +85,10 @@ void softbound::checkopt::elideSafeChecks(Function &F, CheckOptStats &Stats) {
   for (const auto &BB : F.blocks()) {
     for (auto It = BB->begin(); It != BB->end();) {
       auto *Chk = dyn_cast<SpatialCheckInst>(It->get());
+      if (Chk)
+        ++Stats.ChecksBefore;
       if (!Chk || !staticallyInBounds(Chk->pointer(), Chk->accessSize())) {
+        Stats.ChecksAfter += Chk != nullptr;
         ++It;
         continue;
       }

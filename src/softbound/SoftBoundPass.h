@@ -54,29 +54,31 @@ struct SoftBoundConfig {
   bool ReoptimizeAfter = true;
 };
 
+/// Every summed SoftBoundStats counter, listed once: the list declares
+/// the fields and generates operator+=.
+#define SOFTBOUND_SB_COUNTERS(X)                                               \
+  X(FunctionsTransformed)                                                      \
+  X(ChecksInserted)                                                            \
+  X(FuncPtrChecksInserted)                                                     \
+  X(MetaLoadsInserted)                                                         \
+  X(MetaStoresInserted)                                                        \
+  X(BoundsShrunk)                                                              \
+  X(CallsRewritten)                                                            \
+  X(ChecksEliminated)
+
 /// What the pass did (for tests and the instrumentation-cost benches).
 struct SoftBoundStats {
-  unsigned FunctionsTransformed = 0;
-  unsigned ChecksInserted = 0;
-  unsigned FuncPtrChecksInserted = 0;
-  unsigned MetaLoadsInserted = 0;
-  unsigned MetaStoresInserted = 0;
-  unsigned BoundsShrunk = 0;
-  unsigned CallsRewritten = 0;
-  unsigned ChecksEliminated = 0;
+#define SOFTBOUND_SB_FIELD(Name) unsigned Name = 0;
+  SOFTBOUND_SB_COUNTERS(SOFTBOUND_SB_FIELD)
+#undef SOFTBOUND_SB_FIELD
   /// Never filled by the pipeline (PipelineStats::CheckOpt owns these
   /// counters); only wallbench/ still writes it.
   CheckOptStats CheckOpt;
 
   SoftBoundStats &operator+=(const SoftBoundStats &O) {
-    FunctionsTransformed += O.FunctionsTransformed;
-    ChecksInserted += O.ChecksInserted;
-    FuncPtrChecksInserted += O.FuncPtrChecksInserted;
-    MetaLoadsInserted += O.MetaLoadsInserted;
-    MetaStoresInserted += O.MetaStoresInserted;
-    BoundsShrunk += O.BoundsShrunk;
-    CallsRewritten += O.CallsRewritten;
-    ChecksEliminated += O.ChecksEliminated;
+#define SOFTBOUND_SB_ADD(Name) Name += O.Name;
+    SOFTBOUND_SB_COUNTERS(SOFTBOUND_SB_ADD)
+#undef SOFTBOUND_SB_ADD
     CheckOpt += O.CheckOpt;
     return *this;
   }

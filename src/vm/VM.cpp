@@ -620,13 +620,10 @@ RunResult VMExec::run(const std::string &EntryName,
     // plus the aggregate counters for the report.
     Telem->addCompleteEvent(traceName("run:" + EntryName), "vm",
                             Telemetry::TidVM, 0, C.Cycles);
-    Telem->counter("vm/insts") += C.Insts;
-    Telem->counter("vm/checks") += C.Checks;
-    Telem->counter("vm/check_guards") += C.CheckGuards;
-    Telem->counter("vm/guard_skips") += C.GuardSkips;
-    Telem->counter("vm/meta_loads") += C.MetaLoads;
-    Telem->counter("vm/meta_stores") += C.MetaStores;
-    Telem->counter("vm/cycles") += C.Cycles;
+#define SOFTBOUND_VM_COUNTER_PUBLISH(Name, Path)                               \
+  Telem->counter("vm/" #Path) += C.Name;
+    SOFTBOUND_VM_COUNTERS(SOFTBOUND_VM_COUNTER_PUBLISH)
+#undef SOFTBOUND_VM_COUNTER_PUBLISH
   }
   return Res;
 }

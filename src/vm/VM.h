@@ -52,33 +52,35 @@ enum class TrapKind {
 /// Human-readable trap name.
 const char *trapName(TrapKind K);
 
-/// Every summed VMCounters field, listed once: the list declares the
-/// fields and generates accumulate() and since(). MaxFrameDepth is a
-/// high-water mark, not a count, so it sits outside the list with its
-/// own max/absolute rule.
+/// Every summed VMCounters field, listed once with its telemetry name
+/// (`vm/<name>`): the list declares the fields and generates
+/// accumulate(), since(), sameCounts() and VMExec::run's telemetry.
+/// MaxFrameDepth is a high-water mark, not a count, so it sits outside
+/// the list with its own max/absolute rule.
 #define SOFTBOUND_VM_COUNTERS(X)                                               \
-  X(Insts)                                                                     \
-  X(Loads)                                                                     \
-  X(Stores)                                                                    \
-  X(PtrLoads)    /* Loads whose result type is a pointer (Fig. 1). */          \
-  X(PtrStores)   /* Stores whose value type is a pointer (Fig. 1). */          \
-  X(Checks)                                                                    \
-  X(CheckGuards) /* Guard evaluations on guarded spatial checks. */            \
-  X(GuardSkips)  /* Guarded checks skipped (guard was false). */               \
-  X(FuncPtrChecks)                                                             \
-  X(MetaLoads)                                                                 \
-  X(MetaStores)                                                                \
-  X(Calls)                                                                     \
-  X(Cycles)
+  X(Insts, insts)                                                              \
+  X(Loads, loads)                                                              \
+  X(Stores, stores)                                                            \
+  X(PtrLoads, ptr_loads)   /* Loads of a pointer-typed value (Fig. 1). */   \
+  X(PtrStores, ptr_stores) /* Stores whose value type is a pointer. */         \
+  X(Checks, checks)                                                            \
+  X(CheckGuards, check_guards) /* Guard evaluations on guarded checks. */      \
+  X(GuardSkips, guard_skips)   /* Guarded checks skipped (guard false). */     \
+  X(FuncPtrChecks, func_ptr_checks)                                            \
+  X(MetaLoads, meta_loads)                                                     \
+  X(MetaStores, meta_stores)                                                   \
+  X(Calls, calls)                                                              \
+  X(Cycles, cycles)
 
 /// Dynamic execution statistics.
 struct VMCounters {
-#define SOFTBOUND_VM_COUNTER_FIELD(Name) uint64_t Name = 0;
+#define SOFTBOUND_VM_COUNTER_FIELD(Name, Path) uint64_t Name = 0;
   SOFTBOUND_VM_COUNTERS(SOFTBOUND_VM_COUNTER_FIELD)
 #undef SOFTBOUND_VM_COUNTER_FIELD
   uint64_t MaxFrameDepth = 0;
 
   uint64_t memOps() const { return Loads + Stores; }
+  uint64_t metaOps() const { return MetaLoads + MetaStores; }
   double ptrOpFraction() const {
     uint64_t M = memOps();
     return M ? static_cast<double>(PtrLoads + PtrStores) / M : 0.0;
@@ -87,7 +89,7 @@ struct VMCounters {
   /// Folds \p O into this counter set (multi-lane joins): every count
   /// adds except MaxFrameDepth, which takes the max across lanes.
   void accumulate(const VMCounters &O) {
-#define SOFTBOUND_VM_COUNTER_ADD(Name) Name += O.Name;
+#define SOFTBOUND_VM_COUNTER_ADD(Name, Path) Name += O.Name;
     SOFTBOUND_VM_COUNTERS(SOFTBOUND_VM_COUNTER_ADD)
 #undef SOFTBOUND_VM_COUNTER_ADD
     if (O.MaxFrameDepth > MaxFrameDepth)
@@ -99,11 +101,21 @@ struct VMCounters {
   /// a per-window depth delta has no meaning.
   VMCounters since(const VMCounters &Prev) const {
     VMCounters D;
-#define SOFTBOUND_VM_COUNTER_SUB(Name) D.Name = Name - Prev.Name;
+#define SOFTBOUND_VM_COUNTER_SUB(Name, Path) D.Name = Name - Prev.Name;
     SOFTBOUND_VM_COUNTERS(SOFTBOUND_VM_COUNTER_SUB)
 #undef SOFTBOUND_VM_COUNTER_SUB
     D.MaxFrameDepth = MaxFrameDepth;
     return D;
+  }
+
+  /// True when every count equals \p O's; MaxFrameDepth, a high-water
+  /// mark, is left to the caller.
+  bool sameCounts(const VMCounters &O) const {
+    bool Same = true;
+#define SOFTBOUND_VM_COUNTER_EQ(Name, Path) Same = Same && Name == O.Name;
+    SOFTBOUND_VM_COUNTERS(SOFTBOUND_VM_COUNTER_EQ)
+#undef SOFTBOUND_VM_COUNTER_EQ
+    return Same;
   }
 };
 

@@ -193,7 +193,7 @@ TrafficReport::fromSamples(const std::vector<TrafficRequest> &Reqs,
     Rep.Missed += Adv && !Trapped;
     Rep.FalseTraps += !Adv && Trapped;
     Rep.Checks += S.Delta.Checks;
-    Rep.MetaOps += S.Delta.MetaLoads + S.Delta.MetaStores;
+    Rep.MetaOps += S.Delta.metaOps();
     Rep.GuardEvals += S.Delta.CheckGuards;
     Rep.Cycles += S.Delta.Cycles;
     Rep.SimCost += checkingCost(S.Delta, CheckCost, LookupCost, UpdateCost);

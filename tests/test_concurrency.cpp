@@ -279,7 +279,7 @@ TEST(MultiLaneSessions, ContentionCountersAndDeterministicMerge) {
   ASSERT_TRUE(Prog.ok()) << Prog.errorText();
   RunResult Single = runSession(Prog).Combined;
   ASSERT_TRUE(Single.ok()) << Single.Message;
-  ASSERT_GT(Single.Counters.MetaLoads + Single.Counters.MetaStores, 0u);
+  ASSERT_GT(Single.Counters.metaOps(), 0u);
 
   RunRequest Req;
   Req.Lanes = 4;

@@ -17,6 +17,7 @@
 #include "driver/PassManager.h"
 #include "runtime/MetadataFacility.h"
 #include "support/Telemetry.h"
+#include "vm/VM.h"
 
 #include <fstream>
 #include <map>
@@ -164,6 +165,9 @@ TEST(DocsDrift, ReadmeDefersToDocs) {
     if (Knob != "none" && Knob != "off")
       EXPECT_NE(Book.find("`" + Knob + "`"), std::string::npos)
           << "docs/checkopt.md no longer mentions knob '" << Knob << "'";
+  // SAFE elision is a pass of its own, not a checkopt knob.
+  EXPECT_NE(Book.find("`safe-elision`"), std::string::npos)
+      << "docs/checkopt.md no longer mentions the safe-elision pass";
 }
 
 TEST(DocsDrift, RuntimeDocCurrent) {
@@ -248,6 +252,14 @@ TEST(DocsDrift, ObservabilityDocCurrent) {
   EXPECT_NE(Doc.find("| " + std::to_string(Telemetry::TidVM) + " | `vm` |"),
             std::string::npos)
       << "docs/observability.md vm lane drifted from Telemetry::TidVM";
+
+  // Every counter VMExec::run publishes, from the list that generates
+  // them.
+#define SOFTBOUND_VM_COUNTER_DOCUMENTED(Name, Path)                            \
+  EXPECT_NE(Doc.find("`vm/" #Path "`"), std::string::npos)                     \
+      << "docs/observability.md does not list vm/" #Path;
+  SOFTBOUND_VM_COUNTERS(SOFTBOUND_VM_COUNTER_DOCUMENTED)
+#undef SOFTBOUND_VM_COUNTER_DOCUMENTED
 }
 
 } // namespace

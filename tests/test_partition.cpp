@@ -472,8 +472,7 @@ TEST(PartitionAcceptance, ReducesMetadataOpsOnPointerChasingWorkloads) {
     EXPECT_EQ(ROn.Output, ROff.Output) << Name;
     EXPECT_EQ(ROn.Counters.Checks, ROff.Counters.Checks)
         << Name << ": partition must not touch checks";
-    EXPECT_LT(ROn.Counters.MetaLoads + ROn.Counters.MetaStores,
-              ROff.Counters.MetaLoads + ROff.Counters.MetaStores)
+    EXPECT_LT(ROn.Counters.metaOps(), ROff.Counters.metaOps())
         << Name << ": metadata traffic must drop";
   }
 }

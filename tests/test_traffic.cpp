@@ -76,16 +76,7 @@ TrafficReport reportFor(const TrafficSchedule &S, const RunResult &Lane) {
 void expectSameWindow(const RequestSample &A, const RequestSample &B,
                       size_t I) {
   EXPECT_EQ(A.Trap, B.Trap) << "request " << I;
-  EXPECT_EQ(A.Delta.Insts, B.Delta.Insts) << "request " << I;
-  EXPECT_EQ(A.Delta.Loads, B.Delta.Loads) << "request " << I;
-  EXPECT_EQ(A.Delta.Stores, B.Delta.Stores) << "request " << I;
-  EXPECT_EQ(A.Delta.Checks, B.Delta.Checks) << "request " << I;
-  EXPECT_EQ(A.Delta.CheckGuards, B.Delta.CheckGuards) << "request " << I;
-  EXPECT_EQ(A.Delta.GuardSkips, B.Delta.GuardSkips) << "request " << I;
-  EXPECT_EQ(A.Delta.MetaLoads, B.Delta.MetaLoads) << "request " << I;
-  EXPECT_EQ(A.Delta.MetaStores, B.Delta.MetaStores) << "request " << I;
-  EXPECT_EQ(A.Delta.Calls, B.Delta.Calls) << "request " << I;
-  EXPECT_EQ(A.Delta.Cycles, B.Delta.Cycles) << "request " << I;
+  EXPECT_TRUE(A.Delta.sameCounts(B.Delta)) << "request " << I;
 }
 
 //===----------------------------------------------------------------------===//
@@ -273,7 +264,7 @@ TEST(TrafficTotals, OneLaneTotalsEqualSumOfSingleShots) {
     }
     TrafficReport Rep = reportFor(S, T.Combined);
     EXPECT_EQ(Rep.Checks, Sum.Checks);
-    EXPECT_EQ(Rep.MetaOps, Sum.MetaLoads + Sum.MetaStores);
+    EXPECT_EQ(Rep.MetaOps, Sum.metaOps());
     EXPECT_EQ(Rep.GuardEvals, Sum.CheckGuards);
     ShadowSpaceMetadata Costs;
     EXPECT_EQ(Rep.SimCost,

@@ -326,7 +326,7 @@ TEST(VMCounters, CycleModelComponentsAdd) {
   ASSERT_TRUE(Plain.ok() && SB.ok()) << SB.Message;
   EXPECT_EQ(SB.ExitCode, 9);
   uint64_t Expected = SB.Counters.Insts + 3 * SB.Counters.Checks +
-                      5 * (SB.Counters.MetaLoads + SB.Counters.MetaStores);
+                      5 * SB.Counters.metaOps();
   // Builtin costs (malloc) and frame metadata clearing add a remainder;
   // the modeled components must account for the bulk.
   EXPECT_GE(SB.Counters.Cycles, Expected);

@@ -7,7 +7,7 @@
 /// \file
 /// Helpers shared by the table/figure regeneration binaries: run a
 /// workload under a named configuration and report deterministic simulated
-/// cycles plus wall time; and the sim-cost gate core that
+/// cycles, facility statistics and wall time; and the sim-cost gate core that
 /// bench_fig2_overhead and bench_sec64_servers share (gated totals, the
 /// baseline row and section writers, the section gate, the flag parser).
 ///
@@ -38,17 +38,20 @@ namespace benchutil {
 
 /// One measured execution.
 struct Measurement {
-  RunResult R;
+  RunResult R;          ///< The session's Combined result.
+  MetadataStats Meta;   ///< The session's facility statistics.
   double WallSeconds = 0;
 };
 
-/// Builds (once) and runs a program, timing the run.
+/// Runs a built program as one session, timing the run.
 inline Measurement measure(const BuildResult &Prog,
                            const RunRequest &Req = {}) {
   Measurement M;
   auto T0 = std::chrono::steady_clock::now();
-  M.R = runSession(Prog, Req).Combined;
+  SessionResult S = runSession(Prog, Req);
   auto T1 = std::chrono::steady_clock::now();
+  M.R = std::move(S.Combined);
+  M.Meta = S.Meta;
   M.WallSeconds = std::chrono::duration<double>(T1 - T0).count();
   return M;
 }

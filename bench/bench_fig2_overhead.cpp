@@ -18,8 +18,8 @@
 /// benchmarks.
 ///
 /// Per kernel: five builds (`optimize`; per checking mode the default
-/// pipeline, run on both facilities, and its checkopt(off) twin, run on
-/// shadow), seven sessions.
+/// pipeline, run on both facilities, and the same plan without checkopt,
+/// run on shadow), seven sessions.
 ///
 /// Flags (the CI bench-regression gate; bench/BenchUtil.h's gate core):
 ///   --json <path>            write per-workload check counts, simulated
@@ -487,8 +487,8 @@ int main(int argc, char **argv) {
 
     // Two builds per checking mode: the default pipeline, run once per
     // facility (Figure 2's columns; its shadow run is also the
-    // check-optimization table's "opt" column), and the same plan with
-    // checkopt(off), run on shadow (the "unopt" column).
+    // check-optimization table's "opt" column), and the same plan without
+    // checkopt, run on shadow (the "unopt" column).
     for (int Store = 0; Store < 2; ++Store) {
       SoftBoundConfig SB;
       SB.Mode = Store ? CheckMode::StoreOnly : CheckMode::Full;
@@ -506,8 +506,6 @@ int main(int argc, char **argv) {
         const int C = 2 * Store + Shadow; // Index into Configs.
         SiteProfile Prof;
         RunRequest R = Session(Facility);
-        if (Shadow && !Store)
-          R.MetaStatsOut = &Num.MetaStats;
         if (Shadow && Observed) {
           R.Telem = &Telem;
           R.ProfileOut = &Prof;
@@ -547,6 +545,7 @@ int main(int argc, char **argv) {
         Num.Totals[2 * Store + 1] = GatedTotals::of(M.R.Counters);
         if (Store)
           continue;
+        Num.MetaStats = M.Meta;
         if (MBase.WallSeconds > 0)
           Num.WallRatio = M.WallSeconds / MBase.WallSeconds;
         Num.CheckOpt = Prog.Pipeline.CheckOpt;
@@ -557,10 +556,8 @@ int main(int argc, char **argv) {
           fillHotSites(Num, *Prog.M, Prof);
       }
 
-      CheckOptConfig Off;
-      Off.Enable = false;
       PipelinePlan Unopt;
-      Unopt.frontend(W.Source).optimize().softbound(SB).checkOpt(Off);
+      Unopt.frontend(W.Source).optimize().softbound(SB);
       Measurement M = measure(mustBuild(Unopt), Session(FacilityKind::Shadow));
       if (!M.R.ok()) {
         std::fprintf(stderr, "%s checkopt run failed: %s\n", W.Name.c_str(),

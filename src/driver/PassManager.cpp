@@ -52,14 +52,10 @@ public:
     std::vector<std::string> Knobs;
     if (Cfg.Mode == CheckMode::StoreOnly)
       Knobs.push_back("store-only");
-    if (Cfg.Mode == CheckMode::None)
-      Knobs.push_back("metadata-only");
     if (!Cfg.ShrinkBounds)
       Knobs.push_back("no-shrink");
     if (!Cfg.InferMemcpyPointerFree)
       Knobs.push_back("no-memcpy-infer");
-    if (!Cfg.CheckFunctionPointers)
-      Knobs.push_back("no-funcptr-check");
     if (!Cfg.ReoptimizeAfter)
       Knobs.push_back("no-reopt");
     return specWithKnobs(name(), Knobs);
@@ -92,8 +88,6 @@ public:
   std::string_view name() const override { return "checkopt"; }
 
   std::string spec() const override {
-    if (!Cfg.Enable)
-      return specWithKnobs(name(), {"off"});
     std::vector<std::string> Knobs = enabledKnobs(Cfg);
     if (Knobs == enabledKnobs(CheckOptConfig()))
       return std::string(name());
@@ -121,8 +115,7 @@ public:
   }
 
   void run(Module &M, PassContext &Ctx) const override {
-    if (Cfg.Enable)
-      Ctx.stats().addCheckPass(optimizeChecks(M, Cfg));
+    Ctx.stats().addCheckPass(optimizeChecks(M, Cfg));
   }
 
   const CheckOptConfig Cfg;
@@ -158,22 +151,17 @@ std::string joinList(const std::vector<std::string> &L) {
 }
 
 const std::vector<std::string> SoftBoundKnobs = {
-    "store-only",       "metadata-only", "no-shrink", "no-memcpy-infer",
-    "no-funcptr-check", "no-reopt"};
+    "store-only", "no-shrink", "no-memcpy-infer", "no-reopt"};
 
 bool parseSoftBoundKnobs(const std::vector<std::string> &Knobs,
                          SoftBoundConfig &Cfg, std::string &Err) {
   for (const auto &K : Knobs) {
     if (K == "store-only")
       Cfg.Mode = CheckMode::StoreOnly;
-    else if (K == "metadata-only")
-      Cfg.Mode = CheckMode::None;
     else if (K == "no-shrink")
       Cfg.ShrinkBounds = false;
     else if (K == "no-memcpy-infer")
       Cfg.InferMemcpyPointerFree = false;
-    else if (K == "no-funcptr-check")
-      Cfg.CheckFunctionPointers = false;
     else if (K == "no-reopt")
       Cfg.ReoptimizeAfter = false;
     else {
@@ -187,11 +175,11 @@ bool parseSoftBoundKnobs(const std::vector<std::string> &Knobs,
 
 const std::vector<std::string> CheckOptKnobs = {
     "redundant", "range", "hoist", "runtime-limit",
-    "interproc", "partition", "none", "off"};
+    "interproc", "partition", "none"};
 
 /// An empty knob list means the default configuration; a non-empty list
-/// enables exactly the named sub-passes ("none" enables nothing, "off"
-/// disables the whole subsystem). "runtime-limit" is a sub-knob of
+/// enables exactly the named sub-passes ("none" enables nothing but still
+/// counts the checks). "runtime-limit" is a sub-knob of
 /// "hoist" (and implies it): symbolic-limit hull hoisting behind run-time
 /// trip/wrap guards. Note the A/B convention this implies: "partition" is
 /// on by default but any explicit knob list that omits it runs without
@@ -220,12 +208,11 @@ bool parseCheckOptKnobs(const std::vector<std::string> &Knobs,
       Cfg.InterProc = true;
     else if (K == "partition")
       Cfg.Partition = true;
-    else if (K == "none" || K == "off") {
+    else if (K == "none") {
       if (Knobs.size() != 1) {
-        Err = "checkopt: knob '" + K + "' cannot be combined with others";
+        Err = "checkopt: knob 'none' cannot be combined with others";
         return false;
       }
-      Cfg.Enable = K != "off";
     } else {
       Err = "checkopt: unknown knob '" + K +
             "' (knobs: " + joinList(CheckOptKnobs) + ")";
@@ -248,37 +235,42 @@ PassRegistry::Factory knoblessFactory(const char *Name) {
   };
 }
 
-void registerBuiltins(PassRegistry &R) {
-  R.add("optimize", "pre-instrumentation optimizer (mem2reg, fold, CSE, DCE)",
-        {}, knoblessFactory<OptimizePass>("optimize"));
-  R.add("softbound",
-        "the SoftBound transformation: metadata propagation + spatial checks",
-        SoftBoundKnobs,
-        [](const std::vector<std::string> &Knobs,
-           std::string &Err) -> std::shared_ptr<const ModulePass> {
-          SoftBoundConfig Cfg;
-          if (!parseSoftBoundKnobs(Knobs, Cfg, Err))
-            return nullptr;
-          return std::make_shared<SoftBoundModulePass>(Cfg);
-        });
-  R.add("reoptimize",
-        "post-instrumentation cleanup: redundant-check elim + CSE + DCE", {},
-        knoblessFactory<ReoptimizePass>("reoptimize"));
-  R.add("checkopt",
-        "static check optimization: dominance RCE, range subsumption, "
-        "loop-hull hoisting (with runtime-limit hulls), inter-procedural "
-        "bounds propagation, checked-region partitioning",
-        CheckOptKnobs,
-        [](const std::vector<std::string> &Knobs,
-           std::string &Err) -> std::shared_ptr<const ModulePass> {
-          CheckOptConfig Cfg;
-          if (!parseCheckOptKnobs(Knobs, Cfg, Err))
-            return nullptr;
-          return std::make_shared<CheckOptPass>(Cfg);
-        });
-  R.add("safe-elision",
-        "CCured-SAFE static check elision alone (§6.5 comparison)", {},
-        knoblessFactory<SafeElisionPass>("safe-elision"));
+/// The five built-in phases: the whole registry.
+std::map<std::string, PassRegistry::Entry> builtinPasses() {
+  std::map<std::string, PassRegistry::Entry> R;
+  R["optimize"] = {"pre-instrumentation optimizer (mem2reg, fold, CSE, DCE)",
+                   {}, knoblessFactory<OptimizePass>("optimize")};
+  R["softbound"] = {
+      "the SoftBound transformation: metadata propagation + spatial checks",
+      SoftBoundKnobs,
+      [](const std::vector<std::string> &Knobs,
+         std::string &Err) -> std::shared_ptr<const ModulePass> {
+        SoftBoundConfig Cfg;
+        if (!parseSoftBoundKnobs(Knobs, Cfg, Err))
+          return nullptr;
+        return std::make_shared<SoftBoundModulePass>(Cfg);
+      }};
+  R["reoptimize"] = {
+      "post-instrumentation cleanup: redundant-check elim + CSE + DCE",
+      {},
+      knoblessFactory<ReoptimizePass>("reoptimize")};
+  R["checkopt"] = {
+      "static check optimization: dominance RCE, range subsumption, "
+      "loop-hull hoisting (with runtime-limit hulls), inter-procedural "
+      "bounds propagation, checked-region partitioning",
+      CheckOptKnobs,
+      [](const std::vector<std::string> &Knobs,
+         std::string &Err) -> std::shared_ptr<const ModulePass> {
+        CheckOptConfig Cfg;
+        if (!parseCheckOptKnobs(Knobs, Cfg, Err))
+          return nullptr;
+        return std::make_shared<CheckOptPass>(Cfg);
+      }};
+  R["safe-elision"] = {
+      "CCured-SAFE static check elision alone (§6.5 comparison)",
+      {},
+      knoblessFactory<SafeElisionPass>("safe-elision")};
+  return R;
 }
 
 //===----------------------------------------------------------------------===//
@@ -374,21 +366,11 @@ bool parseElement(const std::string &Elem, std::string &Name,
 // PassRegistry
 //===----------------------------------------------------------------------===//
 
-PassRegistry &PassRegistry::global() {
-  static PassRegistry R = [] {
-    PassRegistry Init;
-    registerBuiltins(Init);
-    return Init;
-  }();
-  return R;
-}
+PassRegistry::PassRegistry() : Entries(builtinPasses()) {}
 
-bool PassRegistry::add(const std::string &Name, std::string Description,
-                       std::vector<std::string> Knobs, Factory Make) {
-  return Entries
-      .emplace(Name, Entry{std::move(Description), std::move(Knobs),
-                           std::move(Make)})
-      .second;
+const PassRegistry &PassRegistry::global() {
+  static const PassRegistry R;
+  return R;
 }
 
 const PassRegistry::Entry *PassRegistry::lookup(const std::string &Name) const {
@@ -433,16 +415,8 @@ PipelinePlan &PipelinePlan::softbound(SoftBoundConfig Cfg) {
   return pass(std::make_shared<SoftBoundModulePass>(Cfg));
 }
 
-PipelinePlan &PipelinePlan::reoptimize() {
-  return pass(std::make_shared<ReoptimizePass>());
-}
-
 PipelinePlan &PipelinePlan::checkOpt(CheckOptConfig Cfg) {
   return pass(std::make_shared<CheckOptPass>(Cfg));
-}
-
-PipelinePlan &PipelinePlan::safeElision() {
-  return pass(std::make_shared<SafeElisionPass>());
 }
 
 PipelinePlan &PipelinePlan::pass(std::shared_ptr<const ModulePass> P) {

@@ -135,8 +135,10 @@ public:
 // Registry
 //===----------------------------------------------------------------------===//
 
-/// String-keyed pass factory table. The five built-in phases are
-/// pre-registered; new optimizations become one `add` call.
+/// String-keyed pass factory table: the five built-in phases, fixed at
+/// construction. A new optimization is one more entry in the built-in
+/// table (PassManager.cpp); plans can also append a ModulePass instance
+/// directly.
 class PassRegistry {
 public:
   /// Builds a pass from spec knobs. On failure, sets \p Err (naming the
@@ -150,12 +152,8 @@ public:
     Factory Make;
   };
 
-  /// The process-wide registry, with built-ins pre-registered.
-  static PassRegistry &global();
-
-  /// Registers \p Name; returns false (and changes nothing) if taken.
-  bool add(const std::string &Name, std::string Description,
-           std::vector<std::string> Knobs, Factory Make);
+  /// The process-wide registry.
+  static const PassRegistry &global();
 
   const Entry *lookup(const std::string &Name) const;
 
@@ -169,6 +167,8 @@ public:
   std::vector<std::string> names() const;
 
 private:
+  PassRegistry();
+
   std::map<std::string, Entry> Entries;
 };
 
@@ -207,12 +207,11 @@ public:
   /// Sets the mini-C source the plan compiles. Required before build().
   PipelinePlan &frontend(std::string Source);
 
-  // Fluent appenders for the built-in phases.
+  // Fluent appenders; "reoptimize" and "safe-elision" take no
+  // configuration and are appended with pass(Name).
   PipelinePlan &optimize();                            ///< "optimize"
   PipelinePlan &softbound(SoftBoundConfig Cfg = {});   ///< "softbound"
-  PipelinePlan &reoptimize();                          ///< "reoptimize"
   PipelinePlan &checkOpt(CheckOptConfig Cfg = {});     ///< "checkopt"
-  PipelinePlan &safeElision();                         ///< "safe-elision"
 
   /// Appends a custom pass instance.
   PipelinePlan &pass(std::shared_ptr<const ModulePass> P);

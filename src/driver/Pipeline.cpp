@@ -80,17 +80,8 @@ SessionResult softbound::runSession(const BuildResult &Prog,
       Meta = std::make_unique<HashTableMetadata>(/*InitialLog2Size=*/16, FO);
     Cfg.Meta = Meta.get();
     Cfg.Instrumented = true;
-    switch (Prog.Mode) {
-    case CheckMode::Full:
-      Cfg.Wrappers = WrapperMode::Full;
-      break;
-    case CheckMode::StoreOnly:
-      Cfg.Wrappers = WrapperMode::StoreOnly;
-      break;
-    case CheckMode::None:
-      Cfg.Wrappers = WrapperMode::None;
-      break;
-    }
+    Cfg.Wrappers = Prog.Mode == CheckMode::Full ? WrapperMode::Full
+                                                : WrapperMode::StoreOnly;
   } else {
     Cfg.Wrappers = WrapperMode::None;
   }
@@ -101,77 +92,70 @@ SessionResult softbound::runSession(const BuildResult &Prog,
   if (Meta && Req.Telem)
     Meta->attachTelemetry(Req.Telem, std::string("facility/") + Meta->name());
 
+  // One lane writes the caller's sinks directly, under the caller's
+  // TraceTag. Several lanes write private sinks, merged in lane-index
+  // order after the join so the combined registry stays deterministic
+  // although lane scheduling is not, and tag their trace events
+  // "lane<K>:".
+  bool PrivateSinks = Lanes > 1;
+  std::vector<Telemetry> LaneTelems(PrivateSinks && Req.Telem ? Lanes : 0);
+  std::vector<SiteProfile> LaneProfiles(PrivateSinks && Req.ProfileOut ? Lanes
+                                                                       : 0);
+  std::vector<LaneSpec> Specs(Lanes);
+  for (unsigned I = 0; I < Lanes; ++I) {
+    LaneSpec &L = Specs[I];
+    L.Entry = Req.Entry;
+    L.Args = Req.Args;
+    L.Profile = LaneProfiles.empty() ? Req.ProfileOut : &LaneProfiles[I];
+    L.Telem = LaneTelems.empty() ? Req.Telem : &LaneTelems[I];
+    L.TraceTag = Req.TraceTag;
+    if (PrivateSinks)
+      L.TraceTag += "lane" + std::to_string(I) + ":";
+  }
+
   SessionResult S;
-  if (Lanes == 1) {
-    // Exactly the classic single-threaded sequence: the VM reads the
-    // caller's sinks straight from its config and runs inline.
-    Cfg.Telem = Req.Telem;
-    Cfg.Profile = Req.ProfileOut;
-    Cfg.TraceTag = Req.TraceTag;
-    VM Machine(*Prog.M, Cfg);
-    S.Combined = Machine.run(Req.Entry, Req.Args);
-    S.PerLane.push_back(S.Combined);
-  } else {
-    // Per-lane private sinks, merged in lane-index order after the
-    // join, keep the combined registry deterministic even though lane
-    // scheduling is not.
-    std::vector<Telemetry> LaneTelems(Req.Telem ? Lanes : 0);
-    std::vector<SiteProfile> LaneProfiles(Req.ProfileOut ? Lanes : 0);
-    std::vector<LaneSpec> Specs(Lanes);
-    for (unsigned I = 0; I < Lanes; ++I) {
-      Specs[I].Entry = Req.Entry;
-      Specs[I].Args = Req.Args;
-      Specs[I].Profile = Req.ProfileOut ? &LaneProfiles[I] : nullptr;
-      Specs[I].Telem = Req.Telem ? &LaneTelems[I] : nullptr;
-      Specs[I].TraceTag = Req.TraceTag + "lane" + std::to_string(I) + ":";
-    }
+  VM Machine(*Prog.M, Cfg);
+  S.PerLane = Machine.runLanes(Specs);
 
-    VM Machine(*Prog.M, Cfg);
-    S.PerLane = Machine.runLanes(Specs);
-
-    for (const RunResult &L : S.PerLane) {
-      S.Combined.Counters.accumulate(L.Counters);
-      S.Combined.Output += L.Output;
-      if (S.Combined.Trap == TrapKind::None && L.Trap != TrapKind::None) {
-        S.Combined.Trap = L.Trap;
-        S.Combined.Message = L.Message;
-        S.Combined.HijackTarget = L.HijackTarget;
-        S.Combined.ExitCode = L.ExitCode;
-      }
-    }
-    if (S.Combined.Trap == TrapKind::None && !S.PerLane.empty())
-      S.Combined.ExitCode = S.PerLane.front().ExitCode;
-    // Per-request streams merge elementwise in lane order: counters add,
-    // the first lane (in lane order) with a contained trap at an index
-    // names the combined trap. Lanes run the same driver, so streams
-    // normally agree in length; a lane that died early truncates the
-    // combined stream to what every lane completed.
-    size_t MinReq = S.PerLane.empty() ? 0 : S.PerLane.front().Requests.size();
-    for (const RunResult &L : S.PerLane)
-      MinReq = std::min(MinReq, L.Requests.size());
-    S.Combined.Requests.resize(MinReq);
-    for (size_t RI = 0; RI < MinReq; ++RI)
-      for (const RunResult &L : S.PerLane) {
-        S.Combined.Requests[RI].Delta.accumulate(L.Requests[RI].Delta);
-        if (S.Combined.Requests[RI].Trap == TrapKind::None)
-          S.Combined.Requests[RI].Trap = L.Requests[RI].Trap;
-      }
-    if (Meta)
-      S.Combined.MetadataMemory = Meta->memoryBytes();
-    S.Combined.HeapHighWater = Machine.memory().heapHighWater();
-
-    for (unsigned I = 0; I < Lanes; ++I) {
-      if (Req.Telem)
-        Req.Telem->mergeFrom(LaneTelems[I]);
-      if (Req.ProfileOut)
-        Req.ProfileOut->mergeFrom(LaneProfiles[I]);
+  // The merge; one lane's Combined is exactly that lane's result.
+  for (const RunResult &L : S.PerLane) {
+    S.Combined.Counters.accumulate(L.Counters);
+    S.Combined.Output += L.Output;
+    if (S.Combined.Trap == TrapKind::None && L.Trap != TrapKind::None) {
+      S.Combined.Trap = L.Trap;
+      S.Combined.Message = L.Message;
+      S.Combined.HijackTarget = L.HijackTarget;
+      S.Combined.ExitCode = L.ExitCode;
     }
   }
+  if (S.Combined.Trap == TrapKind::None)
+    S.Combined.ExitCode = S.PerLane.front().ExitCode;
+  // Per-request streams merge elementwise in lane order: counters add,
+  // the first lane (in lane order) with a contained trap at an index
+  // names the combined trap. Lanes run the same driver, so streams
+  // normally agree in length; a lane that died early truncates the
+  // combined stream to what every lane completed.
+  size_t MinReq = S.PerLane.front().Requests.size();
+  for (const RunResult &L : S.PerLane)
+    MinReq = std::min(MinReq, L.Requests.size());
+  S.Combined.Requests.resize(MinReq);
+  for (size_t RI = 0; RI < MinReq; ++RI)
+    for (const RunResult &L : S.PerLane) {
+      S.Combined.Requests[RI].Delta.accumulate(L.Requests[RI].Delta);
+      if (S.Combined.Requests[RI].Trap == TrapKind::None)
+        S.Combined.Requests[RI].Trap = L.Requests[RI].Trap;
+    }
+  if (Meta)
+    S.Combined.MetadataMemory = Meta->memoryBytes();
+  S.Combined.HeapHighWater = Machine.memory().heapHighWater();
+
+  for (unsigned I = 0; I < LaneTelems.size(); ++I)
+    Req.Telem->mergeFrom(LaneTelems[I]);
+  for (unsigned I = 0; I < LaneProfiles.size(); ++I)
+    Req.ProfileOut->mergeFrom(LaneProfiles[I]);
 
   if (Meta) {
     S.Meta = Meta->stats();
-    if (Req.MetaStatsOut)
-      *Req.MetaStatsOut = S.Meta;
     if (Req.Telem)
       Meta->flushTelemetry();
   }

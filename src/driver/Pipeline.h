@@ -89,8 +89,6 @@ struct RunRequest {
   std::vector<int64_t> Args;
   uint64_t StepLimit = 4'000'000'000ULL;
   uint64_t CheckCost = 3; ///< Simulated instructions per bounds check.
-  /// Out-parameter: facility statistics after the run (optional).
-  MetadataStats *MetaStatsOut = nullptr;
   /// Telemetry sink (optional; null = the zero-cost disabled mode): VM
   /// phase trace events, facility probe histograms and clear/copy
   /// volumes, aggregate run counters. Never changes counters or cycles.

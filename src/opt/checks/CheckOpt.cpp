@@ -49,7 +49,7 @@ void optimizeChecksImpl(Function &F, const CheckOptConfig &Cfg,
                         const std::map<const Argument *, checkopt::IntRange>
                             *ArgRanges,
                         bool *DischargeUsed) {
-  if (!Cfg.Enable || !F.isDefinition())
+  if (!F.isDefinition())
     return;
   Stats.ChecksBefore += countSpatialChecks(F);
 
@@ -88,8 +88,7 @@ CheckOptStats softbound::optimizeChecks(Module &M, const CheckOptConfig &Cfg) {
   checkopt::InterProcArgRanges IPR;
   const std::map<const Argument *, checkopt::IntRange> *Ranges = nullptr;
   bool DischargeUsed = false;
-  if (Cfg.Enable && Cfg.HoistLoopChecks && Cfg.RuntimeLimitHulls &&
-      Cfg.InterProc) {
+  if (Cfg.HoistLoopChecks && Cfg.RuntimeLimitHulls && Cfg.InterProc) {
     IPR = checkopt::computeInterProcArgRanges(M);
     Ranges = &IPR.Ranges;
   }
@@ -103,14 +102,14 @@ CheckOptStats softbound::optimizeChecks(Module &M, const CheckOptConfig &Cfg) {
   // When the hoister already computed the argument-range fixpoint above,
   // the propagation adopts it instead of repeating the most expensive
   // phase (the per-function passes never change a call argument's value).
-  if (Cfg.Enable && Cfg.InterProc) {
+  if (Cfg.InterProc) {
     unsigned Deleted = checkopt::propagateInterProcChecks(M, Stats, Ranges);
     Stats.ChecksAfter -= std::min(Deleted, Stats.ChecksAfter);
   }
   // Partitioning runs last: it can only prove a function once every other
   // sub-pass has discharged its checks, and it never creates or removes a
   // check itself — it converts check elision into metadata-op elision.
-  if (Cfg.Enable && Cfg.Partition)
+  if (Cfg.Partition)
     checkopt::partitionCheckedRegions(M, Stats);
   return Stats;
 }

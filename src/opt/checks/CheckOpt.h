@@ -74,8 +74,6 @@ class InstOrder;
 
 /// Per-sub-pass toggles (ablation knobs).
 struct CheckOptConfig {
-  /// Master switch for the whole subsystem.
-  bool Enable = true;
   /// Delete checks dominated by an equal-or-stronger check on the same
   /// pointer SSA value.
   bool EliminateDominated = true;
@@ -164,7 +162,9 @@ struct CheckOptStats {
 #undef SOFTBOUND_CHECKOPT_FIELD
   std::vector<PartitionVerdict> Partition; ///< Per-function verdicts.
 
-  /// Fraction of static checks removed, in [0, 1].
+  /// Net fraction of static checks removed: 1 - ChecksAfter/ChecksBefore,
+  /// at most 1. Below 0 when hull hoisting adds more pre-loop checks than
+  /// it deletes (one in-loop check can become two hull-corner checks).
   double eliminationRate() const {
     return ChecksBefore
                ? 1.0 - static_cast<double>(ChecksAfter) / ChecksBefore

@@ -268,7 +268,7 @@ void SoftBoundTransform::handleStore(StoreInst *SI, BasicBlock *BB,
                                      BasicBlock::iterator It) {
   Value *Ptr = SI->pointer();
   bool DirectScalar = isa<AllocaInst>(Ptr) || isa<GlobalVariable>(Ptr);
-  if (!DirectScalar && Cfg.Mode != CheckMode::None) {
+  if (!DirectScalar) {
     insertBefore(BB, It,
                  new SpatialCheckInst(Ctx.voidTy(), Ptr, getBounds(Ptr),
                                       SI->value()->type()->sizeInBytes(),
@@ -487,8 +487,7 @@ SoftBoundTransform::handleBuiltinCall(CallInst *CI, Function *Callee,
   if (Name == "setjmp" || Name == "longjmp") {
     // jmp_buf is written (setjmp) / read (longjmp) as a 32-byte object.
     bool IsStore = Name == "setjmp";
-    if (Cfg.Mode == CheckMode::Full ||
-        (IsStore && Cfg.Mode == CheckMode::StoreOnly)) {
+    if (IsStore || Cfg.Mode == CheckMode::Full) {
       insertBefore(BB, It,
                    new SpatialCheckInst(Ctx.voidTy(), CI->arg(0),
                                         getBounds(CI->arg(0)), 32, IsStore));
@@ -528,7 +527,7 @@ BasicBlock::iterator SoftBoundTransform::handleCall(CallInst *CI,
     return handleBuiltinCall(CI, Callee, BB, It);
 
   // Indirect calls are checked against the function-pointer encoding.
-  if (!Callee && Cfg.CheckFunctionPointers && Cfg.Mode != CheckMode::None) {
+  if (!Callee) {
     insertBefore(BB, It,
                  new FuncPtrCheckInst(Ctx.voidTy(), CI->callee(),
                                       getBounds(CI->callee())));

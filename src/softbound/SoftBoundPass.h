@@ -34,7 +34,6 @@ namespace softbound {
 enum class CheckMode {
   Full,      ///< Check every load and store (complete spatial safety).
   StoreOnly, ///< Check stores only; metadata still fully propagated.
-  None,      ///< Propagate metadata but insert no checks (for ablation).
 };
 
 /// Pass configuration.
@@ -46,9 +45,6 @@ struct SoftBoundConfig {
   /// §5.2: infer pointer-free memcpy from argument types and skip the
   /// metadata copy for them.
   bool InferMemcpyPointerFree = true;
-  /// Check the base==bound==ptr function-pointer encoding at indirect
-  /// calls (§5.2).
-  bool CheckFunctionPointers = true;
   /// Run redundant-check elimination + DCE after instrumentation (the
   /// paper re-runs LLVM's optimizers, §6.1).
   bool ReoptimizeAfter = true;

@@ -30,6 +30,11 @@ inline constexpr uint64_t FuncStride = 16; ///< Address distance of functions.
 inline constexpr uint64_t GlobalBase = 0x0000'1000'0000ULL;
 inline constexpr uint64_t HeapBase = 0x0000'2000'0000ULL;
 inline constexpr uint64_t StackBase = 0x0000'7000'0000ULL;
+/// Segment sizes of every VM's SimMemory: 4 MB of globals, a 64 MB heap
+/// and a 2 MB stack.
+inline constexpr uint64_t GlobalSize = 4ULL << 20;
+inline constexpr uint64_t HeapSize = 64ULL << 20;
+inline constexpr uint64_t StackSize = 2ULL << 20;
 } // namespace simlayout
 
 /// Byte-addressable simulated memory with segment bounds checking.

@@ -138,16 +138,20 @@ uint64_t maskTo(uint64_t V, unsigned Bits) {
 }
 
 constexpr uint64_t RetTokenTag = 0x5EC0'0000'0000'0000ULL;
+/// Program output kept per run; print builtins past it are dropped.
+constexpr size_t OutputLimit = 1u << 20;
+/// Call depth at which a run traps with StackOverflow.
+constexpr size_t MaxFrames = 100'000;
 constexpr uint64_t JmpMagic = 0x4A4D'5042'5546'4D41ULL;
 
 } // namespace
 
 namespace softbound {
 
-/// All per-run execution state. One VMExec per lane of a VM::run /
-/// VM::runLanes call. The lane's stack slice and observation sinks are
-/// constructor parameters (not read from VMConfig) so concurrent lanes
-/// never share mutable state through the shared config.
+/// All per-run execution state. One VMExec per lane of a VM::runLanes
+/// call. The lane's stack slice and observation sinks are constructor
+/// parameters, so concurrent lanes never share mutable state through the
+/// shared config.
 class VMExec {
 public:
   VMExec(VM &Owner, Module &M, VMConfig &Cfg, SimMemory &Mem,
@@ -275,7 +279,7 @@ private:
   }
 
   void emit(const std::string &S) {
-    if (Res.Output.size() + S.size() <= Cfg.OutputLimit)
+    if (Res.Output.size() + S.size() <= OutputLimit)
       Res.Output += S;
   }
 
@@ -357,7 +361,7 @@ private:
 
 VM::VM(Module &M, VMConfig Config)
     : M(M), Cfg(Config),
-      Mem(Config.GlobalSize, Config.HeapSize, Config.StackSize), Rand(42) {
+      Mem(GlobalSize, HeapSize, StackSize), Rand(42) {
   loadImage();
 }
 
@@ -391,11 +395,11 @@ void VM::loadImage() {
     uint64_t Addr = Mem.allocateGlobal(Size + Cfg.GlobalPad,
                                        G->valueType()->alignment());
     if (!Addr) {
-      // The image does not fit: run() and runLanes() refuse to start.
+      // The image does not fit: runLanes() refuses to start.
       ImageError = "global segment exhausted: @" + G->name() + " needs " +
                    std::to_string(Size + Cfg.GlobalPad) +
                    " bytes (padding included) in a " +
-                   std::to_string(Cfg.GlobalSize) + "-byte global segment";
+                   std::to_string(GlobalSize) + "-byte global segment";
       return;
     }
     GlobalAddr[G.get()] = Addr;
@@ -437,11 +441,10 @@ RunResult VM::imageRefusal() const {
 
 RunResult VM::run(const std::string &EntryName,
                   const std::vector<int64_t> &Args) {
-  if (!ImageError.empty())
-    return imageRefusal();
-  VMExec Exec(*this, M, Cfg, Mem, Mem.stackTop(), Mem.stackLimit(),
-              Cfg.Profile, Cfg.Telem, Cfg.TraceTag);
-  return Exec.run(EntryName, Args);
+  LaneSpec L;
+  L.Entry = EntryName;
+  L.Args = Args;
+  return runLanes({L}).front();
 }
 
 std::vector<RunResult> VM::runLanes(const std::vector<LaneSpec> &Lanes) {
@@ -454,8 +457,8 @@ std::vector<RunResult> VM::runLanes(const std::vector<LaneSpec> &Lanes) {
   }
 
   if (Lanes.size() == 1) {
-    // One lane runs inline with the full stack segment: byte-identical
-    // to run(), no concurrent mode, no host threads.
+    // One lane runs inline with the full stack segment: no concurrent
+    // mode, no host threads.
     const LaneSpec &L = Lanes[0];
     VMExec Exec(*this, M, Cfg, Mem, Mem.stackTop(), Mem.stackLimit(), L.Profile,
                 L.Telem, L.TraceTag);
@@ -493,7 +496,7 @@ std::vector<RunResult> VM::runLanes(const std::vector<LaneSpec> &Lanes) {
 bool VMExec::pushFrame(Function *F, const std::vector<VMVal> &Args,
                        const CallInst *CallSite) {
   assert(F->isDefinition() && "cannot push a frame for a declaration");
-  if (Frames.size() >= Cfg.MaxFrames) {
+  if (Frames.size() >= MaxFrames) {
     trap(TrapKind::StackOverflow, "frame limit exceeded in @" + F->name());
     return false;
   }
@@ -577,7 +580,7 @@ void VMExec::popFrame(VMVal RetVal) {
       Cfg.Checker->onFree(ObjectRegion::Stack, Addr, Size);
 
   // §5.2 "memory reuse and stale metadata": drop metadata for frame slots.
-  if (Cfg.Instrumented && Cfg.Meta && Cfg.ClearMetadataOnFrameExit)
+  if (Cfg.Instrumented && Cfg.Meta)
     C.Cycles += Cfg.Meta->clearRange(Fr.FrameLow, Fr.FrameTop - Fr.FrameLow);
 
   if (Frames.empty()) {
@@ -1117,7 +1120,7 @@ void VMExec::unwindFramesAbove(size_t KeepIdx) {
     if (Cfg.Checker)
       for (auto &[Addr, Size] : Dead.Allocas)
         Cfg.Checker->onFree(ObjectRegion::Stack, Addr, Size);
-    if (Cfg.Instrumented && Cfg.Meta && Cfg.ClearMetadataOnFrameExit)
+    if (Cfg.Instrumented && Cfg.Meta)
       C.Cycles +=
           Cfg.Meta->clearRange(Dead.FrameLow, Dead.FrameTop - Dead.FrameLow);
     Frames.pop_back();
@@ -1176,7 +1179,7 @@ void VMExec::execBuiltin(Frame &Fr, const CallInst &CI, Builtin B) {
     if (Cfg.Checker)
       Cfg.Checker->onFree(ObjectRegion::Heap, Addr, Size);
     // §5.2: clear metadata when the freed block could have held pointers.
-    if (Cfg.Instrumented && Cfg.Meta && Cfg.ClearMetadataOnFree)
+    if (Cfg.Instrumented && Cfg.Meta)
       C.Cycles += Cfg.Meta->clearRange(Addr, Size);
     return;
   }

@@ -171,46 +171,36 @@ struct RunResult {
 /// store-only checking).
 enum class WrapperMode { None, StoreOnly, Full };
 
-/// VM construction options.
+/// VM construction options. The segment sizes are simlayout's
+/// constants (vm/SimMemory.h); frees and frame exits always clear the
+/// metadata of the released range (§5.2).
 struct VMConfig {
   MetadataFacility *Meta = nullptr;  ///< Required for instrumented modules.
   MemoryChecker *Checker = nullptr;  ///< Baseline checker (uninstrumented).
   WrapperMode Wrappers = WrapperMode::Full;
-  uint64_t GlobalSize = 4ULL << 20;
-  uint64_t HeapSize = 64ULL << 20;
-  uint64_t StackSize = 2ULL << 20;
   uint64_t StepLimit = 4'000'000'000ULL;
   uint64_t CheckCost = 3;      ///< Simulated instructions per bounds check.
   uint64_t RedzonePad = 0;     ///< Heap padding for checker baselines.
   uint64_t GlobalPad = 0;      ///< Global padding for checker baselines.
-  bool ClearMetadataOnFree = true;
-  bool ClearMetadataOnFrameExit = true;
   bool Instrumented = false;   ///< Module carries SoftBound instrumentation.
-  size_t OutputLimit = 1u << 20;
-  uint64_t MaxFrames = 100'000;
-  /// Optional per-site dynamic profile, indexed by Instruction::site()
-  /// (null = telemetry's zero-cost disabled mode). Recording never
-  /// changes counters or cycle accounting.
-  SiteProfile *Profile = nullptr;
-  /// Optional telemetry sink for VM phase trace events and aggregate
-  /// run counters (null = off). Trace timestamps are simulated cycles,
-  /// so timelines are deterministic.
-  Telemetry *Telem = nullptr;
-  /// Prefix for trace-event names (benches set "<workload>:").
-  std::string TraceTag;
 };
 
-/// One interpreter lane of a multi-lane run: entry point, arguments, and
-/// per-lane observation sinks. Lanes share the module image, the global
-/// and heap segments, and the metadata facility; each lane gets a
-/// private slice of the stack segment. Sinks must not be shared between
-/// lanes — the session layer merges them deterministically at join.
+/// One interpreter lane of a run: entry point, arguments, and per-lane
+/// observation sinks. Lanes share the module image, the global and heap
+/// segments, and the metadata facility; each lane gets a private slice
+/// of the stack segment. Sinks must not be shared between lanes — the
+/// session layer merges them deterministically at join.
 struct LaneSpec {
   std::string Entry = "main";
   std::vector<int64_t> Args;
-  SiteProfile *Profile = nullptr; ///< Per-lane profile (null = off).
-  Telemetry *Telem = nullptr;     ///< Per-lane telemetry sink (null = off).
-  std::string TraceTag;           ///< Trace-event name prefix for this lane.
+  /// Per-site dynamic profile, indexed by Instruction::site() (null =
+  /// off). Recording never changes counters or cycle accounting.
+  SiteProfile *Profile = nullptr;
+  /// Telemetry sink for VM phase trace events and aggregate run
+  /// counters (null = off). Trace timestamps are simulated cycles, so
+  /// timelines are deterministic.
+  Telemetry *Telem = nullptr;
+  std::string TraceTag; ///< Trace-event name prefix (benches: "<workload>:").
 };
 
 /// One SSA value at runtime: scalars use A; bounds use {A=base, B=bound};
@@ -228,23 +218,23 @@ public:
   VM(Module &M, VMConfig Config);
   ~VM();
 
-  /// Runs \p EntryName (falls back to the `_sb_`-renamed form), passing
-  /// integer arguments to the leading integer parameters. When the
-  /// module's globals overflow the global segment nothing runs: the
-  /// result (every lane's, for runLanes) is an OutOfMemory trap naming
-  /// the first global that did not fit.
+  /// Runs \p EntryName as one lane with no observation sinks:
+  /// runLanes({{EntryName, Args}}).front().
   RunResult run(const std::string &EntryName = "main",
                 const std::vector<int64_t> &Args = {});
 
   /// Runs N interpreter lanes over this VM's shared image, heap, and
   /// metadata facility; returns one RunResult per lane, in lane order.
-  /// One lane runs inline on the caller's thread with the full stack
-  /// segment (byte-identical to run()); N > 1 lanes each get a
-  /// 16-aligned 1/N slice of the stack and run on their own host
-  /// threads with SimMemory in concurrent mode. Multi-lane callers must
-  /// use a Sharded metadata facility and no baseline Checker (checkers
-  /// keep single-threaded object tables) — the session layer enforces
-  /// this.
+  /// Each lane runs its Entry (falling back to the `_sb_`-renamed form),
+  /// passing integer Args to the leading integer parameters. One lane
+  /// runs inline on the caller's thread with the full stack segment;
+  /// N > 1 lanes each get a 16-aligned 1/N slice of the stack and run on
+  /// their own host threads with SimMemory in concurrent mode.
+  /// Multi-lane callers must use a Sharded metadata facility and no
+  /// baseline Checker (checkers keep single-threaded object tables) —
+  /// the session layer enforces this. When the module's globals overflow
+  /// the global segment nothing runs: every lane's result is an
+  /// OutOfMemory trap naming the first global that did not fit.
   std::vector<RunResult> runLanes(const std::vector<LaneSpec> &Lanes);
 
   uint64_t functionAddress(const Function *F) const;

@@ -54,6 +54,11 @@ PipelinePlan plan(const std::string &Src, const SoftBoundConfig &SB = {},
   return PipelinePlan().frontend(Src).optimize().softbound(SB).checkOpt(CO);
 }
 
+/// The same pipeline without checkopt: the unoptimized reference build.
+PipelinePlan unoptPlan(const std::string &Src) {
+  return PipelinePlan().frontend(Src).optimize().softbound();
+}
+
 BuildResult planBuild(const std::string &Src, const SoftBoundConfig &SB = {},
                       const CheckOptConfig &CO = {}) {
   return plan(Src, SB, CO).build();
@@ -317,13 +322,35 @@ TEST(CheckOptLoops, MonotonicLoopCollapsesToHull) {
   EXPECT_EQ(R.Counters.Checks, 2u) << "O(trip count) -> O(1) dynamic checks";
 
   // Unoptimized build for reference: one dynamic check per iteration.
-  CheckOptConfig Off;
-  Off.Enable = false;
-  BuildResult ProgOff = planBuild(Src, {}, Off);
+  BuildResult ProgOff = unoptPlan(Src).build();
   ASSERT_TRUE(ProgOff.ok());
   RunResult ROff = runSession(ProgOff).Combined;
   EXPECT_EQ(ROff.ExitCode, R.ExitCode);
   EXPECT_GE(ROff.Counters.Checks, 16u);
+}
+
+TEST(CheckOptLoops, HullCanAddStaticChecks) {
+  // One in-loop check over an affine, constant-trip range becomes two
+  // hull-corner checks: the static count grows while the dynamic count
+  // falls from one per iteration to two, so the net elimination rate is
+  // below 0.
+  const char *Src = "int main() {\n"
+                    "  int* p = (int*)malloc(64);\n"
+                    "  int s = 0;\n"
+                    "  for (int i = 0; i < 16; i++) s += p[i];\n"
+                    "  return s;\n"
+                    "}";
+  BuildResult Prog = planBuild(Src);
+  ASSERT_TRUE(Prog.ok()) << Prog.errorText();
+  const CheckOptStats &S = Prog.Pipeline.CheckOpt;
+  EXPECT_EQ(S.ChecksBefore, 1u);
+  EXPECT_EQ(S.ChecksAfter, 2u);
+  EXPECT_GT(S.ChecksAfter, S.ChecksBefore);
+  EXPECT_LT(S.eliminationRate(), 0.0);
+
+  RunResult R = runSession(Prog).Combined;
+  ASSERT_TRUE(R.ok()) << R.Message;
+  EXPECT_EQ(R.Counters.Checks, 2u);
 }
 
 TEST(CheckOptLoops, NestedCountedLoopsCascade) {
@@ -603,9 +630,7 @@ TEST(RuntimeHulls, LimitMutatedInLoopIsRejected) {
   EXPECT_GE(R.Counters.Checks, 8u)
       << "the a[i] accesses keep one dynamic check per iteration";
 
-  CheckOptConfig Off;
-  Off.Enable = false;
-  RunResult ROff = planRun(Src, {}, Off);
+  RunResult ROff = runSession(unoptPlan(Src)).Combined;
   EXPECT_EQ(R.ExitCode, ROff.ExitCode);
 }
 
@@ -663,9 +688,7 @@ TEST(RuntimeHulls, WrappingEndpointFallsBackAndStillTraps) {
   RO.Args = {2};
   EXPECT_EQ(runSession(Prog, RO).Combined.Trap, TrapKind::SpatialViolation);
 
-  CheckOptConfig Off;
-  Off.Enable = false;
-  BuildResult POff = planBuild(Src, {}, Off);
+  BuildResult POff = unoptPlan(Src).build();
   ASSERT_TRUE(POff.ok());
   EXPECT_EQ(runSession(POff, RO).Combined.Trap, TrapKind::SpatialViolation)
       << "reference: the unoptimized build traps identically";
@@ -917,13 +940,11 @@ TEST(RuntimeHulls, MutatedBoundVariablesStaySound) {
   ASSERT_TRUE(Prog.ok()) << Prog.errorText();
   EXPECT_EQ(Prog.Pipeline.CheckOpt.LoopsCountedRuntime, 0u)
       << "an in-loop-mutated limit must not be recognized";
-  CheckOptConfig Off;
-  Off.Enable = false;
   for (int64_t N : {int64_t(0), int64_t(1), int64_t(3)}) {
     RunRequest RO;
     RO.Args = {N};
     RunResult R = runSession(Prog, RO).Combined;
-    RunResult ROff = planRun(MutHi, {}, Off, RO);
+    RunResult ROff = runSession(unoptPlan(MutHi), RO).Combined;
     ASSERT_TRUE(R.ok() && ROff.ok()) << "n=" << N;
     EXPECT_EQ(R.ExitCode, ROff.ExitCode) << "n=" << N;
   }
@@ -943,7 +964,7 @@ TEST(RuntimeHulls, MutatedBoundVariablesStaySound) {
     RunRequest RO;
     RO.Args = {N};
     RunResult R = runSession(Prog2, RO).Combined;
-    RunResult ROff = planRun(MutLo, {}, Off, RO);
+    RunResult ROff = runSession(unoptPlan(MutLo), RO).Combined;
     ASSERT_TRUE(R.ok() && ROff.ok()) << "n=" << N;
     EXPECT_EQ(R.ExitCode, ROff.ExitCode) << "n=" << N;
   }
@@ -966,13 +987,11 @@ TEST(RuntimeHulls, TriangularNestWithDerivedSymbolNeverFalselyTraps) {
                     "}";
   BuildResult Prog = planBuild(Src);
   ASSERT_TRUE(Prog.ok()) << Prog.errorText();
-  CheckOptConfig Off;
-  Off.Enable = false;
   for (int64_t N : {int64_t(0), int64_t(2), int64_t(5)}) {
     RunRequest RO;
     RO.Args = {N};
     RunResult R = runSession(Prog, RO).Combined;
-    RunResult ROff = planRun(Src, {}, Off, RO);
+    RunResult ROff = runSession(unoptPlan(Src), RO).Combined;
     ASSERT_TRUE(ROff.ok()) << "n=" << N;
     ASSERT_TRUE(R.ok()) << "n=" << N << " " << trapName(R.Trap) << " "
                         << R.Message << " (clean runs are never affected)";
@@ -1142,10 +1161,8 @@ TEST(CheckOptSoundness, BenchmarksKeepExactBehaviour) {
   // Optimized instrumented runs must match the unoptimized instrumented
   // runs bit-for-bit in exit code and output on the whole suite.
   for (const auto &W : benchmarkSuite()) {
-    CheckOptConfig Off;
-    Off.Enable = false;
     RunResult ROn = planRun(W.Source);
-    RunResult ROff = planRun(W.Source, {}, Off);
+    RunResult ROff = runSession(unoptPlan(W.Source)).Combined;
     ASSERT_TRUE(ROn.ok() && ROff.ok()) << W.Name;
     EXPECT_EQ(ROn.ExitCode, ROff.ExitCode) << W.Name;
     EXPECT_EQ(ROn.Output, ROff.Output) << W.Name;

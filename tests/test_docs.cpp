@@ -161,10 +161,12 @@ TEST(DocsDrift, ReadmeDefersToDocs) {
   std::string Book = readFile("docs/checkopt.md");
   const PassRegistry::Entry *E = PassRegistry::global().lookup("checkopt");
   ASSERT_NE(E, nullptr);
-  for (const auto &Knob : E->Knobs)
-    if (Knob != "none" && Knob != "off")
+  for (const auto &Knob : E->Knobs) {
+    if (Knob != "none") {
       EXPECT_NE(Book.find("`" + Knob + "`"), std::string::npos)
           << "docs/checkopt.md no longer mentions knob '" << Knob << "'";
+    }
+  }
   // SAFE elision is a pass of its own, not a checkopt knob.
   EXPECT_NE(Book.find("`safe-elision`"), std::string::npos)
       << "docs/checkopt.md no longer mentions the safe-elision pass";
@@ -182,7 +184,7 @@ TEST(DocsDrift, RuntimeDocCurrent) {
   for (const char *Needle :
        {"runSession", "RunRequest", "SessionResult", "FacilityOptions",
         "clearRange", "copyRange", "StripedFacility", "--lanes",
-        "--shards", "--lockfree", "MetaStatsOut", "test_concurrency.cpp",
+        "--shards", "--lockfree", "SessionResult::Meta", "test_concurrency.cpp",
         "LockFreeRead", "LockFreeReads", "StripeSeqlock", "SeqlockRetryCost",
         "SeqlockReads", "SeqlockRetries",
         // Traffic tier: builtins, sample plumbing, per-request keys.

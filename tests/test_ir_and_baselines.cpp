@@ -160,8 +160,9 @@ TEST(SplayTree, MatchesMapOracle) {
         OFound = Addr >= It->first && Addr < It->first + It->second;
       }
       ASSERT_EQ(Found, OFound) << "op " << Op;
-      if (Found)
+      if (Found) {
         ASSERT_EQ(Start, It->first);
+      }
       break;
     }
     }

@@ -64,13 +64,6 @@ TEST(PassRegistry, UnknownPassDiagnosticNamesKnownPasses) {
       << "diagnostic should list the known passes: " << Err;
 }
 
-TEST(PassRegistry, DuplicateRegistrationRejected) {
-  EXPECT_FALSE(PassRegistry::global().add(
-      "optimize", "dup", {},
-      [](const std::vector<std::string> &, std::string &)
-          -> std::shared_ptr<const ModulePass> { return nullptr; }));
-}
-
 //===----------------------------------------------------------------------===//
 // Spec parser: round-trip and canonicalization
 //===----------------------------------------------------------------------===//
@@ -101,7 +94,6 @@ TEST(PipelineSpec, RoundTripsCanonicalForms) {
       {"checkopt(interproc,hoist,redundant)",
        "checkopt(redundant,hoist,interproc)"},
       {"checkopt(hoist,redundant)", "checkopt(redundant,hoist)"},
-      {"checkopt(off)", "checkopt(off)"},
       {"checkopt(none)", "checkopt(none)"},
       {"softbound(no-reopt),reoptimize", "softbound(no-reopt),reoptimize"},
       {"optimize,softbound,checkopt,safe-elision,reoptimize",
@@ -126,7 +118,7 @@ TEST(PipelineSpec, DiagnosesMalformedSpecs) {
       {"optimize(fast)", "takes no knobs"},
       {"checkopt(range", "unmatched '('"},
       {"checkopt)range(", "unmatched ')'"},
-      {"checkopt(off,range)", "cannot be combined"},
+      {"checkopt(none,range)", "cannot be combined"},
       {"optimize,,softbound", "empty pass name"},
       {"checkopt(range,)", "empty knob"},
       {"checkopt(range)x", "trailing text"},
@@ -135,6 +127,12 @@ TEST(PipelineSpec, DiagnosesMalformedSpecs) {
       {"softbound(elide" "-safe)", "unknown knob 'elide" "-safe'"},
       // SAFE elision is only the standalone safe-elision pass.
       {"checkopt(safe)", "unknown knob 'safe'"},
+      // Removed configurations: a plan without checkopt runs no check
+      // optimization, and every softbound plan checks (function pointers
+      // included). Split like the alias above.
+      {"checkopt(off)", "unknown knob 'off'"},
+      {"softbound(metadata" "-only)", "unknown knob 'metadata" "-only'"},
+      {"softbound(no-funcptr" "-check)", "unknown knob 'no-funcptr" "-check'"},
   };
   for (const auto &[Spec, Needle] : Cases) {
     PipelinePlan Plan;
@@ -176,12 +174,12 @@ TEST(PipelineSpec, CheckOptKnobsSelectSubPasses) {
   EXPECT_EQ(PH.Pipeline.CheckOpt.RangeEliminated, 0u);
   EXPECT_EQ(PH.Pipeline.CheckOpt.SafeChecksElided, 0u);
 
-  PipelinePlan None;
-  ASSERT_TRUE(None.appendSpec("optimize,softbound,checkopt(off)", &Err));
-  PipelineResult PN = None.frontend(LoopSource).build();
-  ASSERT_TRUE(PN.ok()) << PN.errorText();
-  EXPECT_EQ(PN.Pipeline.CheckOpt.ChecksBefore, 0u)
-      << "checkopt(off) must not even count checks";
+  PipelinePlan Without;
+  ASSERT_TRUE(Without.appendSpec("optimize,softbound", &Err));
+  PipelineResult PW = Without.frontend(LoopSource).build();
+  ASSERT_TRUE(PW.ok()) << PW.errorText();
+  EXPECT_EQ(PW.Pipeline.CheckOpt.ChecksBefore, 0u)
+      << "a plan without checkopt counts no checks";
 }
 
 TEST(PipelineSpec, InterProcKnobSelectsOnlyInterProc) {

@@ -117,7 +117,8 @@ TEST(Telemetry, DisabledModeIsObservationFree) {
   // docs/observability.md zero-cost contract, and what keeps the CI
   // bench gate's baselines valid whether or not --profile is passed.
   BuildResult Plain = buildInstrumented();
-  RunResult RPlain = runSession(Plain).Combined;
+  SessionResult SPlain = runSession(Plain);
+  const RunResult &RPlain = SPlain.Combined;
 
   Telemetry Telem;
   SiteProfile Prof;
@@ -126,14 +127,16 @@ TEST(Telemetry, DisabledModeIsObservationFree) {
   Opts.Telem = &Telem;
   Opts.ProfileOut = &Prof;
   Opts.TraceTag = "test:";
-  MetadataStats Meta;
-  Opts.MetaStatsOut = &Meta;
-  RunResult RObs = runSession(Observed, Opts).Combined;
+  SessionResult SObs = runSession(Observed, Opts);
+  const RunResult &RObs = SObs.Combined;
 
   ASSERT_EQ(RPlain.Trap, RObs.Trap);
   EXPECT_EQ(RPlain.ExitCode, RObs.ExitCode);
   EXPECT_TRUE(RPlain.Counters.sameCounts(RObs.Counters));
   EXPECT_EQ(RPlain.Counters.MaxFrameDepth, RObs.Counters.MaxFrameDepth);
+  EXPECT_GT(SObs.Meta.Lookups, 0u);
+  EXPECT_EQ(SPlain.Meta.Lookups, SObs.Meta.Lookups);
+  EXPECT_EQ(SPlain.Meta.Updates, SObs.Meta.Updates);
 
   // And the observed run actually observed something: every summed
   // counter is published under its `vm/` name.
@@ -295,9 +298,10 @@ TEST(Telemetry, ChromeTraceJsonIsWellFormed) {
       EXPECT_EQ(E.get("tid")->asInt(), Telemetry::TidVM);
       // VM timestamps are simulated cycles: the whole-run event's
       // duration is exactly the cycle count.
-      if (E.get("name")->Str == "test:run:main")
+      if (E.get("name")->Str == "test:run:main") {
         EXPECT_EQ(static_cast<uint64_t>(E.get("dur")->asInt()),
                   R.Counters.Cycles);
+      }
     }
   }
   EXPECT_TRUE(SawPipeline);

@@ -51,10 +51,10 @@ BuildResult buildTraffic(const std::string &Src, CheckMode Mode,
                          bool CheckOpt = true) {
   SoftBoundConfig SB;
   SB.Mode = Mode;
-  CheckOptConfig CO;
-  CO.Enable = CheckOpt;
   PipelinePlan Plan;
-  Plan.frontend(Src).optimize().softbound(SB).checkOpt(CO);
+  Plan.frontend(Src).optimize().softbound(SB);
+  if (CheckOpt)
+    Plan.checkOpt();
   return Plan.build();
 }
 

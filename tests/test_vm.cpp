@@ -35,9 +35,9 @@ struct Sizes {
   uint64_t Globals, Heap, Stack;
 };
 
-/// The sizes every VM gets by default (4/64/2 MB).
-const Sizes Defaults{VMConfig().GlobalSize, VMConfig().HeapSize,
-                     VMConfig().StackSize};
+/// The sizes every VM gets (4/64/2 MB).
+const Sizes Defaults{simlayout::GlobalSize, simlayout::HeapSize,
+                     simlayout::StackSize};
 
 /// {base, size} of the global, heap and stack segments.
 std::vector<std::pair<uint64_t, uint64_t>> segments(const Sizes &S) {

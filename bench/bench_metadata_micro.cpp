@@ -10,40 +10,27 @@
 /// (collision behaviour), and range clearing. The modelled instruction
 /// costs (9 vs 5) are reported alongside for cross-reference.
 ///
-/// Two front ends over the same measurement kernels:
-///
-///   --json <path>   deterministic sweep emitted through BenchJson.h —
-///                   the machine-readable face every other bench binary
-///                   already has. Includes the hash table's measured
-///                   collision counts per occupancy, which is what
-///                   grounds bench_fig2_overhead's simulated-cost model
-///                   (lookupCost ≈ 9 only while probe chains stay short).
-///                   Wall-clock ns/op numbers are included for artifact
-///                   consumers but are machine-dependent; only the
-///                   deterministic fields (op counts, collisions, load
-///                   factors, modelled costs, memory) are stable.
-///
-///   (no flag)       the google-benchmark harness, when the library is
-///                   available at build time (SB_HAVE_GBENCH); otherwise
-///                   a note pointing at --json.
+/// `--json <path>` writes the sweep through BenchJson.h. It includes the
+/// hash table's measured collision counts per occupancy, which is what
+/// grounds bench_fig2_overhead's simulated-cost model (lookupCost ≈ 9
+/// only while probe chains stay short). Wall-clock ns/op numbers are
+/// included for artifact consumers but are machine-dependent; only the
+/// deterministic fields (op counts, collisions, load factors, modelled
+/// costs, memory) are stable.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchJson.h"
+#include "bench/BenchUtil.h"
 #include "runtime/HashTableMetadata.h"
 #include "runtime/ShadowSpaceMetadata.h"
 #include "support/RNG.h"
 #include "support/Telemetry.h"
 
 #include <chrono>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
-
-#if SB_HAVE_GBENCH
-#include <benchmark/benchmark.h>
-#endif
 
 using namespace softbound;
 
@@ -274,124 +261,14 @@ int runJson(const std::string &Path) {
 
 } // namespace
 
-#if SB_HAVE_GBENCH
-
-namespace {
-
-template <typename Facility>
-void BM_Update(benchmark::State &State) {
-  Facility M;
-  RNG R(11);
-  for (auto _ : State) {
-    uint64_t Addr = 0x2000'0000 + (R.below(1 << 20) << 3);
-    M.update(Addr, Addr, Addr + 64);
-  }
-  State.SetItemsProcessed(State.iterations());
-}
-
-template <typename Facility>
-void BM_LookupHit(benchmark::State &State) {
-  Facility M;
-  const uint64_t N = State.range(0);
-  std::vector<uint64_t> Addrs;
-  RNG R(7);
-  for (uint64_t I = 0; I < N; ++I) {
-    uint64_t Addr = 0x2000'0000 + (R.below(1 << 22) << 3);
-    M.update(Addr, Addr, Addr + 64);
-    Addrs.push_back(Addr);
-  }
-  size_t I = 0;
-  for (auto _ : State) {
-    Bounds B = M.lookup(Addrs[I++ % Addrs.size()]);
-    benchmark::DoNotOptimize(B.Base);
-  }
-  State.SetItemsProcessed(State.iterations());
-  State.counters["modeled_insns_per_op"] =
-      static_cast<double>(M.lookupCost());
-}
-
-template <typename Facility>
-void BM_LookupMiss(benchmark::State &State) {
-  Facility M;
-  fill(M, 1 << 14);
-  RNG R(13);
-  for (auto _ : State) {
-    // Slots in an untouched range: guaranteed misses.
-    Bounds B = M.lookup(0x6000'0000 + (R.below(1 << 20) << 3));
-    benchmark::DoNotOptimize(B.Bound);
-  }
-  State.SetItemsProcessed(State.iterations());
-}
-
-template <typename Facility>
-void BM_ClearRange(benchmark::State &State) {
-  for (auto _ : State) {
-    State.PauseTiming();
-    Facility M;
-    for (uint64_t A = 0x2000'0000; A < 0x2000'0000 + 4096 * 8; A += 8)
-      M.update(A, A, A + 64);
-    State.ResumeTiming();
-    benchmark::DoNotOptimize(M.clearRange(0x2000'0000, 4096 * 8));
-  }
-}
-
-/// Hash-table collision behaviour as occupancy grows (see the JSON twin).
-void BM_HashCollisions(benchmark::State &State) {
-  for (auto _ : State) {
-    State.PauseTiming();
-    HashTableMetadata M(16); // 64k entries; no growth below 32k live.
-    RNG R(17);
-    uint64_t N = State.range(0);
-    std::vector<uint64_t> Addrs;
-    for (uint64_t I = 0; I < N; ++I) {
-      uint64_t Addr = 0x2000'0000 + (R.below(1 << 18) << 3);
-      M.update(Addr, Addr, Addr + 64);
-      Addrs.push_back(Addr);
-    }
-    State.ResumeTiming();
-    for (uint64_t A : Addrs)
-      M.lookup(A);
-    State.counters["collisions_per_kiloop"] =
-        1000.0 * static_cast<double>(M.stats().Collisions) /
-        static_cast<double>(2 * N);
-    State.counters["load_factor"] = M.loadFactor();
-  }
-}
-
-} // namespace
-
-BENCHMARK(BM_Update<HashTableMetadata>);
-BENCHMARK(BM_Update<ShadowSpaceMetadata>);
-BENCHMARK(BM_LookupHit<HashTableMetadata>)->Arg(1 << 10)->Arg(1 << 16);
-BENCHMARK(BM_LookupHit<ShadowSpaceMetadata>)->Arg(1 << 10)->Arg(1 << 16);
-BENCHMARK(BM_LookupMiss<HashTableMetadata>);
-BENCHMARK(BM_LookupMiss<ShadowSpaceMetadata>);
-BENCHMARK(BM_ClearRange<HashTableMetadata>);
-BENCHMARK(BM_ClearRange<ShadowSpaceMetadata>);
-BENCHMARK(BM_HashCollisions)->Arg(1 << 12)->Arg(1 << 14)->Arg(3 << 13);
-
-#endif // SB_HAVE_GBENCH
-
 int main(int argc, char **argv) {
-  for (int I = 1; I < argc; ++I)
-    if (std::strcmp(argv[I], "--json") == 0) {
-      if (I + 1 >= argc) {
-        std::fprintf(stderr, "--json requires a path argument\n");
-        return 2;
-      }
-      return runJson(argv[I + 1]);
-    }
-#if SB_HAVE_GBENCH
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv))
-    return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-#else
-  std::fprintf(stderr,
-               "built without google-benchmark; use --json <path> for the "
-               "deterministic sweep\n");
-  return 2;
-#endif
+  std::string JsonPath;
+  benchutil::parseFlags(
+      argc, argv,
+      {{"--json", "<path>", [&](const char *A) { JsonPath = A; }}});
+  if (JsonPath.empty()) {
+    std::fprintf(stderr, "usage: %s --json <path>\n", argv[0]);
+    return 2;
+  }
+  return runJson(JsonPath);
 }

@@ -36,12 +36,12 @@ public:
     if (Region == ObjectRegion::Heap)
       Blocks[Addr] = Size;
   }
-  void onFree(ObjectRegion Region, uint64_t Addr, uint64_t Size) override {
+  void onFree(ObjectRegion Region, uint64_t Addr, uint64_t /*Size*/) override {
     if (Region == ObjectRegion::Heap)
       Blocks.erase(Addr);
   }
 
-  bool checkAccess(uint64_t Addr, uint64_t Size, bool IsStore) override {
+  bool checkAccess(uint64_t Addr, uint64_t Size, bool /*IsStore*/) override {
     if (Addr < simlayout::HeapBase || Addr >= simlayout::StackBase)
       return true; // Only the heap is shadowed.
     auto It = Blocks.upper_bound(Addr);

@@ -34,14 +34,16 @@ public:
 
   const char *name() const override { return "objtable"; }
 
-  void onAlloc(ObjectRegion Region, uint64_t Addr, uint64_t Size) override {
+  void onAlloc(ObjectRegion /*Region*/, uint64_t Addr,
+               uint64_t Size) override {
     Objects.insert(Addr, Size ? Size : 1);
   }
-  void onFree(ObjectRegion Region, uint64_t Addr, uint64_t Size) override {
+  void onFree(ObjectRegion /*Region*/, uint64_t Addr,
+              uint64_t /*Size*/) override {
     Objects.erase(Addr);
   }
 
-  bool checkAccess(uint64_t Addr, uint64_t Size, bool IsStore) override {
+  bool checkAccess(uint64_t Addr, uint64_t Size, bool /*IsStore*/) override {
     uint64_t Start, ObjSize;
     uint64_t Before = Comparisons;
     if (!Objects.find(Addr, Start, ObjSize, Comparisons)) {

@@ -532,14 +532,6 @@ bool softbound::formal::wfStack(const Env &E) {
 
 bool softbound::formal::wfEnv(const Env &E) { return wfStack(E) && wfMem(E); }
 
-namespace {
-
-bool wfLHSType(const Env &E, const LHS &L) { return typeOfLHS(E, L) != nullptr; }
-
-bool wfRHSType(const Env &E, const RHS &R) { return typeOfRHS(E, R) != nullptr; }
-
-} // namespace
-
 bool softbound::formal::wfCmd(const Env &E, const Cmd &C) {
   if (C.K == Cmd::Seq)
     return wfCmd(E, *C.C1) && wfCmd(E, *C.C2);
@@ -600,7 +592,7 @@ TheoremCheck softbound::formal::checkTheorems(Env E, const Cmd &C) {
 // Random program generation
 //===----------------------------------------------------------------------===//
 
-Env softbound::formal::makeInitialEnv(RNG &R) {
+Env softbound::formal::makeInitialEnv(RNG & /*R*/) {
   Env E;
   auto AllocVar = [&](const std::string &Name, std::shared_ptr<FType> Ty) {
     uint64_t Addr = mallocMem(E, 1);
@@ -619,7 +611,8 @@ Env softbound::formal::makeInitialEnv(RNG &R) {
   return E;
 }
 
-std::shared_ptr<Cmd> softbound::formal::generateProgram(RNG &R, const Env &E,
+std::shared_ptr<Cmd> softbound::formal::generateProgram(RNG &R,
+                                                        const Env & /*E*/,
                                                         int Size) {
   auto IntVar = [&]() {
     const char *Names[] = {"i0", "i1", "i2"};

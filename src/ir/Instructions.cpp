@@ -29,20 +29,6 @@ Type *GEPInst::resultElementType(Type *SourceTy,
   return Cur;
 }
 
-bool GEPInst::isStructFieldAccess() const {
-  // Walk the index path; report whether any step selects a struct field.
-  Type *Cur = SourceTy;
-  for (unsigned I = 1; I < numIndices(); ++I) {
-    if (auto *AT = dyn_cast<ArrayType>(Cur)) {
-      Cur = AT->element();
-      continue;
-    }
-    if (isa<StructType>(Cur))
-      return true;
-  }
-  return false;
-}
-
 const char *BinOpInst::opcodeName(Op O) {
   switch (O) {
   case Op::Add:

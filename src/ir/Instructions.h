@@ -140,6 +140,17 @@ public:
   static bool classof(const Value *V) { return V->kind() == ValueKind::Store; }
 };
 
+/// One index of a GEP resolved against the type layout. Index 0 and every
+/// array index are *scaled* steps (address += Index * Bytes); a struct
+/// index is a *field* step (address += Bytes, Index the field number).
+struct GEPStep {
+  unsigned K = 0;         ///< Position among the GEP's indices.
+  Value *Index = nullptr; ///< The index operand.
+  bool Field = false;     ///< Struct step: Bytes is the field's offset.
+  int64_t Bytes = 0;      ///< Field offset, or bytes per unit of Index.
+  const ArrayType *Array = nullptr; ///< Array a K > 0 scaled step indexes.
+};
+
 /// LLVM-style getelementptr: ops[0] is the base pointer, ops[1..] are
 /// indices. The first index scales by sizeof(sourceType()); later indices
 /// step into arrays (any value) or structs (ConstantInt field numbers).
@@ -164,9 +175,52 @@ public:
   static Type *resultElementType(Type *SourceTy,
                                  const std::vector<Value *> &Indices);
 
-  /// True if this GEP selects a field of a struct (its last step is a struct
-  /// field selection) — the case where SoftBound may shrink bounds (§3.1).
-  bool isStructFieldAccess() const;
+  /// The layout walk every offset-folding pass shares: calls
+  /// \p Step(const GEPStep &) for each index in order and returns false as
+  /// soon as Step does, or when the index path leaves the type (an index
+  /// past a scalar, or a struct index that is not an in-range constant).
+  /// Caps, the sign rule and array-count validation are the caller's.
+  template <typename StepFn> bool walkSteps(StepFn &&Step) const {
+    Type *Cur = SourceTy;
+    for (unsigned K = 0; K < numIndices(); ++K) {
+      GEPStep S;
+      S.K = K;
+      S.Index = index(K);
+      if (K == 0) {
+        S.Bytes = static_cast<int64_t>(Cur->sizeInBytes());
+      } else if (auto *AT = dyn_cast<ArrayType>(Cur)) {
+        S.Array = AT;
+        Cur = AT->element();
+        S.Bytes = static_cast<int64_t>(Cur->sizeInBytes());
+      } else if (auto *ST = dyn_cast<StructType>(Cur)) {
+        auto *CI = dyn_cast<ConstantInt>(S.Index);
+        if (!CI || CI->value() < 0 ||
+            static_cast<uint64_t>(CI->value()) >= ST->numFields())
+          return false;
+        auto FieldIdx = static_cast<unsigned>(CI->value());
+        S.Field = true;
+        S.Bytes = static_cast<int64_t>(ST->fieldOffset(FieldIdx));
+        Cur = ST->field(FieldIdx);
+      } else {
+        return false;
+      }
+      if (!Step(S))
+        return false;
+    }
+    return true;
+  }
+
+  /// Position of the last struct-field step, or 0 when no step selects a
+  /// field — the GEPs where SoftBound may shrink bounds (§3.1).
+  unsigned lastFieldStep() const {
+    unsigned Last = 0;
+    walkSteps([&](const GEPStep &S) {
+      if (S.Field)
+        Last = S.K;
+      return true;
+    });
+    return Last;
+  }
 
   static bool classof(const Value *V) { return V->kind() == ValueKind::GEP; }
 

@@ -5,8 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Dominator tree (Cooper–Harvey–Kennedy iterative algorithm) and dominance
-/// frontiers, used by mem2reg for SSA construction.
+/// Dominator tree (Cooper–Harvey–Kennedy iterative algorithm), dominance
+/// frontiers for mem2reg's SSA construction, and the one preorder walk of
+/// the tree that mem2reg renaming and the check optimizer's fact
+/// propagation share.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +19,7 @@
 
 #include <map>
 #include <set>
+#include <type_traits>
 #include <vector>
 
 namespace softbound {
@@ -42,7 +45,7 @@ public:
     return It == DF.end() ? Empty : It->second;
   }
 
-  /// Dominator-tree children (for the mem2reg renaming walk).
+  /// Dominator-tree children, in reverse postorder.
   const std::vector<BasicBlock *> &children(BasicBlock *BB) const {
     static const std::vector<BasicBlock *> Empty;
     auto It = Kids.find(BB);
@@ -67,6 +70,48 @@ private:
   std::map<BasicBlock *, int> Order; ///< RPO index.
   std::vector<BasicBlock *> RPO;
 };
+
+/// Preorder walk of the dominator tree below \p Root: \p Enter(BB) runs
+/// before BB's dominated subtree and \p Leave(BB, Token) after it, where
+/// Token is whatever Enter returned for BB (a fact-table mark, an undo
+/// list) — so state scoped to the dominating path is set up and rolled
+/// back innermost-first. An Enter returning void gets Leave(BB).
+/// Iterative: a deep CFG must not overflow the host stack.
+template <typename EnterFn, typename LeaveFn>
+void walkDomTree(const DomTree &DT, BasicBlock *Root, EnterFn &&Enter,
+                 LeaveFn &&Leave) {
+  using Token = decltype(Enter(Root));
+  constexpr bool NoToken = std::is_void_v<Token>;
+  struct Frame {
+    BasicBlock *BB;
+    size_t NextChild;
+    std::conditional_t<NoToken, char, Token> Tok;
+  };
+  std::vector<Frame> Stack;
+  auto Push = [&](BasicBlock *BB) {
+    if constexpr (NoToken) {
+      Enter(BB);
+      Stack.push_back({BB, 0, 0});
+    } else {
+      Stack.push_back({BB, 0, Enter(BB)});
+    }
+  };
+  Push(Root);
+  while (!Stack.empty()) {
+    Frame &Top = Stack.back();
+    const std::vector<BasicBlock *> &Kids = DT.children(Top.BB);
+    if (Top.NextChild < Kids.size()) {
+      Push(Kids[Top.NextChild++]); // Invalidates Top; re-fetched next turn.
+      continue;
+    }
+    Frame Done = std::move(Top);
+    Stack.pop_back();
+    if constexpr (NoToken)
+      Leave(Done.BB);
+    else
+      Leave(Done.BB, Done.Tok);
+  }
+}
 
 } // namespace softbound
 

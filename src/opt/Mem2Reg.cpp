@@ -16,7 +16,6 @@
 #include "opt/Dominators.h"
 #include "opt/Passes.h"
 
-#include <functional>
 #include <map>
 #include <set>
 
@@ -102,10 +101,13 @@ void softbound::mem2reg(Function &F) {
     return Mod->undef(Promotable[Var]->allocatedType());
   };
 
+  // Entering a block records each variable it redefines with the value to
+  // restore once its dominated subtree is renamed.
+  using SavedDefs = std::vector<std::pair<unsigned, Value *>>;
   std::set<BasicBlock *> Visited;
-  std::function<void(BasicBlock *)> Walk = [&](BasicBlock *BB) {
+  auto Enter = [&](BasicBlock *BB) {
     Visited.insert(BB);
-    std::vector<std::pair<unsigned, Value *>> Saved;
+    SavedDefs Saved;
 
     for (auto It = BB->begin(); It != BB->end();) {
       Instruction *I = It->get();
@@ -157,13 +159,12 @@ void softbound::mem2reg(Function &F) {
           Phi->addIncoming(CurOrUndef(PV->second), BB);
       }
 
-    for (auto *Kid : DT.children(BB))
-      Walk(Kid);
-
+    return Saved;
+  };
+  walkDomTree(DT, F.entry(), Enter, [&](BasicBlock *, SavedDefs &Saved) {
     for (auto It = Saved.rbegin(); It != Saved.rend(); ++It)
       Cur[It->first] = It->second;
-  };
-  Walk(F.entry());
+  });
 
   // Remove the promoted allocas.
   for (auto &BB : F.blocks())

@@ -340,7 +340,7 @@ Value *foldInst(Instruction *I, Module &M) {
     if (L && R) {
       int64_t A = L->value(), B2 = R->value();
       uint64_t UA = L->zextValue(), UB = R->zextValue();
-      bool Out;
+      bool Out = false;
       switch (C->pred()) {
       case ICmpInst::Pred::EQ:
         Out = A == B2;

@@ -25,14 +25,15 @@
 ///     denote the same dynamic bounds, and a whole-global canon is the
 ///     license for static range elision (shrunk sub-object bounds never
 ///     canonicalize to their global).
-///   * FactEnv — scoped facts keyed (root, scale, index, bounds) holding
-///     proven byte-interval sets, the symbolic generalization of
-///     RangeAnalysis.h's ProvenRanges.
+///   * FactKey — the (root, scale, index, bounds) key of the walk's
+///     ScopedFacts table (RangeAnalysis.h), the symbolic generalization
+///     of redundant-check elimination's (root, bounds) key.
 ///   * Summaries + substitution — per-function argument/global check
 ///     requirements, must-execute check hulls, and return-checked hulls,
 ///     each substitutable at a call site through the sbabi layout.
 ///   * The Engine — argument-range propagation to fixpoint, one fact walk
-///     per function, and the final mark-and-sweep.
+///     per function (walkDomTree, Dominators.h), and the final
+///     mark-and-sweep.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -62,14 +63,6 @@ using namespace softbound::checkopt;
 //===----------------------------------------------------------------------===//
 
 namespace {
-
-int64_t sat(__int128 V) {
-  if (V < INT64_MIN)
-    return INT64_MIN;
-  if (V > INT64_MAX)
-    return INT64_MAX;
-  return static_cast<int64_t>(V);
-}
 
 /// True when \p V lies outside the i64 lattice domain. A transfer whose
 /// exact endpoint escapes must collapse to IntRange::full(), never
@@ -362,13 +355,9 @@ private:
     }
     // Accumulate down the dominator tree: a block with a unique CFG
     // predecessor inherits that edge's refinements for itself and its
-    // dominated subtree. Iterative preorder (a pathologically deep CFG
-    // must not overflow the host stack); a block's immediate dominator is
-    // always processed before the block itself.
-    std::vector<BasicBlock *> Work{F.entry()};
-    while (!Work.empty()) {
-      BasicBlock *BB = Work.back();
-      Work.pop_back();
+    // dominated subtree. Preorder visits a block's immediate dominator
+    // before the block itself.
+    auto Enter = [&](BasicBlock *BB) {
       std::vector<Refine> Acc;
       if (BasicBlock *P = DT.idom(BB))
         Acc = AccRef[P];
@@ -380,9 +369,8 @@ private:
             Acc.push_back(R);
       }
       AccRef[BB] = std::move(Acc);
-      for (BasicBlock *Child : DT.children(BB))
-        Work.push_back(Child);
-    }
+    };
+    walkDomTree(DT, F.entry(), Enter, [](BasicBlock *) {});
   }
 
   IntRange evalInst(const Instruction *I, const BasicBlock *B) const {
@@ -577,7 +565,7 @@ const GlobalVariable *wholeGlobal(const CanonBounds &CB) {
 }
 
 //===----------------------------------------------------------------------===//
-// Fact environment
+// Fact keys
 //===----------------------------------------------------------------------===//
 
 /// Key of one provable family of byte intervals: bytes
@@ -592,38 +580,6 @@ struct FactKey {
     return std::tie(Root, Scale, Index, B) <
            std::tie(O.Root, O.Scale, O.Index, O.B);
   }
-};
-
-/// Scoped FactKey -> IntervalSet table for the dominator-tree walk
-/// (ProvenRanges with the symbolic key). The walk snapshots mark() when
-/// entering a tree node and rollbackTo() when leaving it, so only facts
-/// established on the dominating path stay visible.
-class FactEnv {
-public:
-  bool covers(const FactKey &K, int64_t Lo, int64_t Hi) const {
-    auto It = Facts.find(K);
-    return It != Facts.end() && It->second.covers(Lo, Hi);
-  }
-
-  void add(const FactKey &K, int64_t Lo, int64_t Hi) {
-    if (Lo >= Hi)
-      return;
-    Undo.emplace_back(K, Facts[K]);
-    Facts[K].add(Lo, Hi);
-  }
-
-  size_t mark() const { return Undo.size(); }
-
-  void rollbackTo(size_t Mark) {
-    while (Undo.size() > Mark) {
-      Facts[Undo.back().first] = std::move(Undo.back().second);
-      Undo.pop_back();
-    }
-  }
-
-private:
-  std::map<FactKey, IntervalSet> Facts;
-  std::vector<std::pair<FactKey, IntervalSet>> Undo;
 };
 
 //===----------------------------------------------------------------------===//
@@ -714,10 +670,12 @@ private:
   void propagateArgRanges();
   void summarize(Function &F);
   void walk(Function &F);
-  void walkBlockBody(FuncInfo &FI, FactEnv &Env, BasicBlock *BB);
-  void visitCheck(FuncInfo &FI, FactEnv &Env, BasicBlock *BB,
+  void walkBlockBody(FuncInfo &FI, ScopedFacts<FactKey> &Env,
+                     BasicBlock *BB);
+  void visitCheck(FuncInfo &FI, ScopedFacts<FactKey> &Env, BasicBlock *BB,
                   BasicBlock::iterator It);
-  void visitCall(FactEnv &Env, CallInst *Call, Function *Callee);
+  void visitCall(ScopedFacts<FactKey> &Env, CallInst *Call,
+                 Function *Callee);
   bool substituteReq(const CheckReq &R, const CallInst &Call,
                      const Function &Callee, FactKey &Key, int64_t &Lo,
                      int64_t &Hi) const;
@@ -1030,8 +988,8 @@ bool Engine::substituteReq(const CheckReq &R, const CallInst &Call,
   return true;
 }
 
-void Engine::visitCheck(FuncInfo &FI, FactEnv &Env, BasicBlock *BB,
-                        BasicBlock::iterator It) {
+void Engine::visitCheck(FuncInfo &FI, ScopedFacts<FactKey> &Env,
+                        BasicBlock *BB, BasicBlock::iterator It) {
   auto *C = cast<SpatialCheckInst>(It->get());
   LinearPtr L = decomposeLinearPtr(C->pointer());
   CanonBounds CB = canonBounds(C->bounds());
@@ -1102,7 +1060,8 @@ void Engine::visitCheck(FuncInfo &FI, FactEnv &Env, BasicBlock *BB,
   Env.add(Key, L.Base, End);
 }
 
-void Engine::visitCall(FactEnv &Env, CallInst *Call, Function *Callee) {
+void Engine::visitCall(ScopedFacts<FactKey> &Env, CallInst *Call,
+                       Function *Callee) {
   const FuncSummary &Sum = Summaries[Callee];
 
   // Requirements first: facts established *by* this call must not prove
@@ -1140,7 +1099,8 @@ void Engine::visitCall(FactEnv &Env, CallInst *Call, Function *Callee) {
   }
 }
 
-void Engine::walkBlockBody(FuncInfo &FI, FactEnv &Env, BasicBlock *BB) {
+void Engine::walkBlockBody(FuncInfo &FI, ScopedFacts<FactKey> &Env,
+                           BasicBlock *BB) {
   for (auto It = BB->begin(); It != BB->end(); ++It) {
     Instruction *I = It->get();
     if (auto *C = dyn_cast<SpatialCheckInst>(I)) {
@@ -1162,33 +1122,15 @@ void Engine::walkBlockBody(FuncInfo &FI, FactEnv &Env, BasicBlock *BB) {
 
 void Engine::walk(Function &F) {
   FuncInfo &FI = Infos[&F];
-  FactEnv Env;
-  // Iterative preorder over the dominator tree (a deep CFG must not
-  // overflow the host stack). Each frame records the undo mark taken on
-  // entry and rolls its block's facts back once the dominated subtree
-  // completes — popped innermost-first, matching the scope nesting of
-  // the recursive formulation.
-  struct Frame {
-    BasicBlock *BB;
-    size_t NextChild;
-    size_t Mark;
-  };
-  std::vector<Frame> Stack;
-  auto enter = [&](BasicBlock *BB) {
-    Stack.push_back({BB, 0, Env.mark()});
-    walkBlockBody(FI, Env, BB);
-  };
-  enter(F.entry());
-  while (!Stack.empty()) {
-    Frame &Top = Stack.back();
-    const std::vector<BasicBlock *> &Kids = FI.DT->children(Top.BB);
-    if (Top.NextChild == Kids.size()) {
-      Env.rollbackTo(Top.Mark);
-      Stack.pop_back();
-      continue;
-    }
-    enter(Kids[Top.NextChild++]); // Invalidates Top; re-fetched next turn.
-  }
+  ScopedFacts<FactKey> Env;
+  walkDomTree(
+      *FI.DT, F.entry(),
+      [&](BasicBlock *BB) {
+        size_t Mark = Env.mark();
+        walkBlockBody(FI, Env, BB);
+        return Mark;
+      },
+      [&](BasicBlock *, size_t Mark) { Env.rollbackTo(Mark); });
 }
 
 void Engine::prepare() {

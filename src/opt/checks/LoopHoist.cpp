@@ -127,10 +127,6 @@ using namespace softbound::checkopt;
 
 namespace {
 
-/// Offsets are capped well below any simulated address-space distance so
-/// 64-bit address arithmetic can never wrap.
-constexpr int64_t MaxByteOffset = int64_t(1) << 40;
-
 /// Bound on each |K * symbol| product term of an emitted hull offset: far
 /// from the i64 edge, so the two `mul`s and the following `add`s cannot
 /// wrap (their mathematical sum is the region-bounded offset).
@@ -141,14 +137,6 @@ constexpr int64_t MaxProductTerm = int64_t(1) << 62;
 /// every intermediate i64 sum below 2^62.
 constexpr int64_t CrossProdMax = int64_t(1) << 60;
 constexpr int64_t CrossCMax = int64_t(1) << 61;
-
-bool fitsWidth(__int128 V, unsigned Bits) {
-  if (Bits >= 64)
-    Bits = 64;
-  __int128 Max = (__int128(1) << (Bits - 1)) - 1;
-  __int128 Min = -(__int128(1) << (Bits - 1));
-  return V >= Min && V <= Max;
-}
 
 __int128 widthMin(unsigned Bits) {
   if (Bits >= 64)
@@ -367,8 +355,8 @@ bool boxFits(const LinExpr &E, const IVBox &Box, unsigned Bits,
   AffVal Min, Max;
   if (!extremes(E, Box, Min, Max))
     return false;
-  __int128 Lo = std::max<__int128>(widthMin(Bits), -__int128(MaxByteOffset));
-  __int128 Hi = std::min<__int128>(widthMax(Bits), MaxByteOffset);
+  __int128 Lo = std::max<__int128>(widthMin(Bits), -__int128(MaxFoldedOffset));
+  __int128 Hi = std::min<__int128>(widthMax(Bits), MaxFoldedOffset);
   requireMin(Win, Min, Lo);
   requireMax(Win, Max, Hi);
   return !Win.Empty;
@@ -528,35 +516,17 @@ bool linearizePtr(Value *P, const NaturalLoop &L, const IVBox &Box,
   if (!linearizePtr(G->pointer(), L, Box, Syms, Win, Used, Out, Depth + 1))
     return false;
 
-  Type *Cur = G->sourceType();
-  for (unsigned K = 0; K < G->numIndices(); ++K) {
-    int64_t Scale;
-    if (K == 0) {
-      Scale = static_cast<int64_t>(Cur->sizeInBytes());
-    } else if (auto *AT = dyn_cast<ArrayType>(Cur)) {
-      Scale = static_cast<int64_t>(AT->element()->sizeInBytes());
-      Cur = AT->element();
-    } else if (auto *ST = dyn_cast<StructType>(Cur)) {
-      auto *CI = dyn_cast<ConstantInt>(G->index(K));
-      if (!CI)
-        return false;
-      unsigned FieldIdx = static_cast<unsigned>(CI->value());
-      if (FieldIdx >= ST->numFields())
-        return false;
-      Out.Off.B += static_cast<int64_t>(ST->fieldOffset(FieldIdx));
-      Cur = ST->field(FieldIdx);
-      continue;
-    } else {
-      return false;
+  bool OK = G->walkSteps([&](const GEPStep &S) {
+    if (S.Field) {
+      Out.Off.B += S.Bytes;
+      return true;
     }
     LinExpr Idx;
-    if (!linearizeInt(G->index(K), Box, Syms, Win, Used, Idx))
-      return false;
-    if (!addScaled(Out.Off, Idx, Scale))
-      return false;
-  }
+    return linearizeInt(S.Index, Box, Syms, Win, Used, Idx) &&
+           addScaled(Out.Off, Idx, S.Bytes);
+  });
   // Final guard: hull offsets stay far from any 64-bit wrap.
-  return boxFits(Out.Off, Box, 64, Win);
+  return OK && boxFits(Out.Off, Box, 64, Win);
 }
 
 /// Inserts \p I before the terminator of \p BB.
@@ -1336,7 +1306,7 @@ void LoopHoister::hoistInBlock(BasicBlock *BB) {
     // Emitted `KI*I + KL*L + C` hull arithmetic must not wrap i64: each
     // product term stays far from the edge, and C must be emittable as
     // an i64 immediate with headroom (the final sum is region-bounded to
-    // |offset| <= MaxByteOffset already).
+    // |offset| <= MaxFoldedOffset already).
     for (const AffVal *Corner : {&Min, &Max})
       if (!Corner->isConst()) {
         if (!fitsWidth(Corner->C, 64) || Corner->C > __int128(CrossCMax) ||

@@ -29,6 +29,16 @@ class DomTree;
 
 namespace checkopt {
 
+/// True when \p V fits a signed \p Bits-wide integer; widths past 64
+/// count as 64.
+inline bool fitsWidth(__int128 V, unsigned Bits) {
+  if (Bits > 64)
+    Bits = 64;
+  __int128 Max = (__int128(1) << (Bits - 1)) - 1;
+  __int128 Min = -(__int128(1) << (Bits - 1));
+  return V >= Min && V <= Max;
+}
+
 /// A natural loop in hoistable shape.
 struct NaturalLoop {
   BasicBlock *Header = nullptr;

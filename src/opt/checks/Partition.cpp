@@ -8,6 +8,7 @@
 
 #include "opt/Passes.h"
 #include "opt/checks/CallGraph.h"
+#include "opt/checks/RangeAnalysis.h"
 #include "support/Casting.h"
 
 #include <map>
@@ -99,56 +100,21 @@ bool isNullBounds(const Value *B) {
 
 /// If \p Addr is a constant offset into the result of a constant-size
 /// malloc in the same function, with [offset, offset+8) inside the
-/// block, returns that allocation call; otherwise null. Mirrors the
-/// SafeElision constant-GEP walk, with a heap root instead of a stack
-/// or global one.
-const CallInst *freshMallocSlot(const Value *Addr) {
-  uint64_t Offset = 0;
-  const Value *Cur = Addr;
-  for (int Depth = 0; Depth < 16; ++Depth) {
-    if (const auto *BC = dyn_cast<CastInst>(Cur);
-        BC && BC->opcode() == CastInst::Op::Bitcast) {
-      Cur = BC->source();
-      continue;
-    }
-    if (const auto *GI = dyn_cast<GEPInst>(Cur)) {
-      Type *Ty = GI->sourceType();
-      const auto *First = dyn_cast<ConstantInt>(GI->index(0));
-      if (!First || First->value() < 0)
-        return nullptr;
-      Offset += static_cast<uint64_t>(First->value()) * Ty->sizeInBytes();
-      for (unsigned K = 1; K < GI->numIndices(); ++K) {
-        const auto *CI = dyn_cast<ConstantInt>(GI->index(K));
-        if (!CI || CI->value() < 0)
-          return nullptr;
-        if (auto *AT = dyn_cast<ArrayType>(Ty)) {
-          if (static_cast<uint64_t>(CI->value()) >= AT->count())
-            return nullptr;
-          Offset += static_cast<uint64_t>(CI->value()) *
-                    AT->element()->sizeInBytes();
-          Ty = AT->element();
-          continue;
-        }
-        auto *ST = cast<StructType>(Ty);
-        Offset += ST->fieldOffset(static_cast<unsigned>(CI->value()));
-        Ty = ST->field(static_cast<unsigned>(CI->value()));
-      }
-      Cur = GI->pointer();
-      continue;
-    }
-    const auto *Alloc = dyn_cast<CallInst>(Cur);
-    if (!Alloc)
-      return nullptr;
-    const Function *Callee = Alloc->calledFunction();
-    if (!Callee || Callee->name() != "malloc")
-      return nullptr;
-    const auto *Size = dyn_cast<ConstantInt>(Alloc->arg(0));
-    if (!Size || Size->value() < 0 ||
-        Offset + 8 > static_cast<uint64_t>(Size->value()))
-      return nullptr;
-    return Alloc;
-  }
-  return nullptr;
+/// block, returns that allocation call; otherwise null.
+const CallInst *freshMallocSlot(Value *Addr) {
+  PtrOffset PO = constantObjectOffset(Addr);
+  const auto *Alloc = dyn_cast<CallInst>(PO.Root);
+  if (!Alloc)
+    return nullptr;
+  const Function *Callee = Alloc->calledFunction();
+  if (!Callee || Callee->name() != "malloc")
+    return nullptr;
+  const auto *Size = dyn_cast<ConstantInt>(Alloc->arg(0));
+  if (!Size || Size->value() < 0 ||
+      static_cast<uint64_t>(PO.Offset) + 8 >
+          static_cast<uint64_t>(Size->value()))
+    return nullptr;
+  return Alloc;
 }
 
 /// True when no call can execute between the most recent execution of

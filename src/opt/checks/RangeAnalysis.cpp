@@ -15,91 +15,19 @@ using namespace softbound::checkopt;
 
 namespace {
 
-/// Offsets past this never appear in well-behaved programs; bailing out
-/// (keeping the check) both avoids signed-overflow UB in the accumulation
-/// below and keeps the facts honest where 64-bit address arithmetic could
-/// wrap.
-constexpr int64_t MaxDecomposedOffset = int64_t(1) << 40;
+/// Which GEPs an offset fold absorbs.
+enum class FoldRule {
+  Constant, ///< Constant indices (decomposePointer).
+  Object,   ///< Constant, non-negative, inside each array.
+  Linear,   ///< Plus one distinct variable index (decomposeLinearPtr).
+};
 
-/// Acc += Idx * Scale with exact arithmetic; false on blow-up.
-bool accumulate(__int128 &Acc, int64_t Idx, int64_t Scale) {
-  Acc += __int128(Idx) * Scale;
-  return Acc >= -__int128(MaxDecomposedOffset) &&
-         Acc <= __int128(MaxDecomposedOffset);
-}
-
-} // namespace
-
-bool checkopt::constantGEPOffset(const GEPInst *G, int64_t &OutBytes) {
-  __int128 Off = 0;
-  Type *Cur = G->sourceType();
-  auto *First = dyn_cast<ConstantInt>(G->index(0));
-  if (!First)
-    return false;
-  if (!accumulate(Off, First->value(),
-                  static_cast<int64_t>(Cur->sizeInBytes())))
-    return false;
-  for (unsigned K = 1; K < G->numIndices(); ++K) {
-    auto *CI = dyn_cast<ConstantInt>(G->index(K));
-    if (!CI)
-      return false;
-    if (auto *AT = dyn_cast<ArrayType>(Cur)) {
-      if (!accumulate(Off, CI->value(),
-                      static_cast<int64_t>(AT->element()->sizeInBytes())))
-        return false;
-      Cur = AT->element();
-      continue;
-    }
-    auto *ST = dyn_cast<StructType>(Cur);
-    if (!ST)
-      return false;
-    unsigned FieldIdx = static_cast<unsigned>(CI->value());
-    if (FieldIdx >= ST->numFields())
-      return false;
-    if (!accumulate(Off, 1, static_cast<int64_t>(ST->fieldOffset(FieldIdx))))
-      return false;
-    Cur = ST->field(FieldIdx);
-  }
-  OutBytes = static_cast<int64_t>(Off);
-  return true;
-}
-
-PtrOffset checkopt::decomposePointer(Value *P) {
-  PtrOffset Out;
-  Out.Root = P;
-  // Bounded walk: derivation chains are short, but guard against cycles in
-  // malformed IR.
-  for (int Depth = 0; Depth < 64; ++Depth) {
-    if (auto *BC = dyn_cast<CastInst>(Out.Root);
-        BC && BC->opcode() == CastInst::Op::Bitcast) {
-      Out.Root = BC->source();
-      continue;
-    }
-    if (auto *G = dyn_cast<GEPInst>(Out.Root)) {
-      int64_t Off;
-      __int128 Acc = Out.Offset;
-      if (constantGEPOffset(G, Off) && accumulate(Acc, Off, 1)) {
-        Out.Offset = static_cast<int64_t>(Acc);
-        Out.Root = G->pointer();
-        continue;
-      }
-    }
-    break;
-  }
-  return Out;
-}
-
-Value *checkopt::stripSExt(Value *V) {
-  for (int Depth = 0; Depth < 64; ++Depth) {
-    auto *C = dyn_cast<CastInst>(V);
-    if (!C || C->opcode() != CastInst::Op::SExt)
-      break;
-    V = C->source();
-  }
-  return V;
-}
-
-LinearPtr checkopt::decomposeLinearPtr(Value *P) {
+/// The walk behind every decomposition below: folds bitcasts and the GEPs
+/// \p Rule admits into root + Base + Scale * Index. A GEP that breaks the
+/// rule, or takes Base or Scale past MaxFoldedOffset at any step, becomes
+/// the Root. Bounded: derivation chains are short, but guard against
+/// cycles in malformed IR.
+LinearPtr fold(Value *P, FoldRule Rule) {
   LinearPtr Out;
   Out.Root = P;
   for (int Depth = 0; Depth < 64; ++Depth) {
@@ -111,52 +39,34 @@ LinearPtr checkopt::decomposeLinearPtr(Value *P) {
     auto *G = dyn_cast<GEPInst>(Out.Root);
     if (!G)
       break;
-
-    // Fold this GEP's indices; on any unsupported shape keep Root at the
-    // GEP itself (facts still work, just less sharing).
     __int128 Base = Out.Base;
     __int128 Scale = Out.Scale;
     Value *Idx = Out.Index;
-    bool OK = true;
-    Type *Cur = G->sourceType();
-    for (unsigned K = 0; K < G->numIndices() && OK; ++K) {
-      int64_t ElemSize;
-      if (K == 0) {
-        ElemSize = static_cast<int64_t>(Cur->sizeInBytes());
-      } else if (auto *AT = dyn_cast<ArrayType>(Cur)) {
-        Cur = AT->element();
-        ElemSize = static_cast<int64_t>(Cur->sizeInBytes());
-      } else {
-        // Struct step: the verifier guarantees a constant field number.
-        auto *ST = dyn_cast<StructType>(Cur);
-        auto *CI = dyn_cast<ConstantInt>(G->index(K));
-        if (!ST || !CI || CI->value() < 0 ||
-            static_cast<uint64_t>(CI->value()) >= ST->numFields()) {
-          OK = false;
-          break;
-        }
-        unsigned FieldIdx = static_cast<unsigned>(CI->value());
-        Base += static_cast<int64_t>(ST->fieldOffset(FieldIdx));
-        Cur = ST->field(FieldIdx);
-        continue;
+    bool OK = G->walkSteps([&](const GEPStep &S) {
+      auto *CI = dyn_cast<ConstantInt>(S.Index);
+      if (S.Field) {
+        Base += S.Bytes;
+      } else if (CI) {
+        if (Rule == FoldRule::Object &&
+            (CI->value() < 0 ||
+             (S.Array && static_cast<uint64_t>(CI->value()) >=
+                             S.Array->count())))
+          return false;
+        Base += __int128(CI->value()) * S.Bytes;
+      } else if (Rule != FoldRule::Linear) {
+        return false;
+      } else if (S.Bytes != 0) { // A zero-sized step contributes nothing.
+        Value *V = stripSExt(S.Index);
+        if (Idx && Idx != V)
+          return false; // Two distinct variable indices: stop at this GEP.
+        Idx = V;
+        Scale += S.Bytes;
       }
-      if (auto *CI = dyn_cast<ConstantInt>(G->index(K))) {
-        Base += __int128(CI->value()) * ElemSize;
-        continue;
-      }
-      if (ElemSize == 0)
-        continue; // Zero-sized step contributes nothing.
-      Value *S = stripSExt(G->index(K));
-      if (Idx && Idx != S) {
-        OK = false; // Two distinct variable indices: stop at this GEP.
-        break;
-      }
-      Idx = S;
-      Scale += ElemSize;
-    }
-    if (!OK || Base < -__int128(MaxDecomposedOffset) ||
-        Base > __int128(MaxDecomposedOffset) ||
-        Scale > __int128(MaxDecomposedOffset))
+      return Base >= -__int128(MaxFoldedOffset) &&
+             Base <= __int128(MaxFoldedOffset) &&
+             Scale <= __int128(MaxFoldedOffset);
+    });
+    if (!OK)
       break;
     Out.Base = static_cast<int64_t>(Base);
     Out.Scale = static_cast<int64_t>(Scale);
@@ -166,6 +76,32 @@ LinearPtr checkopt::decomposeLinearPtr(Value *P) {
   if (Out.Scale == 0)
     Out.Index = nullptr;
   return Out;
+}
+
+} // namespace
+
+PtrOffset checkopt::decomposePointer(Value *P) {
+  LinearPtr L = fold(P, FoldRule::Constant);
+  return {L.Root, L.Base};
+}
+
+PtrOffset checkopt::constantObjectOffset(Value *P) {
+  LinearPtr L = fold(P, FoldRule::Object);
+  return {L.Root, L.Base};
+}
+
+LinearPtr checkopt::decomposeLinearPtr(Value *P) {
+  return fold(P, FoldRule::Linear);
+}
+
+Value *checkopt::stripSExt(Value *V) {
+  for (int Depth = 0; Depth < 64; ++Depth) {
+    auto *C = dyn_cast<CastInst>(V);
+    if (!C || C->opcode() != CastInst::Op::SExt)
+      break;
+    V = C->source();
+  }
+  return V;
 }
 
 bool IntervalSet::covers(int64_t Lo, int64_t Hi) const {

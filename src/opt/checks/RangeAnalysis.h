@@ -11,8 +11,9 @@
 /// offset. A spatial check `check(p, b, size)` then proves the symbolic
 /// fact "bytes [off, off+size) past root are inside [base(b), bound(b))",
 /// and those facts — keyed by (root, bounds) and held as merged interval
-/// sets — flow down the dominator tree: any later check whose interval is
-/// covered is statically redundant.
+/// sets in a ScopedFacts table — flow down the dominator tree: any later
+/// check whose interval is covered is statically redundant. Every offset
+/// fold here reads the GEP layout through GEPInst::walkSteps.
 ///
 /// Facts never need invalidation: a check consumes only its two SSA
 /// operands, whose dynamic values no store, call, or metadata update can
@@ -32,19 +33,29 @@
 namespace softbound {
 namespace checkopt {
 
+/// Folded offsets are capped here: offsets past it never appear in
+/// well-behaved programs, and bailing out (keeping the check) both avoids
+/// overflow in the accumulation and keeps the facts honest where 64-bit
+/// address arithmetic could wrap.
+constexpr int64_t MaxFoldedOffset = int64_t(1) << 40;
+
 /// A pointer expressed as a root SSA value plus a constant byte offset.
 struct PtrOffset {
   Value *Root = nullptr;
   int64_t Offset = 0;
 };
 
-/// Byte offset of a GEP whose indices are all constants. Returns false for
-/// variable indices or unsized element types.
-bool constantGEPOffset(const GEPInst *G, int64_t &OutBytes);
-
 /// Strips bitcasts and constant-index GEPs off \p P, accumulating the byte
 /// offset. Always succeeds: the worst case is Root == P, Offset == 0.
 PtrOffset decomposePointer(Value *P);
+
+/// decomposePointer restricted to GEPs that stay inside their object's
+/// layout: every index non-negative and every array index below the
+/// array's count (the first index is plain pointer arithmetic and is not
+/// count-checked). The CCured-SAFE elision tests the Root for a stack or
+/// global object and partitioning for a malloc call; a GEP that breaks
+/// the rule stays as the Root, which is neither.
+PtrOffset constantObjectOffset(Value *P);
 
 /// A pointer expressed as root + Base + Scale * Index bytes, where Index
 /// is a single SSA integer (null for purely constant offsets). This is the
@@ -88,39 +99,29 @@ private:
   std::vector<ByteInterval> Iv; ///< Sorted by Lo; disjoint, non-adjacent.
 };
 
-/// Scoped (root, bounds) -> proven-interval facts for a preorder walk of
-/// the dominator tree. Enter a Scope per tree node; facts added inside it
-/// are rolled back when it is destroyed, so only facts established on the
-/// dominating path remain visible.
-class ProvenRanges {
+/// Scoped Key -> proven-interval facts for a preorder walk of the
+/// dominator tree (walkDomTree): take mark() on entering a tree node and
+/// rollbackTo() it on leaving, so only facts established on the
+/// dominating path stay visible. Redundant-check elimination keys facts
+/// by (pointer or decomposed root, bounds); the inter-procedural
+/// propagation by its symbolic (root, scale, index, bounds) key.
+template <typename Key> class ScopedFacts {
 public:
-  using Key = std::pair<const Value *, const Value *>;
-
-  class Scope {
-  public:
-    explicit Scope(ProvenRanges &PR) : PR(PR), Mark(PR.Undo.size()) {}
-    ~Scope() { PR.rollbackTo(Mark); }
-    Scope(const Scope &) = delete;
-    Scope &operator=(const Scope &) = delete;
-
-  private:
-    ProvenRanges &PR;
-    size_t Mark;
-  };
-
-  bool covers(const Value *Root, const Value *Bounds, int64_t Lo,
-              int64_t Hi) const {
-    auto It = Facts.find(Key(Root, Bounds));
+  bool covers(const Key &K, int64_t Lo, int64_t Hi) const {
+    auto It = Facts.find(K);
     return It != Facts.end() && It->second.covers(Lo, Hi);
   }
 
-  void add(const Value *Root, const Value *Bounds, int64_t Lo, int64_t Hi) {
-    Key K(Root, Bounds);
-    Undo.emplace_back(K, Facts[K]); // Snapshot for scope rollback.
-    Facts[K].add(Lo, Hi);
+  void add(const Key &K, int64_t Lo, int64_t Hi) {
+    if (Lo >= Hi)
+      return;
+    IntervalSet &S = Facts[K];
+    Undo.emplace_back(K, S); // Snapshot for rollback.
+    S.add(Lo, Hi);
   }
 
-private:
+  size_t mark() const { return Undo.size(); }
+
   void rollbackTo(size_t Mark) {
     while (Undo.size() > Mark) {
       Facts[Undo.back().first] = std::move(Undo.back().second);
@@ -128,6 +129,7 @@ private:
     }
   }
 
+private:
   std::map<Key, IntervalSet> Facts;
   std::vector<std::pair<Key, IntervalSet>> Undo;
 };

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Dominance-based redundant spatial-check elimination. A preorder walk of
-/// the dominator tree carries two scoped fact tables:
+/// the dominator tree (walkDomTree) carries two ScopedFacts tables:
 ///
 ///   * Exact facts: proven intervals keyed by the checked pointer SSA
 ///     value itself — a later check on the same SSA pointer with an
@@ -43,33 +43,48 @@ bool softbound::instDominates(const DomTree &DT, const InstOrder &Ord,
 
 namespace {
 
-/// The recursive dominator-tree walk. Facts live in the two ProvenRanges
-/// tables; FuncPtrSeen deduplicates function-pointer encoding checks.
+using ValuePair = std::pair<const Value *, const Value *>;
+
+/// The dominator-tree walk. Facts live in the two ScopedFacts tables;
+/// FuncPtrSeen deduplicates function-pointer encoding checks.
 class RCEWalker {
 public:
   RCEWalker(Function &F, const CheckOptConfig &Cfg, CheckOptStats &Stats)
       : F(F), DT(F), Cfg(Cfg), Stats(Stats) {}
 
-  void run() { walk(F.entry()); }
+  void run();
 
 private:
-  void walk(BasicBlock *BB);
+  /// What a block adds to the walk state, undone when its subtree is done.
+  struct Scope {
+    size_t ExactMark, RangedMark;
+    std::vector<ValuePair> FuncPtr;
+  };
+  Scope enter(BasicBlock *BB);
 
   Function &F;
   DomTree DT;
   const CheckOptConfig &Cfg;
   CheckOptStats &Stats;
 
-  ProvenRanges Exact; ///< Keyed by (checked pointer SSA value, bounds).
-  ProvenRanges Ranged; ///< Keyed by (decomposed root, bounds).
-  std::set<std::pair<const Value *, const Value *>> FuncPtrSeen;
+  ScopedFacts<ValuePair> Exact;  ///< Keyed by (checked pointer, bounds).
+  ScopedFacts<ValuePair> Ranged; ///< Keyed by (decomposed root, bounds).
+  std::set<ValuePair> FuncPtrSeen;
 };
 
-void RCEWalker::walk(BasicBlock *BB) {
-  ProvenRanges::Scope ExactScope(Exact);
-  ProvenRanges::Scope RangedScope(Ranged);
-  std::vector<std::pair<const Value *, const Value *>> LocalFuncPtr;
+void RCEWalker::run() {
+  walkDomTree(
+      DT, F.entry(), [&](BasicBlock *BB) { return enter(BB); },
+      [&](BasicBlock *, Scope &S) {
+        Exact.rollbackTo(S.ExactMark);
+        Ranged.rollbackTo(S.RangedMark);
+        for (const ValuePair &Key : S.FuncPtr)
+          FuncPtrSeen.erase(Key);
+      });
+}
 
+RCEWalker::Scope RCEWalker::enter(BasicBlock *BB) {
+  Scope S{Exact.mark(), Ranged.mark(), {}};
   for (auto It = BB->begin(); It != BB->end();) {
     Instruction *I = It->get();
 
@@ -78,14 +93,14 @@ void RCEWalker::walk(BasicBlock *BB) {
       Value *B = Chk->bounds();
       int64_t Size = static_cast<int64_t>(Chk->accessSize());
 
-      if (Cfg.EliminateDominated && Exact.covers(P, B, 0, Size)) {
+      if (Cfg.EliminateDominated && Exact.covers({P, B}, 0, Size)) {
         It = BB->erase(It);
         ++Stats.DominatedEliminated;
         continue;
       }
       PtrOffset PO = decomposePointer(P);
       if (Cfg.RangeSubsumption &&
-          Ranged.covers(PO.Root, B, PO.Offset, PO.Offset + Size)) {
+          Ranged.covers({PO.Root, B}, PO.Offset, PO.Offset + Size)) {
         It = BB->erase(It);
         ++Stats.RangeEliminated;
         continue;
@@ -96,9 +111,9 @@ void RCEWalker::walk(BasicBlock *BB) {
       // a fact: nothing guarantees it executed.
       if (!Chk->isGuarded()) {
         if (Cfg.EliminateDominated)
-          Exact.add(P, B, 0, Size);
+          Exact.add({P, B}, 0, Size);
         if (Cfg.RangeSubsumption)
-          Ranged.add(PO.Root, B, PO.Offset, PO.Offset + Size);
+          Ranged.add({PO.Root, B}, PO.Offset, PO.Offset + Size);
       }
       ++It;
       continue;
@@ -106,27 +121,21 @@ void RCEWalker::walk(BasicBlock *BB) {
 
     if (auto *FPC = dyn_cast<FuncPtrCheckInst>(I);
         FPC && Cfg.EliminateDominated) {
-      auto Key = std::make_pair(static_cast<const Value *>(FPC->pointer()),
-                                static_cast<const Value *>(FPC->bounds()));
+      ValuePair Key(FPC->pointer(), FPC->bounds());
       if (FuncPtrSeen.count(Key)) {
         It = BB->erase(It);
         ++Stats.FuncPtrEliminated;
         continue;
       }
       FuncPtrSeen.insert(Key);
-      LocalFuncPtr.push_back(Key);
+      S.FuncPtr.push_back(Key);
       ++It;
       continue;
     }
 
     ++It;
   }
-
-  for (BasicBlock *Child : DT.children(BB))
-    walk(Child);
-
-  for (const auto &Key : LocalFuncPtr)
-    FuncPtrSeen.erase(Key);
+  return S;
 }
 
 } // namespace

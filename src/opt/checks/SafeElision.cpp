@@ -26,56 +26,22 @@
 //===----------------------------------------------------------------------===//
 
 #include "opt/checks/CheckOpt.h"
+#include "opt/checks/RangeAnalysis.h"
 #include "support/Casting.h"
 
 using namespace softbound;
 
 namespace {
 
-/// CCured-SAFE-style static proof: \p Ptr is a constant offset into an
-/// object of known size and [offset, offset+AccessSize) is in bounds.
+/// CCured-SAFE-style static proof: \p Ptr is a constant offset into a
+/// stack or global object and [offset, offset+AccessSize) is in bounds.
 bool staticallyInBounds(Value *Ptr, uint64_t AccessSize) {
-  uint64_t Offset = 0;
-  Value *Cur = Ptr;
-  for (int Depth = 0; Depth < 16; ++Depth) {
-    if (auto *BC = dyn_cast<CastInst>(Cur);
-        BC && BC->opcode() == CastInst::Op::Bitcast) {
-      Cur = BC->source();
-      continue;
-    }
-    if (auto *GI = dyn_cast<GEPInst>(Cur)) {
-      // All indices must be constants to accumulate a static offset.
-      Type *Ty = GI->sourceType();
-      auto *First = dyn_cast<ConstantInt>(GI->index(0));
-      if (!First || First->value() < 0)
-        return false;
-      Offset += static_cast<uint64_t>(First->value()) * Ty->sizeInBytes();
-      for (unsigned K = 1; K < GI->numIndices(); ++K) {
-        auto *CI = dyn_cast<ConstantInt>(GI->index(K));
-        if (!CI || CI->value() < 0)
-          return false;
-        if (auto *AT = dyn_cast<ArrayType>(Ty)) {
-          if (static_cast<uint64_t>(CI->value()) >= AT->count())
-            return false;
-          Offset += static_cast<uint64_t>(CI->value()) *
-                    AT->element()->sizeInBytes();
-          Ty = AT->element();
-          continue;
-        }
-        auto *ST = cast<StructType>(Ty);
-        Offset += ST->fieldOffset(static_cast<unsigned>(CI->value()));
-        Ty = ST->field(static_cast<unsigned>(CI->value()));
-      }
-      Cur = GI->pointer();
-      continue;
-    }
-    // Base object with statically known size?
-    if (auto *AI = dyn_cast<AllocaInst>(Cur))
-      return Offset + AccessSize <= AI->allocatedType()->sizeInBytes();
-    if (auto *G = dyn_cast<GlobalVariable>(Cur))
-      return Offset + AccessSize <= G->valueType()->sizeInBytes();
-    return false;
-  }
+  checkopt::PtrOffset PO = checkopt::constantObjectOffset(Ptr);
+  uint64_t End = static_cast<uint64_t>(PO.Offset) + AccessSize;
+  if (auto *AI = dyn_cast<AllocaInst>(PO.Root))
+    return End <= AI->allocatedType()->sizeInBytes();
+  if (auto *G = dyn_cast<GlobalVariable>(PO.Root))
+    return End <= G->valueType()->sizeInBytes();
   return false;
 }
 

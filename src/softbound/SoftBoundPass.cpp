@@ -76,7 +76,7 @@ private:
   void handleLoad(LoadInst *LI, BasicBlock *BB, BasicBlock::iterator It);
   void handleStore(StoreInst *SI, BasicBlock *BB, BasicBlock::iterator It);
   void handleGEP(GEPInst *GI, BasicBlock *BB, BasicBlock::iterator It);
-  void handleCast(CastInst *CI, BasicBlock *BB, BasicBlock::iterator It);
+  void handleCast(CastInst *CI);
   void handleSelect(SelectInst *SI, BasicBlock *BB, BasicBlock::iterator It);
   void handlePhi(PhiInst *PI, BasicBlock *BB, BasicBlock::iterator It);
   void handleRet(RetInst *RI, BasicBlock *BB, BasicBlock::iterator It);
@@ -287,26 +287,13 @@ void SoftBoundTransform::handleStore(StoreInst *SI, BasicBlock *BB,
 void SoftBoundTransform::handleGEP(GEPInst *GI, BasicBlock *BB,
                                    BasicBlock::iterator It) {
   // §3.1: pointer arithmetic inherits bounds — except struct-field
-  // derivations, which shrink to the field (sub-object protection).
-  if (!Cfg.ShrinkBounds || !GI->isStructFieldAccess()) {
+  // derivations, which shrink to the field (sub-object protection): the
+  // index prefix ending at the last struct-field step gives the bounds
+  // [&field, &field + sizeof(field)).
+  unsigned LastStructStep = Cfg.ShrinkBounds ? GI->lastFieldStep() : 0;
+  if (LastStructStep == 0) {
     BoundsOf[GI] = getBounds(GI->pointer());
     return;
-  }
-
-  // Find the index prefix ending at the last struct-field step; the bounds
-  // become [&field, &field + sizeof(field)).
-  Type *Cur = GI->sourceType();
-  unsigned LastStructStep = 0; // Index position of the last struct step.
-  for (unsigned K = 1; K < GI->numIndices(); ++K) {
-    if (auto *AT = dyn_cast<ArrayType>(Cur)) {
-      Cur = AT->element();
-      continue;
-    }
-    auto *ST = cast<StructType>(Cur);
-    unsigned FieldIdx =
-        static_cast<unsigned>(cast<ConstantInt>(GI->index(K))->value());
-    Cur = ST->field(FieldIdx);
-    LastStructStep = K;
   }
 
   std::vector<Value *> Prefix;
@@ -330,8 +317,7 @@ void SoftBoundTransform::handleGEP(GEPInst *GI, BasicBlock *BB,
   ++Stats.BoundsShrunk;
 }
 
-void SoftBoundTransform::handleCast(CastInst *CI, BasicBlock *BB,
-                                    BasicBlock::iterator It) {
+void SoftBoundTransform::handleCast(CastInst *CI) {
   if (!CI->type()->isPointer())
     return;
   if (CI->opcode() == CastInst::Op::Bitcast) {
@@ -620,7 +606,7 @@ void SoftBoundTransform::instrumentFunction(Function &F) {
         ++It;
         break;
       case ValueKind::Cast:
-        handleCast(cast<CastInst>(I), BB, It);
+        handleCast(cast<CastInst>(I));
         ++It;
         break;
       case ValueKind::Select:

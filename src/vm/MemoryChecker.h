@@ -29,15 +29,17 @@ public:
   virtual const char *name() const = 0;
 
   /// Object lifetime events.
-  virtual void onAlloc(ObjectRegion Region, uint64_t Addr, uint64_t Size) {}
-  virtual void onFree(ObjectRegion Region, uint64_t Addr, uint64_t Size) {}
+  virtual void onAlloc(ObjectRegion /*Region*/, uint64_t /*Addr*/,
+                       uint64_t /*Size*/) {}
+  virtual void onFree(ObjectRegion /*Region*/, uint64_t /*Addr*/,
+                      uint64_t /*Size*/) {}
 
   /// Validates one access; false = spatial violation detected.
   virtual bool checkAccess(uint64_t Addr, uint64_t Size, bool IsStore) = 0;
 
   /// Validates pointer arithmetic deriving To from From (object-table
   /// schemes check derivations; others accept everything).
-  virtual bool checkDerive(uint64_t From, uint64_t To) { return true; }
+  virtual bool checkDerive(uint64_t /*From*/, uint64_t /*To*/) { return true; }
 
   /// Simulated instruction cost charged per validated access.
   virtual uint64_t accessCost() const = 0;

@@ -727,14 +727,12 @@ void VMExec::execute(Instruction &I, Frame &Fr) {
     uint64_t Base = eval(Fr, G.pointer()).A;
     uint64_t Addr = Base;
     Type *Cur = G.sourceType();
-    Addr += static_cast<uint64_t>(
-        static_cast<int64_t>(eval(Fr, G.index(0)).A) *
-        static_cast<int64_t>(Cur->sizeInBytes()));
+    // Wrapping uint64_t arithmetic: the modular address real hardware
+    // computes, with no host overflow for any index.
+    Addr += eval(Fr, G.index(0)).A * Cur->sizeInBytes();
     for (unsigned K = 1; K < G.numIndices(); ++K) {
       if (auto *AT = dyn_cast<ArrayType>(Cur)) {
-        Addr += static_cast<uint64_t>(
-            static_cast<int64_t>(eval(Fr, G.index(K)).A) *
-            static_cast<int64_t>(AT->element()->sizeInBytes()));
+        Addr += eval(Fr, G.index(K)).A * AT->element()->sizeInBytes();
         Cur = AT->element();
         continue;
       }

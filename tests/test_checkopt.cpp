@@ -89,22 +89,6 @@ TEST(IntervalSet, MergesAdjacentAndOverlapping) {
   EXPECT_TRUE(S.covers(-8, -5));
 }
 
-TEST(ProvenRanges, ScopeRollbackDropsInnerFacts) {
-  checkopt::ProvenRanges PR;
-  int RootA, BoundsA; // Addresses stand in for Value pointers.
-  const Value *R = reinterpret_cast<Value *>(&RootA);
-  const Value *B = reinterpret_cast<Value *>(&BoundsA);
-  checkopt::ProvenRanges::Scope Outer(PR);
-  PR.add(R, B, 0, 8);
-  {
-    checkopt::ProvenRanges::Scope Inner(PR);
-    PR.add(R, B, 8, 16);
-    EXPECT_TRUE(PR.covers(R, B, 0, 16));
-  }
-  EXPECT_TRUE(PR.covers(R, B, 0, 8));
-  EXPECT_FALSE(PR.covers(R, B, 8, 16)) << "inner-scope fact must roll back";
-}
-
 TEST(RangeAnalysis, DecomposesConstantGEPChains) {
   Module M;
   TypeContext &Ctx = M.ctx();
@@ -122,6 +106,208 @@ TEST(RangeAnalysis, DecomposesConstantGEPChains) {
   checkopt::PtrOffset PO = checkopt::decomposePointer(G2);
   EXPECT_EQ(PO.Root, P);
   EXPECT_EQ(PO.Offset, 12);
+}
+
+//===----------------------------------------------------------------------===//
+// PointerWalk: the shared GEP layout walk under each caller's policy
+//===----------------------------------------------------------------------===//
+
+/// Probe IR for the pointer-walk cases. Inner = {i8 c, i64 d} (16 bytes,
+/// d at 8) and Outer = {i32 a, [3 x Inner] arr} (56 bytes, arr at 8), each
+/// case built once per root: an Outer* argument, an alloca, a global and
+/// a malloc(56).
+struct WalkFixture {
+  Module M;
+  IRBuilder B{M};
+  StructType *Inner = nullptr, *Outer = nullptr;
+  BasicBlock *BB = nullptr;
+  Argument *I32Arg = nullptr;
+  Value *Idx = nullptr; ///< sext(I32Arg) to i64.
+  /// (pointer a case starts from, the object root the walks should reach)
+  std::vector<std::pair<Value *, Value *>> Roots;
+
+  WalkFixture() {
+    TypeContext &Ctx = M.ctx();
+    Inner = Ctx.createStruct("inner");
+    Inner->setBody({Ctx.i8(), Ctx.i64()}, {"c", "d"}, false);
+    Outer = Ctx.createStruct("outer");
+    Outer->setBody({Ctx.i32(), Ctx.arrayOf(Inner, 3)}, {"a", "arr"}, false);
+    Function *Malloc = M.createFunction(
+        "malloc", Ctx.funcTy(Ctx.ptrTo(Ctx.i8()), {Ctx.i64()}), true);
+    Function *F = M.createFunction(
+        "probe", Ctx.funcTy(Ctx.voidTy(), {Ctx.ptrTo(Outer), Ctx.i32()}));
+    BB = F->createBlock("entry");
+    B.setInsertPoint(BB);
+    I32Arg = F->arg(1);
+    Idx = B.castOp(CastInst::Op::SExt, I32Arg, Ctx.i64(), "idx");
+    Value *Alloca = B.alloca_(Outer, "obj");
+    Value *Global = M.createGlobal("g", Outer, {});
+    CallInst *Heap = B.call(Malloc, {M.constI64(56)}, "heap");
+    Roots = {{F->arg(0), F->arg(0)},
+             {Alloca, Alloca},
+             {Global, Global},
+             {B.bitcast(Heap, Ctx.ptrTo(Outer)), Heap}};
+  }
+
+  Value *bytes(Value *Root) {
+    return B.bitcast(Root, M.ctx().ptrTo(M.ctx().i8()));
+  }
+  Value *c(int64_t V) { return M.constI64(V); }
+};
+
+struct WalkCase {
+  const char *Name;
+  /// Builds the checked pointer from an Outer* \p Root and sets \p Stop
+  /// to the GEP that a walk rejecting one of its steps ends on.
+  Value *(*Build)(WalkFixture &W, Value *Root, Value *&Stop);
+  int64_t Offset;     ///< Constant bytes past the object root.
+  int64_t Scale;      ///< Bytes per unit of I32Arg (decomposeLinearPtr).
+  bool ConstFolds;    ///< decomposePointer reaches the object root.
+  bool ObjectFolds;   ///< constantObjectOffset reaches it.
+  bool LinearFolds;   ///< decomposeLinearPtr reaches it.
+  int64_t StopOffset; ///< Bytes past Stop for the walks that stop there.
+};
+
+constexpr int64_t Cap = checkopt::MaxFoldedOffset;
+
+const WalkCase WalkCases[] = {
+    {"NestedStructInArrayInStruct",
+     [](WalkFixture &W, Value *R, Value *&Stop) -> Value * {
+       // &r->arr[2].d = 8 + 2 * 16 + 8.
+       return Stop = W.B.gep(W.Outer, R, {W.c(0), W.c(1), W.c(2), W.c(1)});
+     },
+     48, 0, true, true, true, 0},
+    {"FieldAfterVariableIndex",
+     [](WalkFixture &W, Value *R, Value *&Stop) -> Value * {
+       // &r->arr[i].d = 8 + 16 * i + 8.
+       return Stop = W.B.gep(W.Outer, R, {W.c(0), W.c(1), W.Idx, W.c(1)});
+     },
+     16, 16, false, false, true, 0},
+    {"NegativeLeadingIndex",
+     [](WalkFixture &W, Value *R, Value *&Stop) -> Value * {
+       return Stop = W.B.gep(W.Outer, R, {W.c(-1), W.c(0)});
+     },
+     -56, 0, true, false, true, 0},
+    {"NegativeArrayIndex",
+     [](WalkFixture &W, Value *R, Value *&Stop) -> Value * {
+       // &r->arr[-1].d = 8 - 16 + 8: inside the object, but not a
+       // sub-object step constantObjectOffset accepts.
+       return Stop = W.B.gep(W.Outer, R, {W.c(0), W.c(1), W.c(-1), W.c(1)});
+     },
+     0, 0, true, false, true, 0},
+    {"ArrayIndexPastCount",
+     [](WalkFixture &W, Value *R, Value *&Stop) -> Value * {
+       return Stop = W.B.gep(W.Outer, R, {W.c(0), W.c(1), W.c(3), W.c(0)});
+     },
+     56, 0, true, false, true, 0},
+    {"FieldPastStruct",
+     [](WalkFixture &W, Value *R, Value *&Stop) -> Value * {
+       // Outer has two fields; the builder would reject index 2.
+       auto *G = new GEPInst(W.M.ctx().ptrTo(W.M.ctx().i8()), W.Outer, R,
+                             {W.c(0), W.c(2)}, "bad");
+       W.BB->append(std::unique_ptr<Instruction>(G));
+       return Stop = G;
+     },
+     0, 0, false, false, false, 0},
+    {"OffsetAtCap",
+     [](WalkFixture &W, Value *R, Value *&Stop) -> Value * {
+       return Stop = W.B.gep(W.M.ctx().i8(), W.bytes(R), {W.c(Cap)});
+     },
+     Cap, 0, true, true, true, 0},
+    {"OffsetPastCap",
+     [](WalkFixture &W, Value *R, Value *&Stop) -> Value * {
+       return Stop = W.B.gep(W.M.ctx().i8(), W.bytes(R), {W.c(Cap + 1)});
+     },
+     0, 0, false, false, false, 0},
+    {"CapCrossedAcrossTwoGEPs",
+     [](WalkFixture &W, Value *R, Value *&Stop) -> Value * {
+       Stop = W.B.gep(W.M.ctx().i8(), W.bytes(R), {W.c(Cap)});
+       return W.B.gep(W.M.ctx().i8(), Stop, {W.c(1)});
+     },
+     0, 0, false, false, false, 1},
+};
+
+TEST(PointerWalk, EachCallerKeepsItsPolicy) {
+  for (const WalkCase &C : WalkCases) {
+    SCOPED_TRACE(C.Name);
+    WalkFixture W;
+    for (auto [Start, Object] : W.Roots) {
+      Value *Stop = nullptr;
+      Value *P = C.Build(W, Start, Stop);
+      SCOPED_TRACE(Object->name());
+
+      checkopt::PtrOffset PO = checkopt::decomposePointer(P);
+      EXPECT_EQ(PO.Root, C.ConstFolds ? Object : Stop);
+      EXPECT_EQ(PO.Offset, C.ConstFolds ? C.Offset : C.StopOffset);
+
+      checkopt::LinearPtr L = checkopt::decomposeLinearPtr(P);
+      EXPECT_EQ(L.Root, C.LinearFolds ? Object : Stop);
+      EXPECT_EQ(L.Base, C.LinearFolds ? C.Offset : C.StopOffset);
+      EXPECT_EQ(L.Scale, C.LinearFolds ? C.Scale : 0);
+      EXPECT_EQ(L.Index, L.Scale ? W.I32Arg : nullptr);
+
+      // The SAFE elision accepts an alloca or global root here, and
+      // partitioning a malloc call; any other root (a GEP that breaks the
+      // object rule, the argument) is neither.
+      checkopt::PtrOffset OO = checkopt::constantObjectOffset(P);
+      EXPECT_EQ(OO.Root, C.ObjectFolds ? Object : Stop);
+      EXPECT_EQ(OO.Offset, C.ObjectFolds ? C.Offset : C.StopOffset);
+    }
+  }
+}
+
+TEST(PointerWalk, ScopedFactsRollBackAcrossALeave) {
+  // entry -> {left, right} -> join: the dominator tree is entry over its
+  // three successors (in reverse postorder: right, left, join), so a fact
+  // proven in left is gone again in join.
+  Module M;
+  Function *F = M.createFunction("f", M.ctx().funcTy(M.ctx().voidTy(), {}));
+  BasicBlock *Entry = F->createBlock("entry");
+  BasicBlock *Left = F->createBlock("left");
+  BasicBlock *Right = F->createBlock("right");
+  BasicBlock *Join = F->createBlock("join");
+  IRBuilder B(M);
+  B.setInsertPoint(Entry);
+  B.condBr(M.constI1(true), Left, Right);
+  for (BasicBlock *Arm : {Left, Right}) {
+    B.setInsertPoint(Arm);
+    B.br(Join);
+  }
+  B.setInsertPoint(Join);
+  B.ret();
+  DomTree DT(*F);
+
+  using Key = std::pair<int, int>;
+  checkopt::ScopedFacts<Key> Facts;
+  const Key K{1, 2};
+  std::string Order;
+  auto Name = [&](BasicBlock *BB) {
+    return BB == Entry ? "entry" : BB == Left ? "left"
+                               : BB == Right ? "right" : "join";
+  };
+  walkDomTree(
+      DT, Entry,
+      [&](BasicBlock *BB) {
+        Order += std::string("+") + Name(BB);
+        size_t Mark = Facts.mark();
+        if (BB == Entry)
+          Facts.add(K, 0, 8);
+        if (BB == Left) {
+          Facts.add(K, 8, 16);
+          EXPECT_TRUE(Facts.covers(K, 0, 16)) << "merged with entry's fact";
+        }
+        if (BB == Right || BB == Join) {
+          EXPECT_TRUE(Facts.covers(K, 0, 8)) << "the dominator's fact stays";
+          EXPECT_FALSE(Facts.covers(K, 8, 16)) << "left's fact rolled back";
+        }
+        return Mark;
+      },
+      [&](BasicBlock *BB, size_t Mark) {
+        Facts.rollbackTo(Mark);
+        Order += std::string("-") + Name(BB);
+      });
+  EXPECT_EQ(Order, "+entry+right-right+left-left+join-join-entry");
+  EXPECT_FALSE(Facts.covers(K, 0, 8)) << "every scope was left";
 }
 
 //===----------------------------------------------------------------------===//

@@ -8,8 +8,8 @@
 /// Unit tests of the execution substrate: the simulated memory's heap
 /// allocator (adjacency, free-list reuse, red-zone padding), segment
 /// fault behaviour and demand-zero backing, the VM's refusal of images
-/// whose globals do not fit, and the control-data corruption detection
-/// that the attack suite relies on.
+/// whose globals do not fit, the control-data corruption detection
+/// that the attack suite relies on, and wrapping GEP address arithmetic.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -341,6 +341,30 @@ TEST(VMCounters, MaxFrameDepthTracksRecursion) {
                          "int main() { return f(40); }");
   EXPECT_EQ(R.ExitCode, 40);
   EXPECT_GE(R.Counters.MaxFrameDepth, 41u);
+}
+
+//===----------------------------------------------------------------------===//
+// GEP address arithmetic
+//===----------------------------------------------------------------------===//
+
+TEST(VMGEP, IndexTimesSizeWrapsModulo2To64) {
+  // (2^62 + 1) * 4 wraps to 4, so a[i] reads a[1]: the modular address
+  // real hardware computes, with no host overflow, and the same exit
+  // code whether or not the access is checked or its check elided.
+  const char *Src = "int a[4];\n"
+                    "int main() {\n"
+                    "  a[1] = 7;\n"
+                    "  long i = 4611686018427387905;\n"
+                    "  return a[i];\n"
+                    "}";
+  for (const char *Spec : {"optimize", "optimize,softbound,checkopt",
+                           "optimize,softbound,checkopt,safe-elision"}) {
+    PipelinePlan Plan;
+    ASSERT_TRUE(Plan.frontend(Src).appendSpec(Spec)) << Spec;
+    RunResult R = runSession(Plan, {}).Combined;
+    EXPECT_EQ(R.Trap, TrapKind::None) << Spec << ": " << trapName(R.Trap);
+    EXPECT_EQ(R.ExitCode, 7) << Spec;
+  }
 }
 
 } // namespace

@@ -463,8 +463,11 @@ bool PipelinePlan::appendSpec(const std::string &Spec, std::string *ErrOut) {
 
 std::string PipelinePlan::spec() const {
   std::string S;
-  for (size_t I = 0; I < Passes.size(); ++I)
-    S += (I ? "," : "") + Passes[I]->spec();
+  for (size_t I = 0; I < Passes.size(); ++I) {
+    if (I)
+      S += ',';
+    S += Passes[I]->spec();
+  }
   return S;
 }
 

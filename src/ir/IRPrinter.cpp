@@ -32,9 +32,10 @@ public:
     auto It = Names.find(V);
     if (It != Names.end())
       return It->second;
-    std::string N = "%" + (V->name().empty() ? std::to_string(Next++)
-                                             : V->name() + "." +
-                                                   std::to_string(Next++));
+    std::string N = "%";
+    if (!V->name().empty())
+      N += V->name() + ".";
+    N += std::to_string(Next++);
     Names[V] = N;
     return N;
   }

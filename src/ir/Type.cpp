@@ -59,14 +59,17 @@ std::string Type::str() const {
   switch (Kind) {
   case TypeKind::Void:
     return "void";
-  case TypeKind::Int:
-    return "i" + std::to_string(cast<IntType>(this)->bits());
+  case TypeKind::Int: {
+    std::string S = "i";
+    return S += std::to_string(cast<IntType>(this)->bits());
+  }
   case TypeKind::Pointer:
     return cast<PointerType>(this)->pointee()->str() + "*";
   case TypeKind::Array: {
     const auto *AT = cast<ArrayType>(this);
-    return "[" + std::to_string(AT->count()) + " x " +
-           AT->element()->str() + "]";
+    std::string S = "[";
+    S += std::to_string(AT->count());
+    return S += " x " + AT->element()->str() + "]";
   }
   case TypeKind::Struct:
     return "%" + cast<StructType>(this)->name();

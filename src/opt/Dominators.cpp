@@ -7,23 +7,36 @@
 #include "opt/Dominators.h"
 
 #include <algorithm>
-#include <functional>
 
 using namespace softbound;
 
 DomTree::DomTree(Function &F) {
-  // Postorder DFS from entry over successor edges.
+  // Postorder DFS from entry over successor edges, on an explicit stack
+  // so a deep CFG cannot exhaust the host stack. A block is marked on
+  // entry and emitted once all its successors are done: the order the
+  // recursive formulation yields.
   std::set<BasicBlock *> Visited;
   std::vector<BasicBlock *> Post;
-  std::function<void(BasicBlock *)> DFS = [&](BasicBlock *BB) {
-    if (!Visited.insert(BB).second)
-      return;
-    for (auto *S : BB->successors())
-      DFS(S);
-    Post.push_back(BB);
+  struct Visit {
+    BasicBlock *BB;
+    std::vector<BasicBlock *> Succs;
+    size_t Next = 0;
   };
+  std::vector<Visit> Stack;
   BasicBlock *Entry = F.entry();
-  DFS(Entry);
+  Visited.insert(Entry);
+  Stack.push_back({Entry, Entry->successors()});
+  while (!Stack.empty()) {
+    Visit &Top = Stack.back();
+    if (Top.Next < Top.Succs.size()) {
+      BasicBlock *S = Top.Succs[Top.Next++];
+      if (Visited.insert(S).second)
+        Stack.push_back({S, S->successors()}); // Invalidates Top.
+      continue;
+    }
+    Post.push_back(Top.BB);
+    Stack.pop_back();
+  }
 
   RPO.assign(Post.rbegin(), Post.rend());
   for (size_t I = 0; I < RPO.size(); ++I)

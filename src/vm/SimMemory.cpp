@@ -64,6 +64,17 @@ const uint8_t *SimMemory::resolve(uint64_t Addr, uint64_t N) const {
   return nullptr;
 }
 
+const uint8_t *SimMemory::span(uint64_t Addr, uint64_t &Avail) const {
+  for (const auto &[Base, Seg] : {std::pair{GlobalBase, &Globals},
+                                  std::pair{HeapBase, &Heap},
+                                  std::pair{StackBase, &Stack}})
+    if (Addr >= Base && Addr - Base < Seg->size()) {
+      Avail = Seg->size() - (Addr - Base);
+      return Seg->data() + (Addr - Base);
+    }
+  return nullptr;
+}
+
 bool SimMemory::read(uint64_t Addr, unsigned Size, uint64_t &Out) const {
   const uint8_t *P = resolve(Addr, Size);
   if (!P)
@@ -111,6 +122,30 @@ bool SimMemory::writeBytes(uint64_t Addr, uint64_t N, const uint8_t *In) {
 
 bool SimMemory::accessible(uint64_t Addr, uint64_t N) const {
   return resolve(Addr, N) != nullptr;
+}
+
+bool SimMemory::stringLength(uint64_t Addr, uint64_t Limit,
+                             uint64_t &Len) const {
+  // Segments neither overlap nor abut: a string ends inside the segment
+  // it starts in, or runs off mapped memory.
+  uint64_t Avail = 0;
+  const uint8_t *P = span(Addr, Avail);
+  if (!P)
+    return false;
+  uint64_t N = Avail < Limit ? Avail : Limit;
+  if (Concurrent) {
+    for (uint64_t I = 0; I < N; ++I)
+      if (__atomic_load_n(P + I, __ATOMIC_RELAXED) == 0) {
+        Len = I;
+        return true;
+      }
+    return false;
+  }
+  const void *Nul = std::memchr(P, 0, N);
+  if (!Nul)
+    return false;
+  Len = static_cast<uint64_t>(static_cast<const uint8_t *>(Nul) - P);
+  return true;
 }
 
 uint64_t SimMemory::allocateGlobal(uint64_t Size, uint64_t Align) {

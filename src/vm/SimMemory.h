@@ -66,6 +66,11 @@ public:
   /// True if [Addr, Addr+N) lies entirely inside one mapped segment.
   bool accessible(uint64_t Addr, uint64_t N) const;
 
+  /// Sets \p Len to the length of the NUL-terminated string at \p Addr.
+  /// False when no NUL lies within the first \p Limit bytes, or the
+  /// bytes before one run off mapped memory.
+  bool stringLength(uint64_t Addr, uint64_t Limit, uint64_t &Len) const;
+
   //===--------------------------------------------------------------------===//
   // Globals
   //===--------------------------------------------------------------------===//
@@ -146,6 +151,9 @@ private:
   };
 
   const uint8_t *resolve(uint64_t Addr, uint64_t N) const;
+  /// The host bytes at \p Addr and the mapped bytes from there to the
+  /// end of its segment (\p Avail), or null when \p Addr is unmapped.
+  const uint8_t *span(uint64_t Addr, uint64_t &Avail) const;
   uint8_t *resolve(uint64_t Addr, uint64_t N) {
     return const_cast<uint8_t *>(
         static_cast<const SimMemory *>(this)->resolve(Addr, N));

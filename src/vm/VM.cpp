@@ -7,9 +7,9 @@
 #include "vm/VM.h"
 
 #include "support/Compiler.h"
+#include "support/RNG.h"
 
 #include <cstring>
-#include <deque>
 #include <thread>
 
 using namespace softbound;
@@ -146,7 +146,150 @@ constexpr uint64_t JmpMagic = 0x4A4D'5042'5546'4D41ULL;
 
 } // namespace
 
+//===----------------------------------------------------------------------===//
+// The decoded form
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// One pre-resolved operand: a register of the running frame (Slot >= 0)
+/// or an immediate (constants, global and function addresses).
+struct DOperand {
+  int32_t Slot = -1;
+  uint64_t Imm = 0;
+};
+
+/// Decoded opcodes: the IR kinds with the BinOp, ICmp and Cast
+/// sub-operations and the check's guard folded in, so that one dispatch
+/// selects the handler.
+enum class Op : uint8_t {
+  Load,
+  Store,
+  GEP,
+  // BinOp, in BinOpInst::Op order.
+  Add,
+  Sub,
+  Mul,
+  SDiv,
+  UDiv,
+  SRem,
+  URem,
+  And,
+  Or,
+  Xor,
+  Shl,
+  LShr,
+  AShr,
+  // ICmp, in ICmpInst::Pred order.
+  CmpEQ,
+  CmpNE,
+  CmpSLT,
+  CmpSLE,
+  CmpSGT,
+  CmpSGE,
+  CmpULT,
+  CmpULE,
+  CmpUGT,
+  CmpUGE,
+  CastCopy,  ///< Bitcast, IntToPtr: the word as is.
+  CastCanon, ///< PtrToInt, Trunc, SExt: sign-extended from Bits.
+  CastZExt,  ///< ZExt: zero-extended from the source's Bits.
+  Select,
+  Call,
+  Ret,
+  Br,
+  CondBr,
+  Unreachable,
+  MakeBounds,
+  Check,
+  GuardedCheck,
+  FuncPtrCheck,
+  MetaLoad,
+  MetaStore,
+  PackPB,
+  ExtractPtr,
+  ExtractBounds,
+};
+
+static_assert(static_cast<int>(Op::AShr) - static_cast<int>(Op::Add) ==
+                  static_cast<int>(BinOpInst::Op::AShr),
+              "BinOp opcodes decode by offset from Op::Add");
+static_assert(static_cast<int>(Op::CmpUGE) - static_cast<int>(Op::CmpEQ) ==
+                  static_cast<int>(ICmpInst::Pred::UGE),
+              "ICmp predicates decode by offset from Op::CmpEQ");
+
+/// One decoded instruction. Ops, Aux/NAux, Size and Flag mean what the
+/// opcode's handler in VMExec::interpret reads from them.
+struct DInst {
+  Op Code = Op::Unreachable;
+  uint8_t Bits = 64; ///< Integer width of the result, or of the operands
+                     ///< of a compare or zext.
+  bool Flag = false; ///< Load/Store: a pointer value. Check: a store
+                     ///< check. Ret: returns a value.
+  int32_t Dst = -1;  ///< Result register, or -1.
+  uint32_t Aux = 0;  ///< First side-table entry: GEP steps, call
+                     ///< arguments, or the branch's edges.
+  uint32_t NAux = 0; ///< Side-table entries (GEP steps, call arguments).
+  uint64_t Size = 0; ///< Access size, or the GEP's constant offset.
+  DOperand Ops[3];
+  const DecodedFunction *Callee = nullptr; ///< Direct call target.
+  /// The source instruction: trap locations (where) and profile sites
+  /// (siteOf) only.
+  const Instruction *IR = nullptr;
+};
+
+/// A variable GEP index: address += Index * Scale.
+struct DStep {
+  DOperand Index;
+  uint64_t Scale = 0;
+};
+
+/// One phi assignment on a CFG edge.
+struct DMove {
+  int32_t Dst = -1;
+  DOperand Src;
+};
+
+/// One CFG edge: where it lands and the phi moves it performs.
+struct DEdge {
+  uint32_t Target = 0; ///< Code index of the successor's first instruction.
+  uint32_t Move = 0;   ///< First move in DecodedFunction::Moves.
+  uint32_t NMoves = 0;
+  /// A move reads a register an earlier move of the edge writes, so the
+  /// moves must read every source before writing any destination.
+  bool Parallel = false;
+};
+
+/// One alloca: its register and its place below the frame top.
+struct DLocal {
+  int32_t Slot = -1;
+  uint64_t Offset = 0; ///< Address = frame top - Offset.
+  uint64_t Size = 0;
+};
+
+} // namespace
+
 namespace softbound {
+
+/// One module function, decoded once at image load and shared read-only
+/// by every lane.
+struct DecodedFunction {
+  Function *F = nullptr;
+  Builtin B = Builtin::NotABuiltin;
+  /// A definition the VM runs; calls to anything else go to the builtin.
+  bool Callable = false;
+  unsigned NumArgs = 0;
+  unsigned NumRegs = 0;
+  /// Frame top to frame low: control words, locals, 16-byte rounding.
+  uint64_t FrameBytes = 0;
+  std::vector<DLocal> Locals; ///< Allocas, in declaration order.
+  /// Every instruction but allocas and phis; the entry block first.
+  std::vector<DInst> Code;
+  std::vector<DOperand> Args; ///< Call arguments.
+  std::vector<DStep> Steps;   ///< GEP variable indices.
+  std::vector<DEdge> Edges;   ///< Branch edges.
+  std::vector<DMove> Moves;   ///< Phi moves of the edges.
+};
 
 /// All per-run execution state. One VMExec per lane of a VM::runLanes
 /// call. The lane's stack slice and observation sinks are constructor
@@ -154,14 +297,14 @@ namespace softbound {
 /// shared config.
 class VMExec {
 public:
-  VMExec(VM &Owner, Module &M, VMConfig &Cfg, SimMemory &Mem,
-         uint64_t StackTop, uint64_t StackLimit, SiteProfile *Prof,
-         Telemetry *Telem, std::string TraceTag)
-      : Owner(Owner), M(M), Cfg(Cfg), Mem(Mem), StackTop(StackTop),
+  VMExec(VM &Owner, VMConfig &Cfg, SimMemory &Mem, uint64_t StackTop,
+         uint64_t StackLimit, SiteProfile *Prof, Telemetry *Telem,
+         std::string TraceTag)
+      : Owner(Owner), Cfg(Cfg), Mem(Mem), StackTop(StackTop),
         StackLimit(StackLimit), Prof(Prof), Telem(Telem),
         TraceTag(std::move(TraceTag)) {
     if (this->Prof)
-      this->Prof->ensure(M.checkSites().size());
+      this->Prof->ensure(Owner.M.checkSites().size());
   }
 
   RunResult run(const std::string &EntryName,
@@ -169,31 +312,27 @@ public:
 
 private:
   struct Frame {
-    Function *F = nullptr;
-    std::vector<VMVal> Regs;
-    BasicBlock *BB = nullptr;
-    BasicBlock::iterator IP;
-    BasicBlock *Prev = nullptr;
-    uint64_t FrameTop = 0;  ///< SP at call entry (exclusive top).
-    uint64_t FrameLow = 0;  ///< New SP after frame allocation.
-    uint64_t RetSlot = 0;   ///< Address of the return-address word.
-    uint64_t FPSlot = 0;    ///< Address of the saved-frame-pointer word.
-    uint64_t RetToken = 0;
+    const DecodedFunction *Fn = nullptr;
+    uint32_t PC = 0;       ///< Next instruction; saved while a callee runs.
+    int32_t RetDst = -1;   ///< Caller register receiving the return value.
+    size_t RegBase = 0;    ///< The frame's first register in Regs.
+    uint64_t FrameTop = 0; ///< SP at call entry (exclusive top).
+    uint64_t FrameLow = 0; ///< New SP after frame allocation.
     uint64_t SavedFP = 0;
     uint64_t Gen = 0;
-    const CallInst *CallSite = nullptr; ///< Call in the *caller* frame.
-    std::vector<VMVal> VarArgs;
-    std::vector<std::pair<uint64_t, uint64_t>> Allocas;
     uint64_t EntryCycle = 0; ///< C.Cycles at frame entry (trace events).
+
+    uint64_t retSlot() const { return FrameTop - 8; }
+    uint64_t fpSlot() const { return FrameTop - 16; }
+    uint64_t retToken() const { return RetTokenTag | Gen; }
   };
 
   struct JmpRecord {
     uint64_t Token;
     size_t FrameIdx;
     uint64_t FrameGen;
-    BasicBlock *BB;
-    BasicBlock::iterator IP;
-    int ResultSlot;
+    uint32_t PC;
+    int32_t ResultSlot;
   };
 
   //===--------------------------------------------------------------------===//
@@ -217,9 +356,8 @@ private:
     Halted = true;
   }
 
-  /// Pops frames until \p KeepIdx is the top, running the same alloca
-  /// bookkeeping as normal frame exit (checker onFree + metadata range
-  /// clears). Shared by longjmp and guard recovery.
+  /// Pops frames until \p KeepIdx is the top, releasing each like a
+  /// normal frame exit. Shared by longjmp and guard recovery.
   void unwindFramesAbove(size_t KeepIdx);
 
   /// Attempts to resume at the sb_guard record. Returns false when the
@@ -233,45 +371,31 @@ private:
     Halted = true;
   }
 
-  Function *funcAt(uint64_t Addr) const {
+  const DecodedFunction *funcAt(uint64_t Addr) const {
     if (Addr < FuncBase || (Addr - FuncBase) % FuncStride != 0)
       return nullptr;
     uint64_t Idx = (Addr - FuncBase) / FuncStride;
-    if (Idx >= Owner.FuncByIndex.size())
+    if (Idx >= Owner.Decoded.size())
       return nullptr;
-    return Owner.FuncByIndex[Idx];
+    return &Owner.Decoded[Idx];
   }
 
-  VMVal eval(const Frame &Fr, const Value *V) const {
-    switch (V->kind()) {
-    case ValueKind::ConstInt:
-      return {static_cast<uint64_t>(cast<ConstantInt>(V)->value()), 0, 0};
-    case ValueKind::ConstNull:
-    case ValueKind::ConstUndef:
-      return {0, 0, 0};
-    case ValueKind::Global:
-      return {Owner.GlobalAddr.at(cast<GlobalVariable>(V)), 0, 0};
-    case ValueKind::Func:
-      return {Owner.FuncAddr.at(cast<Function>(V)), 0, 0};
-    default:
-      assert(V->slot() >= 0 && "use of unregistered value");
-      return Fr.Regs[V->slot()];
-    }
+  /// The word of \p O in the frame whose registers start at \p Base.
+  uint64_t word(size_t Base, const DOperand &O) const {
+    return O.Slot >= 0 ? Regs[Base + O.Slot].A : O.Imm;
   }
-
-  void setResult(Frame &Fr, const Instruction &I, VMVal V) {
-    if (I.slot() >= 0)
-      Fr.Regs[I.slot()] = V;
+  VMVal value(size_t Base, const DOperand &O) const {
+    return O.Slot >= 0 ? Regs[Base + O.Slot] : VMVal{O.Imm, 0, 0};
   }
 
   /// The per-site profile row for \p I, or null in the disabled mode
   /// (no profile attached, or the instruction never got a site ID). One
   /// pointer test when profiling is off; never touches C.Cycles.
-  SiteCounters *siteOf(const Instruction &I) {
-    if (!Prof || I.site() < 0 ||
-        static_cast<size_t>(I.site()) >= Prof->Sites.size())
+  SiteCounters *siteOf(const DInst &I) {
+    if (!Prof || I.IR->site() < 0 ||
+        static_cast<size_t>(I.IR->site()) >= Prof->Sites.size())
       return nullptr;
-    return &Prof->Sites[I.site()];
+    return &Prof->Sites[I.IR->site()];
   }
 
   std::string traceName(const std::string &What) const {
@@ -283,26 +407,38 @@ private:
       Res.Output += S;
   }
 
-  std::string where(const Instruction &I) const {
-    return "@" + I.parent()->parent()->name() + "/" + I.parent()->name();
+  static std::string where(const DInst &I) {
+    const BasicBlock *BB = I.IR->parent();
+    return "@" + BB->parent()->name() + "/" + BB->name();
   }
 
   //===--------------------------------------------------------------------===//
   // Frames
   //===--------------------------------------------------------------------===//
 
-  bool pushFrame(Function *F, const std::vector<VMVal> &Args,
-                 const CallInst *CallSite);
+  /// Pushes a frame for \p Fn with zeroed registers and its allocas laid
+  /// out; the caller fills the arguments. \p RetDst is the caller's
+  /// result register. Returns false (having trapped) on overflow.
+  bool pushFrame(const DecodedFunction &Fn, int32_t RetDst);
+  /// Checks the frame's control words, then pops it.
+  void returnFrom(VMVal RetVal);
   void popFrame(VMVal RetVal);
+  /// The bookkeeping of a frame exit: checker frees and the §5.2
+  /// metadata clear of the frame's range.
+  void releaseFrame(const Frame &Fr);
 
   //===--------------------------------------------------------------------===//
   // Execution
   //===--------------------------------------------------------------------===//
 
-  void step();
-  void execute(Instruction &I, Frame &Fr);
-  void enterBlock(Frame &Fr, BasicBlock *To);
-  void execBuiltin(Frame &Fr, const CallInst &CI, Builtin B);
+  /// Runs the top frame's decoded code until the run halts.
+  void interpret();
+  /// Performs \p E's phi moves; returns its target code index.
+  uint32_t takeEdge(size_t Base, const DecodedFunction &Fn, const DEdge &E);
+  bool checkerAllows(const DInst &I, uint64_t Addr, bool IsStore);
+  bool spatialCheck(size_t Base, const DInst &I, SiteCounters *SC);
+  void execBuiltin(size_t Base, const DecodedFunction &Fn, const DInst &I,
+                   Builtin B);
 
   // Builtin helpers.
   /// Baseline-checker validation of a native (builtin) memory access —
@@ -321,12 +457,11 @@ private:
   }
   uint64_t simStrlenAt(uint64_t Addr, bool &Ok);
   bool wrapperCheckStore(uint64_t Ptr, uint64_t N, const VMVal &Bounds,
-                         const std::string &What);
+                         const char *What);
   bool wrapperCheckLoad(uint64_t Ptr, uint64_t N, const VMVal &Bounds,
-                        const std::string &What);
+                        const char *What);
 
-  VM &Owner;
-  Module &M;
+  const VM &Owner;
   VMConfig &Cfg;
   SimMemory &Mem;
   uint64_t StackTop;    ///< Exclusive top of this lane's stack slice.
@@ -335,7 +470,13 @@ private:
   Telemetry *Telem;     ///< This lane's telemetry sink; null = disabled.
   std::string TraceTag; ///< Trace-event name prefix for this lane.
 
-  std::deque<Frame> Frames;
+  std::vector<Frame> Frames;
+  /// The register stack: each frame's registers sit right above its
+  /// caller's. Grows on push, so no reference into it (or into Frames)
+  /// may be held across a pushFrame.
+  std::vector<VMVal> Regs;
+  std::vector<VMVal> PhiTmp;      ///< Sources of a parallel edge's moves.
+  std::vector<VMVal> BuiltinArgs; ///< Arguments of the running builtin.
   std::vector<JmpRecord> JmpRecords;
   RunResult Res;
   VMCounters &C = Res.Counters;
@@ -360,8 +501,7 @@ private:
 //===----------------------------------------------------------------------===//
 
 VM::VM(Module &M, VMConfig Config)
-    : M(M), Cfg(Config),
-      Mem(GlobalSize, HeapSize, StackSize), Rand(42) {
+    : M(M), Cfg(Config), Mem(GlobalSize, HeapSize, StackSize) {
   loadImage();
 }
 
@@ -379,11 +519,14 @@ uint64_t VM::globalAddress(const GlobalVariable *G) const {
 
 void VM::loadImage() {
   // Assign function addresses.
+  Decoded.resize(M.functions().size());
+  size_t Idx = 0;
   for (const auto &F : M.functions()) {
-    uint64_t Addr = FuncBase + FuncStride * FuncByIndex.size();
-    FuncByIndex.push_back(F.get());
-    FuncAddr[F.get()] = Addr;
-    BuiltinOf[F.get()] = static_cast<int>(builtinByName(F->name()));
+    DecodedFunction &D = Decoded[Idx];
+    FuncAddr[F.get()] = FuncBase + FuncStride * Idx++;
+    D.F = F.get();
+    D.B = builtinByName(F->name());
+    D.Callable = F->isDefinition() && !F->isBuiltin();
     if (F->isDefinition())
       F->renumber();
   }
@@ -430,6 +573,230 @@ void VM::loadImage() {
       Cfg.Checker->onAlloc(ObjectRegion::Global, Addr,
                            G->valueType()->sizeInBytes());
   }
+
+  // Decode every definition now that every address is known: lanes run
+  // on concurrent host threads and only ever read the decoded form.
+  for (DecodedFunction &D : Decoded)
+    if (D.F->isDefinition())
+      decode(D);
+}
+
+void VM::decode(DecodedFunction &D) const {
+  Function &F = *D.F;
+  D.NumArgs = F.numArgs();
+  D.NumRegs = F.numRegs();
+
+  auto Operand = [&](const Value *V) {
+    DOperand O;
+    switch (V->kind()) {
+    case ValueKind::ConstInt:
+      O.Imm = static_cast<uint64_t>(cast<ConstantInt>(V)->value());
+      break;
+    case ValueKind::ConstNull:
+    case ValueKind::ConstUndef:
+      break;
+    case ValueKind::Global:
+      O.Imm = GlobalAddr.at(cast<GlobalVariable>(V));
+      break;
+    case ValueKind::Func:
+      O.Imm = FuncAddr.at(cast<Function>(V));
+      break;
+    default:
+      assert(V->slot() >= 0 && "use of unregistered value");
+      O.Slot = V->slot();
+    }
+    return O;
+  };
+
+  // Frame layout, relative to a 16-aligned frame top (every frame top
+  // is one): allocas below the saved-FP word, in declaration order from
+  // high to low addresses. The first local sits closest to the control
+  // data, so an overflow of a later-declared buffer sweeps over earlier
+  // locals, then the saved FP, then the return address — the classic
+  // stack smash.
+  uint64_t Cur = 0 - 16ULL;
+  // Code index of each block's first instruction: allocas (laid out at
+  // frame entry) and phis (moved on the incoming edge) are not code.
+  std::unordered_map<const BasicBlock *, uint32_t> Start;
+  uint32_t N = 0;
+  for (const auto &BB : F.blocks()) {
+    Start[BB.get()] = N;
+    for (const auto &I : *BB) {
+      if (const auto *AI = dyn_cast<AllocaInst>(I.get())) {
+        Type *T = AI->allocatedType();
+        assert(T->alignment() <= 16 && "frame layout assumes align <= 16");
+        Cur -= T->sizeInBytes();
+        Cur &= ~(T->alignment() - 1);
+        D.Locals.push_back({AI->slot(), 0 - Cur, T->sizeInBytes()});
+      } else if (!isa<PhiInst>(I.get())) {
+        ++N;
+      }
+    }
+  }
+  D.FrameBytes = 0 - (Cur & ~15ULL);
+
+  auto AddEdge = [&](const BasicBlock *From, const BasicBlock *To) {
+    DEdge E;
+    E.Target = Start.at(To);
+    E.Move = static_cast<uint32_t>(D.Moves.size());
+    for (const auto &I : *To) {
+      const auto *P = dyn_cast<PhiInst>(I.get());
+      if (!P)
+        break;
+      const Value *In = P->incomingFor(From);
+      assert(In && "phi has no incoming value for predecessor");
+      DMove Mv{P->slot(), In ? Operand(In) : DOperand()};
+      for (uint32_t K = E.Move; K < D.Moves.size(); ++K)
+        if (Mv.Src.Slot >= 0 && D.Moves[K].Dst == Mv.Src.Slot)
+          E.Parallel = true;
+      D.Moves.push_back(Mv);
+    }
+    E.NMoves = static_cast<uint32_t>(D.Moves.size()) - E.Move;
+    D.Edges.push_back(E);
+  };
+
+  D.Code.reserve(N);
+  for (const auto &BB : F.blocks())
+    for (const auto &IP : *BB) {
+      const Instruction &I = *IP;
+      if (isa<AllocaInst>(I) || isa<PhiInst>(I))
+        continue;
+      DInst X;
+      X.IR = &I;
+      X.Dst = I.slot();
+      // The handlers read the leading operands in IR operand order; GEP
+      // indices and call arguments past them go to the side tables.
+      for (unsigned K = 0; K < I.numOperands() && K < 3; ++K)
+        X.Ops[K] = Operand(I.op(K));
+      switch (I.kind()) {
+      case ValueKind::Load:
+        X.Code = Op::Load;
+        X.Size = I.type()->sizeInBytes();
+        X.Flag = I.type()->isPointer();
+        X.Bits = X.Flag ? 64 : cast<IntType>(I.type())->bits();
+        break;
+      case ValueKind::Store: {
+        Type *T = cast<StoreInst>(I).value()->type();
+        X.Code = Op::Store;
+        X.Size = T->sizeInBytes();
+        X.Flag = T->isPointer();
+        break;
+      }
+      case ValueKind::GEP: {
+        // Constant indices and field offsets fold into one offset; the
+        // sum wraps mod 2^64 like the address arithmetic itself.
+        X.Code = Op::GEP;
+        X.Aux = static_cast<uint32_t>(D.Steps.size());
+        [[maybe_unused]] bool Walked =
+            cast<GEPInst>(I).walkSteps([&](const GEPStep &S) {
+              auto Bytes = static_cast<uint64_t>(S.Bytes);
+              DOperand Index = Operand(S.Index);
+              if (S.Field)
+                X.Size += Bytes;
+              else if (Index.Slot < 0)
+                X.Size += Index.Imm * Bytes;
+              else
+                D.Steps.push_back({Index, Bytes});
+              return true;
+            });
+        assert(Walked && "GEP index path leaves its type");
+        X.NAux = static_cast<uint32_t>(D.Steps.size()) - X.Aux;
+        break;
+      }
+      case ValueKind::BinOp:
+        X.Code = static_cast<Op>(static_cast<int>(Op::Add) +
+                                 static_cast<int>(cast<BinOpInst>(I).opcode()));
+        X.Bits = cast<IntType>(I.type())->bits();
+        break;
+      case ValueKind::ICmp: {
+        Type *T = cast<ICmpInst>(I).lhs()->type();
+        X.Code = static_cast<Op>(static_cast<int>(Op::CmpEQ) +
+                                 static_cast<int>(cast<ICmpInst>(I).pred()));
+        X.Bits = T->isPointer() ? 64 : cast<IntType>(T)->bits();
+        break;
+      }
+      case ValueKind::Cast: {
+        const auto &Ca = cast<CastInst>(I);
+        switch (Ca.opcode()) {
+        case CastInst::Op::Bitcast:
+        case CastInst::Op::IntToPtr:
+          X.Code = Op::CastCopy;
+          break;
+        case CastInst::Op::PtrToInt:
+        case CastInst::Op::Trunc:
+        case CastInst::Op::SExt:
+          X.Code = Op::CastCanon;
+          X.Bits = cast<IntType>(I.type())->bits();
+          break;
+        case CastInst::Op::ZExt:
+          X.Code = Op::CastZExt;
+          X.Bits = cast<IntType>(Ca.source()->type())->bits();
+          break;
+        }
+        break;
+      }
+      case ValueKind::Select:
+        X.Code = Op::Select;
+        break;
+      case ValueKind::Call: {
+        const auto &Call = cast<CallInst>(I);
+        X.Code = Op::Call;
+        if (const Function *Callee = Call.calledFunction())
+          X.Callee = &Decoded[(FuncAddr.at(Callee) - FuncBase) / FuncStride];
+        X.Aux = static_cast<uint32_t>(D.Args.size());
+        X.NAux = Call.numArgs();
+        for (unsigned K = 0; K < Call.numArgs(); ++K)
+          D.Args.push_back(Operand(Call.arg(K)));
+        break;
+      }
+      case ValueKind::Ret:
+        X.Code = Op::Ret;
+        X.Flag = cast<RetInst>(I).hasValue();
+        break;
+      case ValueKind::Br: {
+        const auto &B = cast<BrInst>(I);
+        X.Code = B.isConditional() ? Op::CondBr : Op::Br;
+        X.Aux = static_cast<uint32_t>(D.Edges.size());
+        for (unsigned K = 0; K < B.numSuccessors(); ++K)
+          AddEdge(BB.get(), B.successor(K));
+        break;
+      }
+      case ValueKind::Unreachable:
+        X.Code = Op::Unreachable;
+        break;
+      case ValueKind::MakeBounds:
+        X.Code = Op::MakeBounds;
+        break;
+      case ValueKind::SpatialCheck: {
+        const auto &Chk = cast<SpatialCheckInst>(I);
+        X.Code = Chk.isGuarded() ? Op::GuardedCheck : Op::Check;
+        X.Size = Chk.accessSize();
+        X.Flag = Chk.isStoreCheck();
+        break;
+      }
+      case ValueKind::FuncPtrCheck:
+        X.Code = Op::FuncPtrCheck;
+        break;
+      case ValueKind::MetaLoad:
+        X.Code = Op::MetaLoad;
+        break;
+      case ValueKind::MetaStore:
+        X.Code = Op::MetaStore;
+        break;
+      case ValueKind::PackPB:
+        X.Code = Op::PackPB;
+        break;
+      case ValueKind::ExtractPtr:
+        X.Code = Op::ExtractPtr;
+        break;
+      case ValueKind::ExtractBounds:
+        X.Code = Op::ExtractBounds;
+        break;
+      default:
+        sb_unreachable("unhandled instruction kind");
+      }
+      D.Code.push_back(X);
+    }
 }
 
 RunResult VM::imageRefusal() const {
@@ -460,7 +827,7 @@ std::vector<RunResult> VM::runLanes(const std::vector<LaneSpec> &Lanes) {
     // One lane runs inline with the full stack segment: no concurrent
     // mode, no host threads.
     const LaneSpec &L = Lanes[0];
-    VMExec Exec(*this, M, Cfg, Mem, Mem.stackTop(), Mem.stackLimit(), L.Profile,
+    VMExec Exec(*this, Cfg, Mem, Mem.stackTop(), Mem.stackLimit(), L.Profile,
                 L.Telem, L.TraceTag);
     Results[0] = Exec.run(L.Entry, L.Args);
     return Results;
@@ -479,7 +846,7 @@ std::vector<RunResult> VM::runLanes(const std::vector<LaneSpec> &Lanes) {
     Threads.emplace_back([this, &Lanes, &Results, Top, Span, I] {
       const LaneSpec &L = Lanes[I];
       uint64_t LaneTop = Top - I * Span;
-      VMExec Exec(*this, M, Cfg, Mem, LaneTop, LaneTop - Span, L.Profile,
+      VMExec Exec(*this, Cfg, Mem, LaneTop, LaneTop - Span, L.Profile,
                   L.Telem, L.TraceTag);
       Results[I] = Exec.run(L.Entry, L.Args);
     });
@@ -493,106 +860,107 @@ std::vector<RunResult> VM::runLanes(const std::vector<LaneSpec> &Lanes) {
 // VMExec: frames
 //===----------------------------------------------------------------------===//
 
-bool VMExec::pushFrame(Function *F, const std::vector<VMVal> &Args,
-                       const CallInst *CallSite) {
-  assert(F->isDefinition() && "cannot push a frame for a declaration");
+bool VMExec::pushFrame(const DecodedFunction &Fn, int32_t RetDst) {
   if (Frames.size() >= MaxFrames) {
-    trap(TrapKind::StackOverflow, "frame limit exceeded in @" + F->name());
+    trap(TrapKind::StackOverflow, "frame limit exceeded in @" + Fn.F->name());
     return false;
   }
 
   Frame Fr;
-  Fr.F = F;
+  Fr.Fn = &Fn;
   Fr.Gen = NextGen++;
-  Fr.CallSite = CallSite;
+  Fr.RetDst = RetDst;
   Fr.FrameTop = Frames.empty() ? StackTop : Frames.back().FrameLow;
-  Fr.RetSlot = Fr.FrameTop - 8;
-  Fr.FPSlot = Fr.FrameTop - 16;
-  Fr.RetToken = RetTokenTag | Fr.Gen;
   Fr.SavedFP = Frames.empty() ? 0 : Frames.back().FrameTop;
-
-  // Lay out allocas below the saved-FP word, in declaration order from high
-  // to low addresses: the first local sits closest to the control data, so
-  // an overflow of a later-declared buffer sweeps over earlier locals, then
-  // the saved FP, then the return address — the classic stack smash.
-  uint64_t Cur = Fr.FPSlot;
-  std::vector<std::pair<const AllocaInst *, uint64_t>> AllocaAddrs;
-  for (const auto &BB : F->blocks())
-    for (const auto &I : *BB) {
-      const auto *AI = dyn_cast<AllocaInst>(I.get());
-      if (!AI)
-        continue;
-      uint64_t Size = AI->allocatedType()->sizeInBytes();
-      uint64_t Align = AI->allocatedType()->alignment();
-      Cur -= Size;
-      Cur &= ~(Align - 1);
-      AllocaAddrs.emplace_back(AI, Cur);
-    }
-  Fr.FrameLow = Cur & ~15ULL;
+  assert((Fr.FrameTop & 15) == 0 && "frame tops are 16-aligned");
+  Fr.FrameLow = Fr.FrameTop - Fn.FrameBytes;
   if (Fr.FrameLow < StackLimit + 64) {
-    trap(TrapKind::StackOverflow, "stack exhausted in @" + F->name());
+    trap(TrapKind::StackOverflow, "stack exhausted in @" + Fn.F->name());
     return false;
   }
 
   // Zero the locals area (deterministic runs) and install control words.
-  Mem.zeroRange(Fr.FrameLow, Fr.FPSlot - Fr.FrameLow);
-  Mem.write(Fr.RetSlot, 8, Fr.RetToken);
-  Mem.write(Fr.FPSlot, 8, Fr.SavedFP);
+  Mem.zeroRange(Fr.FrameLow, Fr.fpSlot() - Fr.FrameLow);
+  Mem.write(Fr.retSlot(), 8, Fr.retToken());
+  Mem.write(Fr.fpSlot(), 8, Fr.SavedFP);
 
-  Fr.Regs.assign(F->numRegs(), VMVal());
-  for (unsigned I = 0; I < F->numArgs() && I < Args.size(); ++I)
-    Fr.Regs[F->arg(I)->slot()] = Args[I];
-  if (F->functionType()->isVarArg())
-    for (size_t I = F->numArgs(); I < Args.size(); ++I)
-      Fr.VarArgs.push_back(Args[I]);
+  if (!Frames.empty())
+    Fr.RegBase = Frames.back().RegBase + Frames.back().Fn->NumRegs;
+  size_t End = Fr.RegBase + Fn.NumRegs;
+  if (Regs.size() < End)
+    Regs.resize(std::max(End, 2 * Regs.size()));
+  std::fill(Regs.begin() + Fr.RegBase, Regs.begin() + End, VMVal());
 
-  for (auto &[AI, Addr] : AllocaAddrs) {
-    Fr.Regs[AI->slot()] = VMVal{Addr, 0, 0};
-    Fr.Allocas.emplace_back(Addr, AI->allocatedType()->sizeInBytes());
+  for (const DLocal &L : Fn.Locals) {
+    uint64_t Addr = Fr.FrameTop - L.Offset;
+    Regs[Fr.RegBase + L.Slot] = VMVal{Addr, 0, 0};
     if (Cfg.Checker)
-      Cfg.Checker->onAlloc(ObjectRegion::Stack, Addr,
-                           AI->allocatedType()->sizeInBytes());
+      Cfg.Checker->onAlloc(ObjectRegion::Stack, Addr, L.Size);
   }
 
-  Fr.BB = F->entry();
-  Fr.IP = Fr.BB->begin();
   Fr.EntryCycle = C.Cycles;
-  Frames.push_back(std::move(Fr));
+  Frames.push_back(Fr);
   ++C.Calls;
   if (Frames.size() > C.MaxFrameDepth)
     C.MaxFrameDepth = Frames.size();
   return true;
 }
 
+void VMExec::releaseFrame(const Frame &Fr) {
+  if (Cfg.Checker)
+    for (const DLocal &L : Fr.Fn->Locals)
+      Cfg.Checker->onFree(ObjectRegion::Stack, Fr.FrameTop - L.Offset,
+                          L.Size);
+  // §5.2 "memory reuse and stale metadata": drop metadata for frame slots.
+  if (Cfg.Instrumented && Cfg.Meta)
+    C.Cycles += Cfg.Meta->clearRange(Fr.FrameLow, Fr.FrameTop - Fr.FrameLow);
+}
+
+void VMExec::returnFrom(VMVal RetVal) {
+  // Validate the in-memory control words: the attack surface.
+  const Frame &Fr = Frames.back();
+  uint64_t RetWord = 0, FPWord = 0;
+  Mem.read(Fr.retSlot(), 8, RetWord);
+  Mem.read(Fr.fpSlot(), 8, FPWord);
+  if (RetWord != Fr.retToken()) {
+    if (const DecodedFunction *Target = funcAt(RetWord))
+      hijack(Target->F->name());
+    else
+      trap(TrapKind::CorruptedReturn,
+           "return address corrupted in @" + Fr.Fn->F->name());
+    return;
+  }
+  if (FPWord != Fr.SavedFP) {
+    if (const DecodedFunction *Target = funcAt(FPWord))
+      hijack(Target->F->name());
+    else
+      trap(TrapKind::CorruptedFrame,
+           "saved frame pointer corrupted in @" + Fr.Fn->F->name());
+    return;
+  }
+  popFrame(RetVal);
+}
+
 void VMExec::popFrame(VMVal RetVal) {
-  Frame Fr = std::move(Frames.back());
+  Frame Fr = Frames.back();
   Frames.pop_back();
 
   // Shallow frames become VM-phase trace events: timestamps are
   // simulated cycles (deterministic), duration is the frame's inclusive
   // cycle span. Deep recursion is capped by depth and the event buffer.
   if (Telem && Frames.size() < MaxTraceDepth)
-    Telem->addCompleteEvent(traceName(Fr.F->name()), "vm", Telemetry::TidVM,
-                            Fr.EntryCycle, C.Cycles - Fr.EntryCycle);
-
-  if (Cfg.Checker)
-    for (auto &[Addr, Size] : Fr.Allocas)
-      Cfg.Checker->onFree(ObjectRegion::Stack, Addr, Size);
-
-  // §5.2 "memory reuse and stale metadata": drop metadata for frame slots.
-  if (Cfg.Instrumented && Cfg.Meta)
-    C.Cycles += Cfg.Meta->clearRange(Fr.FrameLow, Fr.FrameTop - Fr.FrameLow);
+    Telem->addCompleteEvent(traceName(Fr.Fn->F->name()), "vm",
+                            Telemetry::TidVM, Fr.EntryCycle,
+                            C.Cycles - Fr.EntryCycle);
+  releaseFrame(Fr);
 
   if (Frames.empty()) {
     Res.ExitCode = static_cast<int64_t>(RetVal.A);
     Halted = true;
     return;
   }
-  if (Fr.CallSite) {
-    Frame &Caller = Frames.back();
-    if (Fr.CallSite->slot() >= 0)
-      Caller.Regs[Fr.CallSite->slot()] = RetVal;
-  }
+  if (Fr.RetDst >= 0)
+    Regs[Frames.back().RegBase + Fr.RetDst] = RetVal;
 }
 
 //===----------------------------------------------------------------------===//
@@ -601,17 +969,17 @@ void VMExec::popFrame(VMVal RetVal) {
 
 RunResult VMExec::run(const std::string &EntryName,
                       const std::vector<int64_t> &Args) {
-  Function *F = M.resolveEntry(EntryName);
+  Function *F = Owner.M.resolveEntry(EntryName);
   if (!F || !F->isDefinition()) {
     trap(TrapKind::Segfault, "entry function not found: " + EntryName);
     return Res;
   }
-  std::vector<VMVal> ArgVals;
-  for (int64_t A : Args)
-    ArgVals.push_back(VMVal{static_cast<uint64_t>(A), 0, 0});
-  if (pushFrame(F, ArgVals, nullptr))
-    while (!Halted)
-      step();
+  const DecodedFunction &Entry = *funcAt(Owner.FuncAddr.at(F));
+  if (pushFrame(Entry, -1)) {
+    for (size_t K = 0; K < Args.size() && K < Entry.NumArgs; ++K)
+      Regs[K] = VMVal{static_cast<uint64_t>(Args[K]), 0, 0};
+    interpret();
+  }
 
   if (Cfg.Meta)
     Res.MetadataMemory = Cfg.Meta->memoryBytes();
@@ -631,439 +999,336 @@ RunResult VMExec::run(const std::string &EntryName,
   return Res;
 }
 
-void VMExec::step() {
-  Frame &Fr = Frames.back();
-  assert(Fr.IP != Fr.BB->end() && "fell off a basic block");
-  Instruction &I = **Fr.IP;
-  ++Fr.IP;
-
-  if (isa<AllocaInst>(I))
-    return; // Resolved at frame entry; models zero-cost frame setup.
-  if (!isa<PhiInst>(I)) {
-    if (++C.Insts > Cfg.StepLimit) {
-      trap(TrapKind::StepLimit, "step limit exceeded " + where(I));
-      return;
-    }
-    ++C.Cycles;
+uint32_t VMExec::takeEdge(size_t Base, const DecodedFunction &Fn,
+                          const DEdge &E) {
+  // The target's phis as one parallel assignment.
+  uint32_t End = E.Move + E.NMoves;
+  if (E.Parallel) {
+    if (PhiTmp.size() < E.NMoves)
+      PhiTmp.resize(E.NMoves);
+    for (uint32_t K = E.Move; K < End; ++K)
+      PhiTmp[K - E.Move] = value(Base, Fn.Moves[K].Src);
+    for (uint32_t K = E.Move; K < End; ++K)
+      Regs[Base + Fn.Moves[K].Dst] = PhiTmp[K - E.Move];
+  } else {
+    for (uint32_t K = E.Move; K < End; ++K)
+      Regs[Base + Fn.Moves[K].Dst] = value(Base, Fn.Moves[K].Src);
   }
-  execute(I, Fr);
+  return E.Target;
 }
 
-void VMExec::enterBlock(Frame &Fr, BasicBlock *To) {
-  Fr.Prev = Fr.BB;
-  Fr.BB = To;
-  Fr.IP = To->begin();
-  // Evaluate all phis as one parallel assignment.
-  std::vector<std::pair<int, VMVal>> Pending;
-  for (auto It = To->begin(); It != To->end(); ++It) {
-    auto *P = dyn_cast<PhiInst>(It->get());
-    if (!P)
-      break;
-    Value *In = P->incomingFor(Fr.Prev);
-    assert(In && "phi has no incoming value for predecessor");
-    Pending.emplace_back(P->slot(), eval(Fr, In));
-    Fr.IP = std::next(It);
-  }
-  for (auto &[Slot, V] : Pending)
-    if (Slot >= 0)
-      Fr.Regs[Slot] = V;
+bool VMExec::checkerAllows(const DInst &I, uint64_t Addr, bool IsStore) {
+  C.Cycles += Cfg.Checker->accessCost();
+  if (Cfg.Checker->checkAccess(Addr, I.Size, IsStore))
+    return true;
+  trap(TrapKind::BaselineViolation,
+       std::string(Cfg.Checker->name()) +
+           (IsStore ? ": store violation " : ": load violation ") + where(I));
+  return false;
 }
 
-void VMExec::execute(Instruction &I, Frame &Fr) {
-  switch (I.kind()) {
-  case ValueKind::Load: {
-    auto &L = cast<LoadInst>(I);
-    uint64_t Addr = eval(Fr, L.pointer()).A;
-    unsigned Size = static_cast<unsigned>(I.type()->sizeInBytes());
-    if (Cfg.Checker) {
-      C.Cycles += Cfg.Checker->accessCost();
-      if (!Cfg.Checker->checkAccess(Addr, Size, /*IsStore=*/false)) {
-        trap(TrapKind::BaselineViolation,
-             std::string(Cfg.Checker->name()) + ": load violation " +
-                 where(I));
-        return;
+bool VMExec::spatialCheck(size_t Base, const DInst &I, SiteCounters *SC) {
+  uint64_t P = word(Base, I.Ops[0]);
+  VMVal B = value(Base, I.Ops[1]);
+  ++C.Checks;
+  C.Cycles += Cfg.CheckCost;
+  if (SC)
+    ++SC->Executed;
+  if (P >= B.A && P + I.Size <= B.B)
+    return true;
+  if (SC)
+    ++SC->Traps;
+  trap(TrapKind::SpatialViolation,
+       std::string("softbound: out-of-bounds ") +
+           (I.Flag ? "store" : "load") + " " + where(I));
+  return false;
+}
+
+void VMExec::interpret() {
+  // The outer loop (re)loads the top frame; the inner one runs it until
+  // a call, return, builtin or trap may have changed the frame stack.
+  // Handlers that stay in the frame `continue`; the rest `break` out of
+  // the switch, which leaves the inner loop.
+  const uint64_t StepLimit = Cfg.StepLimit;
+  while (!Halted) {
+    Frame &Fr = Frames.back();
+    const DecodedFunction &Fn = *Fr.Fn;
+    const size_t Base = Fr.RegBase;
+    uint32_t PC = Fr.PC;
+    for (;;) {
+      const DInst &I = Fn.Code[PC++];
+      if (++C.Insts > StepLimit) {
+        trap(TrapKind::StepLimit, "step limit exceeded " + where(I));
+        break;
       }
-    }
-    uint64_t Raw;
-    if (!Mem.read(Addr, Size, Raw)) {
-      trap(TrapKind::Segfault, "load from unmapped address " + where(I));
-      return;
-    }
-    ++C.Loads;
-    if (I.type()->isPointer()) {
-      ++C.PtrLoads;
-      setResult(Fr, I, VMVal{Raw, 0, 0});
-    } else {
-      setResult(Fr, I,
-                VMVal{canon(Raw, cast<IntType>(I.type())->bits()), 0, 0});
-    }
-    return;
-  }
-  case ValueKind::Store: {
-    auto &S = cast<StoreInst>(I);
-    uint64_t Addr = eval(Fr, S.pointer()).A;
-    uint64_t Val = eval(Fr, S.value()).A;
-    unsigned Size = static_cast<unsigned>(S.value()->type()->sizeInBytes());
-    if (Cfg.Checker) {
-      C.Cycles += Cfg.Checker->accessCost();
-      if (!Cfg.Checker->checkAccess(Addr, Size, /*IsStore=*/true)) {
-        trap(TrapKind::BaselineViolation,
-             std::string(Cfg.Checker->name()) + ": store violation " +
-                 where(I));
-        return;
-      }
-    }
-    if (!Mem.write(Addr, Size, Val)) {
-      trap(TrapKind::Segfault, "store to unmapped address " + where(I));
-      return;
-    }
-    ++C.Stores;
-    if (S.value()->type()->isPointer())
-      ++C.PtrStores;
-    return;
-  }
-  case ValueKind::GEP: {
-    auto &G = cast<GEPInst>(I);
-    uint64_t Base = eval(Fr, G.pointer()).A;
-    uint64_t Addr = Base;
-    Type *Cur = G.sourceType();
-    // Wrapping uint64_t arithmetic: the modular address real hardware
-    // computes, with no host overflow for any index.
-    Addr += eval(Fr, G.index(0)).A * Cur->sizeInBytes();
-    for (unsigned K = 1; K < G.numIndices(); ++K) {
-      if (auto *AT = dyn_cast<ArrayType>(Cur)) {
-        Addr += eval(Fr, G.index(K)).A * AT->element()->sizeInBytes();
-        Cur = AT->element();
+      ++C.Cycles;
+      auto W = [&](unsigned K) { return word(Base, I.Ops[K]); };
+      auto Set = [&](VMVal V) { Regs[Base + I.Dst] = V; };
+      auto SetWord = [&](uint64_t V) { Set(VMVal{V, 0, 0}); };
+
+      switch (I.Code) {
+      case Op::Load: {
+        uint64_t Addr = W(0);
+        if (Cfg.Checker && !checkerAllows(I, Addr, /*IsStore=*/false))
+          break;
+        uint64_t Raw;
+        if (!Mem.read(Addr, static_cast<unsigned>(I.Size), Raw)) {
+          trap(TrapKind::Segfault, "load from unmapped address " + where(I));
+          break;
+        }
+        ++C.Loads;
+        C.PtrLoads += I.Flag;
+        SetWord(canon(Raw, I.Bits));
         continue;
       }
-      auto *ST = cast<StructType>(Cur);
-      unsigned FieldIdx =
-          static_cast<unsigned>(cast<ConstantInt>(G.index(K))->value());
-      Addr += ST->fieldOffset(FieldIdx);
-      Cur = ST->field(FieldIdx);
-    }
-    if (Cfg.Checker && !Cfg.Checker->checkDerive(Base, Addr)) {
-      trap(TrapKind::BaselineViolation,
-           std::string(Cfg.Checker->name()) +
-               ": out-of-object pointer arithmetic " + where(I));
-      return;
-    }
-    setResult(Fr, I, VMVal{Addr, 0, 0});
-    return;
-  }
-  case ValueKind::BinOp: {
-    auto &B = cast<BinOpInst>(I);
-    unsigned Bits = cast<IntType>(I.type())->bits();
-    uint64_t L = eval(Fr, B.lhs()).A;
-    uint64_t R = eval(Fr, B.rhs()).A;
-    uint64_t Out = 0;
-    switch (B.opcode()) {
-    case BinOpInst::Op::Add:
-      Out = L + R;
-      break;
-    case BinOpInst::Op::Sub:
-      Out = L - R;
-      break;
-    case BinOpInst::Op::Mul:
-      Out = L * R;
-      break;
-    case BinOpInst::Op::SDiv:
-    case BinOpInst::Op::SRem: {
-      int64_t SL = static_cast<int64_t>(L), SR = static_cast<int64_t>(R);
-      if (SR == 0) {
-        trap(TrapKind::DivByZero, "division by zero " + where(I));
-        return;
+      case Op::Store: {
+        uint64_t Val = W(0), Addr = W(1);
+        if (Cfg.Checker && !checkerAllows(I, Addr, /*IsStore=*/true))
+          break;
+        if (!Mem.write(Addr, static_cast<unsigned>(I.Size), Val)) {
+          trap(TrapKind::Segfault, "store to unmapped address " + where(I));
+          break;
+        }
+        ++C.Stores;
+        C.PtrStores += I.Flag;
+        continue;
       }
-      if (SL == INT64_MIN && SR == -1)
-        Out = B.opcode() == BinOpInst::Op::SDiv ? static_cast<uint64_t>(SL)
-                                                : 0;
-      else
-        Out = static_cast<uint64_t>(
-            B.opcode() == BinOpInst::Op::SDiv ? SL / SR : SL % SR);
-      break;
-    }
-    case BinOpInst::Op::UDiv:
-    case BinOpInst::Op::URem: {
-      uint64_t UL = maskTo(L, Bits), UR = maskTo(R, Bits);
-      if (UR == 0) {
-        trap(TrapKind::DivByZero, "division by zero " + where(I));
-        return;
+      case Op::GEP: {
+        // Wrapping uint64_t arithmetic: the modular address real hardware
+        // computes, with no host overflow for any index.
+        uint64_t From = W(0);
+        uint64_t Addr = From + I.Size;
+        for (uint32_t K = I.Aux; K < I.Aux + I.NAux; ++K)
+          Addr += word(Base, Fn.Steps[K].Index) * Fn.Steps[K].Scale;
+        if (Cfg.Checker && !Cfg.Checker->checkDerive(From, Addr)) {
+          trap(TrapKind::BaselineViolation,
+               std::string(Cfg.Checker->name()) +
+                   ": out-of-object pointer arithmetic " + where(I));
+          break;
+        }
+        SetWord(Addr);
+        continue;
       }
-      Out = B.opcode() == BinOpInst::Op::UDiv ? UL / UR : UL % UR;
-      break;
-    }
-    case BinOpInst::Op::And:
-      Out = L & R;
-      break;
-    case BinOpInst::Op::Or:
-      Out = L | R;
-      break;
-    case BinOpInst::Op::Xor:
-      Out = L ^ R;
-      break;
-    case BinOpInst::Op::Shl:
-      Out = maskTo(L, Bits) << (R & (Bits - 1));
-      break;
-    case BinOpInst::Op::LShr:
-      Out = maskTo(L, Bits) >> (R & (Bits - 1));
-      break;
-    case BinOpInst::Op::AShr:
-      Out = static_cast<uint64_t>(static_cast<int64_t>(canon(L, Bits)) >>
-                                  (R & (Bits - 1)));
-      break;
-    }
-    setResult(Fr, I, VMVal{canon(Out, Bits), 0, 0});
-    return;
-  }
-  case ValueKind::ICmp: {
-    auto &Cmp = cast<ICmpInst>(I);
-    unsigned Bits =
-        Cmp.lhs()->type()->isPointer()
-            ? 64
-            : cast<IntType>(Cmp.lhs()->type())->bits();
-    uint64_t L = eval(Fr, Cmp.lhs()).A;
-    uint64_t R = eval(Fr, Cmp.rhs()).A;
-    int64_t SL = static_cast<int64_t>(L), SR = static_cast<int64_t>(R);
-    uint64_t UL = maskTo(L, Bits), UR = maskTo(R, Bits);
-    bool Out = false;
-    switch (Cmp.pred()) {
-    case ICmpInst::Pred::EQ:
-      Out = L == R;
-      break;
-    case ICmpInst::Pred::NE:
-      Out = L != R;
-      break;
-    case ICmpInst::Pred::SLT:
-      Out = SL < SR;
-      break;
-    case ICmpInst::Pred::SLE:
-      Out = SL <= SR;
-      break;
-    case ICmpInst::Pred::SGT:
-      Out = SL > SR;
-      break;
-    case ICmpInst::Pred::SGE:
-      Out = SL >= SR;
-      break;
-    case ICmpInst::Pred::ULT:
-      Out = UL < UR;
-      break;
-    case ICmpInst::Pred::ULE:
-      Out = UL <= UR;
-      break;
-    case ICmpInst::Pred::UGT:
-      Out = UL > UR;
-      break;
-    case ICmpInst::Pred::UGE:
-      Out = UL >= UR;
-      break;
-    }
-    setResult(Fr, I, VMVal{Out ? 1ULL : 0ULL, 0, 0});
-    return;
-  }
-  case ValueKind::Cast: {
-    auto &Ca = cast<CastInst>(I);
-    uint64_t V = eval(Fr, Ca.source()).A;
-    switch (Ca.opcode()) {
-    case CastInst::Op::Bitcast:
-    case CastInst::Op::IntToPtr:
-      setResult(Fr, I, VMVal{V, 0, 0});
-      return;
-    case CastInst::Op::PtrToInt:
-      setResult(Fr, I,
-                VMVal{canon(V, cast<IntType>(I.type())->bits()), 0, 0});
-      return;
-    case CastInst::Op::Trunc:
-    case CastInst::Op::SExt:
-      setResult(Fr, I,
-                VMVal{canon(V, cast<IntType>(I.type())->bits()), 0, 0});
-      return;
-    case CastInst::Op::ZExt: {
-      unsigned SrcBits = cast<IntType>(Ca.source()->type())->bits();
-      setResult(Fr, I, VMVal{maskTo(V, SrcBits), 0, 0});
-      return;
-    }
-    }
-    return;
-  }
-  case ValueKind::Select: {
-    auto &S = cast<SelectInst>(I);
-    uint64_t Cond = eval(Fr, S.condition()).A;
-    setResult(Fr, I, eval(Fr, Cond & 1 ? S.ifTrue() : S.ifFalse()));
-    return;
-  }
-  case ValueKind::Phi:
-    sb_unreachable("phi executed outside enterBlock");
-  case ValueKind::Call: {
-    auto &Call = cast<CallInst>(I);
-    Function *Callee = Call.calledFunction();
-    if (!Callee) {
-      uint64_t Addr = eval(Fr, Call.callee()).A;
-      Callee = funcAt(Addr);
-      if (!Callee) {
-        trap(TrapKind::BadIndirectCall,
-             "indirect call to non-function address " + where(I));
-        return;
+      case Op::Add:
+        SetWord(canon(W(0) + W(1), I.Bits));
+        continue;
+      case Op::Sub:
+        SetWord(canon(W(0) - W(1), I.Bits));
+        continue;
+      case Op::Mul:
+        SetWord(canon(W(0) * W(1), I.Bits));
+        continue;
+      case Op::SDiv:
+      case Op::SRem: {
+        auto SL = static_cast<int64_t>(W(0)), SR = static_cast<int64_t>(W(1));
+        if (SR == 0) {
+          trap(TrapKind::DivByZero, "division by zero " + where(I));
+          break;
+        }
+        uint64_t Out;
+        if (SL == INT64_MIN && SR == -1)
+          Out = I.Code == Op::SDiv ? static_cast<uint64_t>(SL) : 0;
+        else
+          Out = static_cast<uint64_t>(I.Code == Op::SDiv ? SL / SR : SL % SR);
+        SetWord(canon(Out, I.Bits));
+        continue;
       }
-    }
-    Builtin B = static_cast<Builtin>(Owner.BuiltinOf.at(Callee));
-    if (Callee->isBuiltin() || !Callee->isDefinition()) {
-      if (B == Builtin::NotABuiltin) {
-        trap(TrapKind::BadIndirectCall,
-             "call to undefined function @" + Callee->name());
-        return;
+      case Op::UDiv:
+      case Op::URem: {
+        uint64_t UL = maskTo(W(0), I.Bits), UR = maskTo(W(1), I.Bits);
+        if (UR == 0) {
+          trap(TrapKind::DivByZero, "division by zero " + where(I));
+          break;
+        }
+        SetWord(canon(I.Code == Op::UDiv ? UL / UR : UL % UR, I.Bits));
+        continue;
       }
-      execBuiltin(Fr, Call, B);
-      return;
-    }
-    std::vector<VMVal> Args;
-    Args.reserve(Call.numArgs());
-    for (unsigned K = 0; K < Call.numArgs(); ++K)
-      Args.push_back(eval(Fr, Call.arg(K)));
-    pushFrame(Callee, Args, &Call);
-    return;
-  }
-  case ValueKind::Ret: {
-    auto &R = cast<RetInst>(I);
-    VMVal V = R.hasValue() ? eval(Fr, R.value()) : VMVal();
-    // Validate the in-memory control words: the attack surface.
-    uint64_t RetWord = 0, FPWord = 0;
-    Mem.read(Fr.RetSlot, 8, RetWord);
-    Mem.read(Fr.FPSlot, 8, FPWord);
-    if (RetWord != Fr.RetToken) {
-      if (Function *Target = funcAt(RetWord))
-        hijack(Target->name());
-      else
-        trap(TrapKind::CorruptedReturn,
-             "return address corrupted in @" + Fr.F->name());
-      return;
-    }
-    if (FPWord != Fr.SavedFP) {
-      if (Function *Target = funcAt(FPWord))
-        hijack(Target->name());
-      else
-        trap(TrapKind::CorruptedFrame,
-             "saved frame pointer corrupted in @" + Fr.F->name());
-      return;
-    }
-    popFrame(V);
-    return;
-  }
-  case ValueKind::Br: {
-    auto &B = cast<BrInst>(I);
-    BasicBlock *To = B.isConditional()
-                         ? (eval(Fr, B.condition()).A & 1 ? B.successor(0)
-                                                          : B.successor(1))
-                         : B.successor(0);
-    enterBlock(Fr, To);
-    return;
-  }
-  case ValueKind::Unreachable:
-    trap(TrapKind::UnreachableExecuted, "unreachable executed " + where(I));
-    return;
+      case Op::And:
+        SetWord(canon(W(0) & W(1), I.Bits));
+        continue;
+      case Op::Or:
+        SetWord(canon(W(0) | W(1), I.Bits));
+        continue;
+      case Op::Xor:
+        SetWord(canon(W(0) ^ W(1), I.Bits));
+        continue;
+      case Op::Shl:
+        SetWord(canon(maskTo(W(0), I.Bits) << (W(1) & (I.Bits - 1)), I.Bits));
+        continue;
+      case Op::LShr:
+        SetWord(canon(maskTo(W(0), I.Bits) >> (W(1) & (I.Bits - 1)), I.Bits));
+        continue;
+      case Op::AShr:
+        SetWord(canon(static_cast<uint64_t>(
+                          static_cast<int64_t>(canon(W(0), I.Bits)) >>
+                          (W(1) & (I.Bits - 1))),
+                      I.Bits));
+        continue;
+      case Op::CmpEQ:
+        SetWord(W(0) == W(1));
+        continue;
+      case Op::CmpNE:
+        SetWord(W(0) != W(1));
+        continue;
+      case Op::CmpSLT:
+        SetWord(static_cast<int64_t>(W(0)) < static_cast<int64_t>(W(1)));
+        continue;
+      case Op::CmpSLE:
+        SetWord(static_cast<int64_t>(W(0)) <= static_cast<int64_t>(W(1)));
+        continue;
+      case Op::CmpSGT:
+        SetWord(static_cast<int64_t>(W(0)) > static_cast<int64_t>(W(1)));
+        continue;
+      case Op::CmpSGE:
+        SetWord(static_cast<int64_t>(W(0)) >= static_cast<int64_t>(W(1)));
+        continue;
+      case Op::CmpULT:
+        SetWord(maskTo(W(0), I.Bits) < maskTo(W(1), I.Bits));
+        continue;
+      case Op::CmpULE:
+        SetWord(maskTo(W(0), I.Bits) <= maskTo(W(1), I.Bits));
+        continue;
+      case Op::CmpUGT:
+        SetWord(maskTo(W(0), I.Bits) > maskTo(W(1), I.Bits));
+        continue;
+      case Op::CmpUGE:
+        SetWord(maskTo(W(0), I.Bits) >= maskTo(W(1), I.Bits));
+        continue;
+      case Op::CastCopy:
+        SetWord(W(0));
+        continue;
+      case Op::CastCanon:
+        SetWord(canon(W(0), I.Bits));
+        continue;
+      case Op::CastZExt:
+        SetWord(maskTo(W(0), I.Bits));
+        continue;
+      case Op::Select:
+        Set(value(Base, I.Ops[W(0) & 1 ? 1 : 2]));
+        continue;
+      case Op::Call: {
+        const DecodedFunction *Callee = I.Callee;
+        if (!Callee && !(Callee = funcAt(W(0)))) {
+          trap(TrapKind::BadIndirectCall,
+               "indirect call to non-function address " + where(I));
+          break;
+        }
+        Fr.PC = PC;
+        if (!Callee->Callable) {
+          if (Callee->B == Builtin::NotABuiltin)
+            trap(TrapKind::BadIndirectCall,
+                 "call to undefined function @" + Callee->F->name());
+          else
+            execBuiltin(Base, Fn, I, Callee->B);
+          break;
+        }
+        if (!pushFrame(*Callee, I.Dst))
+          break;
+        // Fr is stale from here on: the push may have moved Frames.
+        size_t CalleeBase = Frames.back().RegBase;
+        for (uint32_t K = 0; K < I.NAux && K < Callee->NumArgs; ++K)
+          Regs[CalleeBase + K] = value(Base, Fn.Args[I.Aux + K]);
+        break;
+      }
+      case Op::Ret:
+        returnFrom(I.Flag ? value(Base, I.Ops[0]) : VMVal());
+        break;
+      case Op::Br:
+        PC = takeEdge(Base, Fn, Fn.Edges[I.Aux]);
+        continue;
+      case Op::CondBr:
+        PC = takeEdge(Base, Fn, Fn.Edges[I.Aux + (W(0) & 1 ? 0 : 1)]);
+        continue;
+      case Op::Unreachable:
+        trap(TrapKind::UnreachableExecuted, "unreachable executed " + where(I));
+        break;
 
-  //===------------------------------------------------------------------===//
-  // SoftBound instrumentation
-  //===------------------------------------------------------------------===//
+      //===----------------------------------------------------------------===//
+      // SoftBound instrumentation
+      //===----------------------------------------------------------------===//
 
-  case ValueKind::MakeBounds: {
-    auto &B = cast<MakeBoundsInst>(I);
-    setResult(Fr, I,
-              VMVal{eval(Fr, B.base()).A, eval(Fr, B.bound()).A, 0});
-    return;
-  }
-  case ValueKind::SpatialCheck: {
-    auto &Chk = cast<SpatialCheckInst>(I);
-    SiteCounters *SC = siteOf(I);
-    if (Value *G = Chk.guard()) {
-      // Guarded check: the guard test costs one simulated instruction on
-      // every execution; the check itself only runs (and only counts as a
-      // dynamic check) when the guard is true — so a hull whose window
-      // guard failed falls back to honest per-iteration check accounting,
-      // and a skipped fallback costs its one-cycle test, not a free ride.
-      ++C.CheckGuards;
-      C.Cycles += 1;
-      if ((eval(Fr, G).A & 1) == 0) {
-        ++C.GuardSkips;
+      case Op::MakeBounds:
+        Set(VMVal{W(0), W(1), 0});
+        continue;
+      case Op::GuardedCheck: {
+        // The guard test costs one simulated instruction on every
+        // execution; the check itself only runs (and only counts as a
+        // dynamic check) when the guard is true — so a hull whose window
+        // guard failed falls back to honest per-iteration check
+        // accounting, and a skipped fallback costs its one-cycle test,
+        // not a free ride.
+        SiteCounters *SC = siteOf(I);
+        ++C.CheckGuards;
+        C.Cycles += 1;
+        if ((W(2) & 1) == 0) {
+          ++C.GuardSkips;
+          if (SC)
+            ++SC->GuardElided;
+          continue;
+        }
         if (SC)
-          ++SC->GuardElided;
-        return;
+          ++SC->FallbackFired;
+        if (!spatialCheck(Base, I, SC))
+          break;
+        continue;
       }
-      if (SC)
-        ++SC->FallbackFired;
+      case Op::Check:
+        if (!spatialCheck(Base, I, siteOf(I)))
+          break;
+        continue;
+      case Op::FuncPtrCheck: {
+        SiteCounters *SC = siteOf(I);
+        uint64_t P = W(0);
+        VMVal B = value(Base, I.Ops[1]);
+        ++C.FuncPtrChecks;
+        C.Cycles += Cfg.CheckCost;
+        if (SC)
+          ++SC->Executed;
+        if (B.A == B.B && B.A == P && P != 0)
+          continue;
+        if (SC)
+          ++SC->Traps;
+        trap(TrapKind::FuncPtrViolation,
+             "softbound: indirect call through non-function pointer " +
+                 where(I));
+        break;
+      }
+      case Op::MetaLoad: {
+        assert(Cfg.Meta && "meta.load without a metadata facility");
+        Bounds B = Cfg.Meta->lookup(W(0));
+        ++C.MetaLoads;
+        C.Cycles += Cfg.Meta->lookupCost();
+        if (SiteCounters *SC = siteOf(I))
+          ++SC->Executed;
+        Set(VMVal{B.Base, B.Bound, 0});
+        continue;
+      }
+      case Op::MetaStore: {
+        assert(Cfg.Meta && "meta.store without a metadata facility");
+        VMVal B = value(Base, I.Ops[1]);
+        Cfg.Meta->update(W(0), B.A, B.B);
+        ++C.MetaStores;
+        C.Cycles += Cfg.Meta->updateCost();
+        if (SiteCounters *SC = siteOf(I))
+          ++SC->Executed;
+        continue;
+      }
+      case Op::PackPB: {
+        VMVal B = value(Base, I.Ops[1]);
+        Set(VMVal{W(0), B.A, B.B});
+        continue;
+      }
+      case Op::ExtractPtr:
+        SetWord(W(0));
+        continue;
+      case Op::ExtractBounds: {
+        VMVal PP = value(Base, I.Ops[0]);
+        Set(VMVal{PP.B, PP.C, 0});
+        continue;
+      }
+      }
+      break;
     }
-    VMVal P = eval(Fr, Chk.pointer());
-    VMVal B = eval(Fr, Chk.bounds());
-    ++C.Checks;
-    C.Cycles += Cfg.CheckCost;
-    if (SC)
-      ++SC->Executed;
-    if (P.A < B.A || P.A + Chk.accessSize() > B.B) {
-      if (SC)
-        ++SC->Traps;
-      trap(TrapKind::SpatialViolation,
-           std::string("softbound: out-of-bounds ") +
-               (Chk.isStoreCheck() ? "store" : "load") + " " + where(I));
-    }
-    return;
-  }
-  case ValueKind::FuncPtrCheck: {
-    auto &Chk = cast<FuncPtrCheckInst>(I);
-    SiteCounters *SC = siteOf(I);
-    VMVal P = eval(Fr, Chk.pointer());
-    VMVal B = eval(Fr, Chk.bounds());
-    ++C.FuncPtrChecks;
-    C.Cycles += Cfg.CheckCost;
-    if (SC)
-      ++SC->Executed;
-    if (!(B.A == B.B && B.A == P.A && P.A != 0)) {
-      if (SC)
-        ++SC->Traps;
-      trap(TrapKind::FuncPtrViolation,
-           "softbound: indirect call through non-function pointer " +
-               where(I));
-    }
-    return;
-  }
-  case ValueKind::MetaLoad: {
-    auto &ML = cast<MetaLoadInst>(I);
-    assert(Cfg.Meta && "meta.load without a metadata facility");
-    Bounds B = Cfg.Meta->lookup(eval(Fr, ML.address()).A);
-    ++C.MetaLoads;
-    C.Cycles += Cfg.Meta->lookupCost();
-    if (SiteCounters *SC = siteOf(I))
-      ++SC->Executed;
-    setResult(Fr, I, VMVal{B.Base, B.Bound, 0});
-    return;
-  }
-  case ValueKind::MetaStore: {
-    auto &MS = cast<MetaStoreInst>(I);
-    assert(Cfg.Meta && "meta.store without a metadata facility");
-    VMVal B = eval(Fr, MS.bounds());
-    Cfg.Meta->update(eval(Fr, MS.address()).A, B.A, B.B);
-    ++C.MetaStores;
-    C.Cycles += Cfg.Meta->updateCost();
-    if (SiteCounters *SC = siteOf(I))
-      ++SC->Executed;
-    return;
-  }
-  case ValueKind::PackPB: {
-    auto &P = cast<PackPBInst>(I);
-    VMVal Ptr = eval(Fr, P.pointer());
-    VMVal B = eval(Fr, P.bounds());
-    setResult(Fr, I, VMVal{Ptr.A, B.A, B.B});
-    return;
-  }
-  case ValueKind::ExtractPtr:
-    setResult(Fr, I, VMVal{eval(Fr, cast<ExtractPtrInst>(I).pair()).A, 0, 0});
-    return;
-  case ValueKind::ExtractBounds: {
-    VMVal PP = eval(Fr, cast<ExtractBoundsInst>(I).pair());
-    setResult(Fr, I, VMVal{PP.B, PP.C, 0});
-    return;
-  }
-  default:
-    sb_unreachable("unhandled instruction kind");
   }
 }
 
@@ -1072,22 +1337,13 @@ void VMExec::execute(Instruction &I, Frame &Fr) {
 //===----------------------------------------------------------------------===//
 
 uint64_t VMExec::simStrlenAt(uint64_t Addr, bool &Ok) {
-  Ok = true;
-  for (uint64_t N = 0; N < (1u << 20); ++N) {
-    uint64_t Byte;
-    if (!Mem.read(Addr + N, 1, Byte)) {
-      Ok = false;
-      return N;
-    }
-    if (Byte == 0)
-      return N;
-  }
-  Ok = false;
-  return 0;
+  uint64_t N = 0;
+  Ok = Mem.stringLength(Addr, 1u << 20, N);
+  return N;
 }
 
 bool VMExec::wrapperCheckStore(uint64_t Ptr, uint64_t N, const VMVal &Bounds,
-                               const std::string &What) {
+                               const char *What) {
   if (Cfg.Wrappers == WrapperMode::None)
     return true;
   ++C.Checks;
@@ -1095,12 +1351,12 @@ bool VMExec::wrapperCheckStore(uint64_t Ptr, uint64_t N, const VMVal &Bounds,
   if (Ptr >= Bounds.A && Ptr + N <= Bounds.B)
     return true;
   trap(TrapKind::SpatialViolation,
-       "softbound: out-of-bounds store in " + What + " wrapper");
+       std::string("softbound: out-of-bounds store in ") + What + " wrapper");
   return false;
 }
 
 bool VMExec::wrapperCheckLoad(uint64_t Ptr, uint64_t N, const VMVal &Bounds,
-                              const std::string &What) {
+                              const char *What) {
   if (Cfg.Wrappers != WrapperMode::Full)
     return true;
   ++C.Checks;
@@ -1108,19 +1364,13 @@ bool VMExec::wrapperCheckLoad(uint64_t Ptr, uint64_t N, const VMVal &Bounds,
   if (Ptr >= Bounds.A && Ptr + N <= Bounds.B)
     return true;
   trap(TrapKind::SpatialViolation,
-       "softbound: out-of-bounds load in " + What + " wrapper");
+       std::string("softbound: out-of-bounds load in ") + What + " wrapper");
   return false;
 }
 
 void VMExec::unwindFramesAbove(size_t KeepIdx) {
   while (Frames.size() > KeepIdx + 1) {
-    Frame &Dead = Frames.back();
-    if (Cfg.Checker)
-      for (auto &[Addr, Size] : Dead.Allocas)
-        Cfg.Checker->onFree(ObjectRegion::Stack, Addr, Size);
-    if (Cfg.Instrumented && Cfg.Meta)
-      C.Cycles +=
-          Cfg.Meta->clearRange(Dead.FrameLow, Dead.FrameTop - Dead.FrameLow);
+    releaseFrame(Frames.back());
     Frames.pop_back();
   }
 }
@@ -1131,26 +1381,27 @@ bool VMExec::recoverToGuard(TrapKind K) {
     return false;
   unwindFramesAbove(GuardRec.FrameIdx);
   Frame &Target = Frames.back();
-  Target.BB = GuardRec.BB;
-  Target.IP = GuardRec.IP;
+  Target.PC = GuardRec.PC;
   if (GuardRec.ResultSlot >= 0)
-    Target.Regs[GuardRec.ResultSlot] =
+    Regs[Target.RegBase + GuardRec.ResultSlot] =
         VMVal{K == TrapKind::SpatialViolation ? 1ULL : 2ULL, 0, 0};
   RequestTrap = K;
   C.Cycles += 20; // Unwind, priced like longjmp.
   return true;
 }
 
-void VMExec::execBuiltin(Frame &Fr, const CallInst &CI, Builtin B) {
+void VMExec::execBuiltin(size_t Base, const DecodedFunction &Fn,
+                         const DInst &I, Builtin B) {
   ++C.Calls;
-  std::vector<VMVal> A;
-  A.reserve(CI.numArgs());
-  for (unsigned K = 0; K < CI.numArgs(); ++K)
-    A.push_back(eval(Fr, CI.arg(K)));
+  std::vector<VMVal> &A = BuiltinArgs;
+  A.clear();
+  for (uint32_t K = I.Aux; K < I.Aux + I.NAux; ++K)
+    A.push_back(value(Base, Fn.Args[K]));
   auto Ret = [&](VMVal V) {
-    if (CI.slot() >= 0)
-      Fr.Regs[CI.slot()] = V;
+    if (I.Dst >= 0)
+      Regs[Base + I.Dst] = V;
   };
+  const Frame &Fr = Frames.back();
 
   switch (B) {
   case Builtin::NotABuiltin:
@@ -1368,8 +1619,8 @@ void VMExec::execBuiltin(Frame &Fr, const CallInst &CI, Builtin B) {
       return;
     }
     C.Cycles += 10;
-    JmpRecords.push_back(JmpRecord{Token, Frames.size() - 1, Fr.Gen, Fr.BB,
-                                   Fr.IP, CI.slot()});
+    JmpRecords.push_back(
+        JmpRecord{Token, Frames.size() - 1, Fr.Gen, Fr.PC, I.Dst});
     Ret(VMVal{0, 0, 0});
     return;
   }
@@ -1385,8 +1636,8 @@ void VMExec::execBuiltin(Frame &Fr, const CallInst &CI, Builtin B) {
     C.Cycles += 20;
     // A corrupted PC field models the classic jmp_buf attack target.
     if (Pc != 0) {
-      if (Function *Target = funcAt(Pc))
-        hijack(Target->name());
+      if (const DecodedFunction *Target = funcAt(Pc))
+        hijack(Target->F->name());
       else
         trap(TrapKind::CorruptedJmpBuf, "longjmp PC field corrupted");
       return;
@@ -1407,10 +1658,9 @@ void VMExec::execBuiltin(Frame &Fr, const CallInst &CI, Builtin B) {
     }
     unwindFramesAbove(Rec->FrameIdx);
     Frame &Target = Frames.back();
-    Target.BB = Rec->BB;
-    Target.IP = Rec->IP;
+    Target.PC = Rec->PC;
     if (Rec->ResultSlot >= 0)
-      Target.Regs[Rec->ResultSlot] = VMVal{V == 0 ? 1 : V, 0, 0};
+      Regs[Target.RegBase + Rec->ResultSlot] = VMVal{V == 0 ? 1 : V, 0, 0};
     return;
   }
   case Builtin::RequestGuard:
@@ -1418,8 +1668,7 @@ void VMExec::execBuiltin(Frame &Fr, const CallInst &CI, Builtin B) {
     // call: returns 0 now, or the contained-trap code (1 = spatial,
     // 2 = function-pointer) when a violation unwinds back here.
     C.Cycles += 2;
-    GuardRec =
-        JmpRecord{0, Frames.size() - 1, Fr.Gen, Fr.BB, Fr.IP, CI.slot()};
+    GuardRec = JmpRecord{0, Frames.size() - 1, Fr.Gen, Fr.PC, I.Dst};
     GuardArmed = true;
     Ret(VMVal{0, 0, 0});
     return;

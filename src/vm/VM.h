@@ -10,6 +10,9 @@
 /// address and saved frame-pointer words included), with deterministic
 /// cycle accounting (1 per instruction, §5.1 costs per metadata operation,
 /// 3 per bounds check) so the overhead ratios of Figure 2 are reproducible.
+/// Each function is decoded once, when the image loads, into flat code
+/// with pre-resolved operands that every run of the image executes
+/// (docs/runtime.md "Interpreter").
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,7 +21,6 @@
 
 #include "ir/Module.h"
 #include "runtime/MetadataFacility.h"
-#include "support/RNG.h"
 #include "support/Telemetry.h"
 #include "vm/MemoryChecker.h"
 #include "vm/SimMemory.h"
@@ -28,6 +30,8 @@
 #include <vector>
 
 namespace softbound {
+
+struct DecodedFunction;
 
 /// How a run ended (TrapKind::None = normal exit).
 enum class TrapKind {
@@ -242,25 +246,23 @@ public:
   SimMemory &memory() { return Mem; }
 
 private:
-  struct Frame;
-  struct JmpRecord;
-  class Impl;
-
   Module &M;
   VMConfig Cfg;
   SimMemory Mem;
-  RNG Rand;
 
   // Module image.
-  std::vector<Function *> FuncByIndex;
   std::unordered_map<const Function *, uint64_t> FuncAddr;
   std::unordered_map<const GlobalVariable *, uint64_t> GlobalAddr;
-  std::unordered_map<const Function *, int> BuiltinOf;
+  /// Every module function, decoded, indexed by its place in the
+  /// function segment (FuncBase + FuncStride * index). Built by
+  /// loadImage and only read after: lanes share it across host threads.
+  std::vector<DecodedFunction> Decoded;
   /// Why the image could not be loaded (empty when it was); runs then
   /// return an OutOfMemory trap carrying this message.
   std::string ImageError;
 
   void loadImage();
+  void decode(DecodedFunction &D) const;
   RunResult imageRefusal() const;
 
   friend class VMExec;

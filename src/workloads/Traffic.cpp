@@ -141,8 +141,11 @@ softbound::trafficDriverSource(ServerKind K,
     Src += "  \"" + Requests[I].Text + "\"" +
            (I + 1 < Requests.size() ? ",\n" : "\n");
   Src += "};\n\nint g_t_conn[" + N + "] = {";
-  for (size_t I = 0; I < Requests.size(); ++I)
-    Src += (I ? "," : "") + std::string(Requests[I].ConnStart ? "1" : "0");
+  for (size_t I = 0; I < Requests.size(); ++I) {
+    if (I)
+      Src += ',';
+    Src += Requests[I].ConnStart ? '1' : '0';
+  }
   Src += "};\n\nlong g_t_handled;\nlong g_t_trapped;\n";
 
   Src += "\nint main() {\n";

@@ -310,6 +310,48 @@ TEST(PointerWalk, ScopedFactsRollBackAcrossALeave) {
   EXPECT_FALSE(Facts.covers(K, 0, 8)) << "every scope was left";
 }
 
+TEST(PointerWalk, DeepChainBuildsAndWalksWithoutHostRecursion) {
+  // A 200000-block straight chain: one host frame per block would
+  // overflow an 8 MB stack, in the tree's construction or in its walk.
+  constexpr size_t N = 200000;
+  Module M;
+  Function *F = M.createFunction("f", M.ctx().funcTy(M.ctx().voidTy(), {}));
+  std::vector<BasicBlock *> Chain;
+  for (size_t I = 0; I < N; ++I)
+    Chain.push_back(F->createBlock("b"));
+  IRBuilder B(M);
+  for (size_t I = 0; I + 1 < N; ++I) {
+    B.setInsertPoint(Chain[I]);
+    B.br(Chain[I + 1]);
+  }
+  B.setInsertPoint(Chain.back());
+  B.ret();
+
+  DomTree DT(*F);
+  ASSERT_EQ(DT.rpo(), Chain);
+  EXPECT_EQ(DT.idom(Chain[0]), nullptr);
+  EXPECT_EQ(DT.idom(Chain[N / 2]), Chain[N / 2 - 1]);
+  EXPECT_EQ(DT.idom(Chain.back()), Chain[N - 2]);
+
+  size_t Depth = 0, MaxDepth = 0, Entered = 0;
+  std::vector<BasicBlock *> Left;
+  walkDomTree(
+      DT, Chain[0],
+      [&](BasicBlock *) {
+        ++Entered;
+        MaxDepth = std::max(MaxDepth, ++Depth);
+      },
+      [&](BasicBlock *BB) {
+        --Depth;
+        Left.push_back(BB);
+      });
+  EXPECT_EQ(Entered, N);
+  EXPECT_EQ(MaxDepth, N);
+  ASSERT_EQ(Left.size(), N);
+  EXPECT_EQ(Left.front(), Chain.back()) << "the deepest scope is left first";
+  EXPECT_EQ(Left.back(), Chain.front());
+}
+
 //===----------------------------------------------------------------------===//
 // Instruction dominance helper
 //===----------------------------------------------------------------------===//

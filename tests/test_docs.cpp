@@ -192,7 +192,9 @@ TEST(DocsDrift, RuntimeDocCurrent) {
         "TrafficReport", "checks_per_request", "sim_cost_per_request",
         "test_traffic.cpp", "--requests",
         // Simulated address space: demand-zero segments, global refusal.
-        "MAP_NORESERVE", "global segment exhausted"})
+        "MAP_NORESERVE", "global segment exhausted",
+        // Interpreter: the decoded form and the step-limit rule.
+        "DecodedFunction", "StepLimit", "Insts == N + 1"})
     EXPECT_NE(Doc.find(Needle), std::string::npos)
         << "docs/runtime.md no longer mentions '" << Needle << "'";
 

@@ -514,8 +514,8 @@ TEST(CallGraph, DeepCallChainDoesNotOverflowHostStack) {
   constexpr unsigned N = 50000;
   std::vector<Function *> Fs(N);
   for (unsigned I = 0; I < N; ++I)
-    Fs[I] =
-        M.createFunction("f" + std::to_string(I), Ctx.funcTy(Ctx.voidTy(), {}));
+    Fs[I] = M.createFunction(std::string("f").append(std::to_string(I)),
+                             Ctx.funcTy(Ctx.voidTy(), {}));
   for (unsigned I = 0; I < N; ++I) {
     B.setInsertPoint(Fs[I]->createBlock("entry"));
     if (I + 1 < N)
@@ -549,7 +549,8 @@ TEST(InterProcPrecision, DeepCfgChainIsWalkedIteratively) {
   B.setInsertPoint(F->createBlock("b0"));
   B.spatialCheck(F->arg(0), F->arg(1), 8, /*IsStore=*/true);
   for (unsigned I = 1; I < 10000; ++I) {
-    BasicBlock *Next = F->createBlock("b" + std::to_string(I));
+    BasicBlock *Next =
+        F->createBlock(std::string("b").append(std::to_string(I)));
     B.br(Next);
     B.setInsertPoint(Next);
   }

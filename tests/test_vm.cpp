@@ -9,11 +9,16 @@
 /// allocator (adjacency, free-list reuse, red-zone padding), segment
 /// fault behaviour and demand-zero backing, the VM's refusal of images
 /// whose globals do not fit, the control-data corruption detection
-/// that the attack suite relies on, and wrapping GEP address arithmetic.
+/// that the attack suite relies on, wrapping GEP address arithmetic,
+/// and the pins of the decoded interpreter: parallel phi moves,
+/// immediate global and function addresses, the step limit and the
+/// cost model, and setjmp resumption.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "driver/Pipeline.h"
+#include "ir/IRBuilder.h"
+#include "ir/Verifier.h"
 #include "vm/SimMemory.h"
 
 #include <gtest/gtest.h>
@@ -129,6 +134,31 @@ TEST(SimMemory, InvalidFreeReported) {
   EXPECT_EQ(M.heapFree(A + 4), UINT64_MAX); // Interior pointer.
   EXPECT_EQ(M.heapFree(A), 16u);
   EXPECT_EQ(M.heapFree(A), UINT64_MAX); // Double free.
+}
+
+TEST(SimMemory, StringLengthStopsAtNulLimitOrSegmentEnd) {
+  SimMemory M(1 << 16, 1 << 16, 1 << 16);
+  const uint8_t Hi[] = {'h', 'i', 0};
+  ASSERT_TRUE(M.writeBytes(simlayout::HeapBase + 8, 3, Hi));
+  uint64_t Len = 99;
+  EXPECT_TRUE(M.stringLength(simlayout::HeapBase + 8, 1 << 20, Len));
+  EXPECT_EQ(Len, 2u);
+  EXPECT_TRUE(M.stringLength(simlayout::HeapBase + 10, 1 << 20, Len));
+  EXPECT_EQ(Len, 0u);
+  // The NUL must lie within the limit.
+  EXPECT_TRUE(M.stringLength(simlayout::HeapBase + 8, 3, Len));
+  EXPECT_FALSE(M.stringLength(simlayout::HeapBase + 8, 2, Len));
+  // A string running to the segment's last byte runs off mapped memory.
+  uint64_t End = simlayout::HeapBase + (1 << 16);
+  const uint8_t Tail[] = {'x', 'y'};
+  ASSERT_TRUE(M.writeBytes(End - 2, 2, Tail));
+  EXPECT_FALSE(M.stringLength(End - 2, 1 << 20, Len));
+  EXPECT_FALSE(M.stringLength(0, 1 << 20, Len)) << "unmapped start";
+  // Concurrent mode scans the same bytes.
+  M.setConcurrent(true);
+  EXPECT_TRUE(M.stringLength(simlayout::HeapBase + 8, 1 << 20, Len));
+  EXPECT_EQ(Len, 2u);
+  EXPECT_FALSE(M.stringLength(End - 2, 1 << 20, Len));
 }
 
 TEST(SimMemory, UntouchedSegmentEdgesReadZero) {
@@ -364,6 +394,226 @@ TEST(VMGEP, IndexTimesSizeWrapsModulo2To64) {
     RunResult R = runSession(Plan, {}).Combined;
     EXPECT_EQ(R.Trap, TrapKind::None) << Spec << ": " << trapName(R.Trap);
     EXPECT_EQ(R.ExitCode, 7) << Spec;
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// The decoded interpreter
+//===----------------------------------------------------------------------===//
+
+/// Runs \p M's main in a fresh uninstrumented VM.
+RunResult runModule(Module &M, uint64_t StepLimit = VMConfig().StepLimit) {
+  VMConfig Cfg;
+  Cfg.StepLimit = StepLimit;
+  VM Machine(M, Cfg);
+  return Machine.run("main");
+}
+
+/// main() { a = 1; b = 2; c = 0; for (i = 0; i < Trips; i++)
+/// { a, b, c = b, a, a; } return a * 100 + b * 10 + c; } with the loop
+/// state held only in header phis: a and b swap, and c is fed by a.
+std::unique_ptr<Module> phiSwapLoop(int64_t Trips) {
+  auto M = std::make_unique<Module>();
+  TypeContext &Ctx = M->ctx();
+  Function *F = M->createFunction("main", Ctx.funcTy(Ctx.i64(), {}));
+  BasicBlock *Entry = F->createBlock("entry");
+  BasicBlock *Header = F->createBlock("header");
+  BasicBlock *Latch = F->createBlock("latch");
+  BasicBlock *Exit = F->createBlock("exit");
+  IRBuilder B(*M);
+  B.setInsertPoint(Entry);
+  B.br(Header);
+  // phi() inserts at the block's start: create in reverse to get
+  // a, b, c, i in block order, so c reads a phi written before it.
+  B.setInsertPoint(Header);
+  PhiInst *I = B.phi(Ctx.i64(), "i");
+  PhiInst *C = B.phi(Ctx.i64(), "c");
+  PhiInst *Bv = B.phi(Ctx.i64(), "b");
+  PhiInst *A = B.phi(Ctx.i64(), "a");
+  Value *More = B.icmp(ICmpInst::Pred::SLT, I, M->constI64(Trips));
+  B.condBr(More, Latch, Exit);
+  B.setInsertPoint(Latch);
+  Value *Next = B.add(I, M->constI64(1));
+  B.br(Header);
+  A->addIncoming(M->constI64(1), Entry);
+  A->addIncoming(Bv, Latch);
+  Bv->addIncoming(M->constI64(2), Entry);
+  Bv->addIncoming(A, Latch);
+  C->addIncoming(M->constI64(0), Entry);
+  C->addIncoming(A, Latch);
+  I->addIncoming(M->constI64(0), Entry);
+  I->addIncoming(Next, Latch);
+  B.setInsertPoint(Exit);
+  Value *Out = B.add(B.add(B.mul(A, M->constI64(100)),
+                           B.mul(Bv, M->constI64(10))),
+                     C);
+  B.ret(Out);
+  return M;
+}
+
+TEST(VMDecoded, HeaderPhisMoveInParallel) {
+  // Every phi of a block reads its incoming value before any is written:
+  // a and b swap each trip, and c gets the a of the trip before.
+  for (auto [Trips, Expected] : {std::pair{0, 120}, std::pair{1, 211},
+                                 std::pair{2, 122}, std::pair{3, 211}}) {
+    auto M = phiSwapLoop(Trips);
+    ASSERT_TRUE(verifyModule(*M).empty()) << verifyModule(*M).front();
+    RunResult R = runModule(*M);
+    ASSERT_TRUE(R.ok()) << R.Message;
+    EXPECT_EQ(R.ExitCode, Expected) << Trips << " trips";
+  }
+}
+
+TEST(VMDecoded, GlobalAndFunctionAddressesAreImmediates) {
+  // A phi choosing between a global's address and null, a phi choosing
+  // between a function's address and null, and a store whose value is a
+  // function address: each constant address reaches the register or the
+  // memory word as the address the image gave it.
+  Module M;
+  TypeContext &Ctx = M.ctx();
+  FunctionType *SevenTy = Ctx.funcTy(Ctx.i64(), {});
+  PointerType *FnPtr = Ctx.ptrTo(SevenTy);
+  PointerType *I64Ptr = Ctx.ptrTo(Ctx.i64());
+  GlobalVariable *G = M.createGlobal("g", Ctx.i64(), GlobalInitializer());
+  GlobalVariable *Slot = M.createGlobal("slot", FnPtr, GlobalInitializer());
+  Function *Seven = M.createFunction("seven", SevenTy);
+  IRBuilder B(M);
+  B.setInsertPoint(Seven->createBlock("entry"));
+  B.ret(M.constI64(7));
+
+  Function *Main = M.createFunction("main", Ctx.funcTy(Ctx.i64(), {}));
+  BasicBlock *Entry = Main->createBlock("entry");
+  BasicBlock *Left = Main->createBlock("left");
+  BasicBlock *Right = Main->createBlock("right");
+  BasicBlock *Join = Main->createBlock("join");
+  B.setInsertPoint(Entry);
+  B.condBr(M.constI1(true), Left, Right);
+  for (BasicBlock *Arm : {Left, Right}) {
+    B.setInsertPoint(Arm);
+    B.br(Join);
+  }
+  B.setInsertPoint(Join);
+  PhiInst *Fp = B.phi(FnPtr, "fp");
+  Fp->addIncoming(Seven, Left);
+  Fp->addIncoming(M.nullPtr(FnPtr), Right);
+  PhiInst *P = B.phi(I64Ptr, "p");
+  P->addIncoming(G, Left);
+  P->addIncoming(M.nullPtr(I64Ptr), Right);
+  B.store(M.constI64(42), P);
+  B.store(Seven, Slot);
+  Value *Loaded = B.load(FnPtr, Slot);
+  Value *ViaPhi = B.callIndirect(SevenTy, Fp, {});
+  Value *ViaMemory = B.callIndirect(SevenTy, Loaded, {});
+  Value *Stored = B.load(Ctx.i64(), G);
+  B.ret(B.add(B.add(Stored, ViaPhi), B.mul(ViaMemory, M.constI64(1000))));
+  ASSERT_TRUE(verifyModule(M).empty()) << verifyModule(M).front();
+
+  VM Machine(M, VMConfig{});
+  RunResult R = Machine.run("main");
+  ASSERT_TRUE(R.ok()) << R.Message;
+  EXPECT_EQ(R.ExitCode, 42 + 7 + 7000);
+  uint64_t Word = 0;
+  ASSERT_TRUE(Machine.memory().read(Machine.globalAddress(Slot), 8, Word));
+  EXPECT_EQ(Word, Machine.functionAddress(Seven));
+  ASSERT_TRUE(Machine.memory().read(Machine.globalAddress(G), 8, Word));
+  EXPECT_EQ(Word, 42u);
+}
+
+/// main() { long x = 0; for (long i = 0; i < 3; i++) x += i; return x; }
+/// with x an alloca and i a header phi. Executed instructions: entry 2
+/// (store, br), header 4 x 2 (icmp, condbr), body 3 x 5 (load, add,
+/// store, add, br), exit 2 (load, ret): 27. The alloca and the phi are
+/// free.
+std::unique_ptr<Module> allocaPhiLoop() {
+  auto M = std::make_unique<Module>();
+  TypeContext &Ctx = M->ctx();
+  Function *F = M->createFunction("main", Ctx.funcTy(Ctx.i64(), {}));
+  BasicBlock *Entry = F->createBlock("entry");
+  BasicBlock *Header = F->createBlock("header");
+  BasicBlock *Body = F->createBlock("body");
+  BasicBlock *Exit = F->createBlock("exit");
+  IRBuilder B(*M);
+  B.setInsertPoint(Entry);
+  Value *X = B.alloca_(Ctx.i64(), "x");
+  B.store(M->constI64(0), X);
+  B.br(Header);
+  B.setInsertPoint(Header);
+  PhiInst *I = B.phi(Ctx.i64(), "i");
+  B.condBr(B.icmp(ICmpInst::Pred::SLT, I, M->constI64(3)), Body, Exit);
+  B.setInsertPoint(Body);
+  B.store(B.add(B.load(Ctx.i64(), X), I), X);
+  Value *Next = B.add(I, M->constI64(1));
+  B.br(Header);
+  I->addIncoming(M->constI64(0), Entry);
+  I->addIncoming(Next, Body);
+  B.setInsertPoint(Exit);
+  B.ret(B.load(Ctx.i64(), X));
+  return M;
+}
+
+TEST(VMDecoded, AllocasAndPhisAreFreeAndTheStepLimitCountsFirst) {
+  auto M = allocaPhiLoop();
+  ASSERT_TRUE(verifyModule(*M).empty()) << verifyModule(*M).front();
+  RunResult Full = runModule(*M);
+  ASSERT_TRUE(Full.ok()) << Full.Message;
+  EXPECT_EQ(Full.ExitCode, 3);
+  EXPECT_EQ(Full.Counters.Insts, 27u);
+  EXPECT_EQ(Full.Counters.Cycles, 27u);
+  EXPECT_EQ(Full.Counters.Loads, 4u);
+  EXPECT_EQ(Full.Counters.Stores, 4u);
+  EXPECT_EQ(Full.Counters.Calls, 1u);
+
+  // A limit of exactly the run's instructions lets it finish.
+  RunResult AtLimit = runModule(*M, 27);
+  EXPECT_TRUE(AtLimit.ok()) << AtLimit.Message;
+  EXPECT_EQ(AtLimit.Counters.Insts, 27u);
+
+  // Past the limit, the instruction is counted, then refused before
+  // it is charged a cycle.
+  for (uint64_t N : {0u, 1u, 10u, 26u}) {
+    RunResult R = runModule(*M, N);
+    EXPECT_EQ(R.Trap, TrapKind::StepLimit) << N << ": " << trapName(R.Trap);
+    EXPECT_EQ(R.Counters.Insts, N + 1) << N;
+    EXPECT_EQ(R.Counters.Cycles, N) << N;
+  }
+}
+
+TEST(VMDecoded, LongjmpResumesAfterAMidBlockSetjmp) {
+  // setjmp sits mid-block, between two increments of a memory local; a
+  // longjmp three frames down resumes at the instruction after the
+  // setjmp call with main's locals and registers as the longjmp found
+  // them: r == 5, arr[0] == 13 as the first pass left it (so the
+  // increment after setjmp makes it 14), and k (a register once
+  // optimized) still 21.
+  const char *Src = "long jb[4];\n"
+                    "void deep(int n) {\n"
+                    "  if (n == 0) longjmp(jb, 5);\n"
+                    "  deep(n - 1);\n"
+                    "}\n"
+                    "int main() {\n"
+                    "  int arr[4];\n"
+                    "  arr[0] = 11;\n"
+                    "  arr[2] = 7;\n"
+                    "  int k = arr[2] * 3;\n"
+                    "  arr[0] = arr[0] + 1;\n"
+                    "  int r = setjmp(jb);\n"
+                    "  arr[0] = arr[0] + 1;\n"
+                    "  if (r == 0) {\n"
+                    "    deep(3);\n"
+                    "    return 99;\n"
+                    "  }\n"
+                    "  return r * 100 + arr[0] + k;\n"
+                    "}";
+  for (const char *Spec : {"", "optimize", "optimize,softbound,checkopt"}) {
+    PipelinePlan Plan;
+    Plan.frontend(Src);
+    if (*Spec) {
+      ASSERT_TRUE(Plan.appendSpec(Spec)) << Spec;
+    }
+    RunResult R = runSession(Plan, {}).Combined;
+    ASSERT_TRUE(R.ok()) << Spec << ": " << R.Message;
+    EXPECT_EQ(R.ExitCode, 500 + 14 + 21) << Spec;
+    EXPECT_GE(R.Counters.MaxFrameDepth, 5u) << Spec;
   }
 }
 

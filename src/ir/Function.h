@@ -18,6 +18,8 @@
 
 #include <list>
 #include <memory>
+#include <utility>
+#include <vector>
 
 namespace softbound {
 
@@ -80,6 +82,8 @@ public:
   unsigned numRegs() const { return NumRegs; }
 
   /// Replaces all operand uses of \p From with \p To across the body.
+  /// Scans the whole body: a pass that replaces many values records them
+  /// in a ValueReplacements instead.
   void replaceAllUsesWith(Value *From, Value *To);
 
   /// SoftBound transformation marker: set when this function has been
@@ -106,6 +110,36 @@ private:
   BlockList Blocks;
   unsigned NumRegs = 0;
   unsigned NextBlockId = 0;
+};
+
+/// Value replacements a pass records while it walks a function and then
+/// applies in one rewrite of the body, where one replaceAllUsesWith per
+/// replacement would rescan the body each time. A replacement's target
+/// may itself be replaced later; uses end at the last value of the chain.
+class ValueReplacements {
+public:
+  /// Records that \p From, an instruction of the function, is to be
+  /// replaced by \p To and erased.
+  void record(Instruction *From, Value *To);
+  bool empty() const { return Count == 0; }
+
+  /// What \p V stands for once every recorded replacement is applied.
+  Value *resolve(Value *V) const;
+  /// Points every operand of \p I at what it resolves to.
+  void rewrite(Instruction &I) const;
+  /// Rewrites the operands of every instruction of \p F, then erases
+  /// the replaced instructions.
+  void apply(Function &F) const;
+
+private:
+  /// The slot of \p V in Table: its entry, or the empty slot where it
+  /// would go.
+  size_t slotOf(const Value *V) const;
+
+  /// (From, To) pairs, open-addressed: a power of two in size and at
+  /// most half full, so a lookup is a multiply and a short probe.
+  std::vector<std::pair<const Value *, Value *>> Table;
+  size_t Count = 0;
 };
 
 } // namespace softbound

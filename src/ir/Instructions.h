@@ -333,6 +333,21 @@ public:
   Value *incomingValue(unsigned I) const { return op(I); }
   void setIncomingValue(unsigned I, Value *V) { setOp(I, V); }
   BasicBlock *incomingBlock(unsigned I) const { return Blocks[I]; }
+  void setIncomingBlock(unsigned I, BasicBlock *BB) { Blocks[I] = BB; }
+
+  /// Drops every entry whose incoming block is \p BB, keeping the order
+  /// of the rest.
+  void removeIncomingFor(const BasicBlock *BB) {
+    auto &Ops = mutableOps();
+    unsigned Out = 0;
+    for (unsigned I = 0; I < Blocks.size(); ++I)
+      if (Blocks[I] != BB) {
+        Ops[Out] = Ops[I];
+        Blocks[Out++] = Blocks[I];
+      }
+    Ops.resize(Out);
+    Blocks.resize(Out);
+  }
 
   /// Returns the incoming value for \p BB, or null when absent.
   Value *incomingFor(const BasicBlock *BB) const {

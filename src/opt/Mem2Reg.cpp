@@ -92,8 +92,11 @@ void softbound::mem2reg(Function &F) {
     }
   }
 
-  // Renaming walk over the dominator tree.
+  // Renaming walk over the dominator tree. Promoted loads are replaced
+  // in one rewrite after it, so a value the walk hands on may be a load
+  // that is itself replaced; the rewrite follows such chains.
   Module *Mod = F.parent();
+  ValueReplacements Repl;
   std::vector<Value *> Cur(Promotable.size(), nullptr);
   auto CurOrUndef = [&](unsigned Var) -> Value * {
     if (Cur[Var])
@@ -123,11 +126,8 @@ void softbound::mem2reg(Function &F) {
       if (auto *Ld = dyn_cast<LoadInst>(I)) {
         if (auto *AI = dyn_cast<AllocaInst>(Ld->pointer())) {
           auto Idx = Index.find(AI);
-          if (Idx != Index.end()) {
-            F.replaceAllUsesWith(Ld, CurOrUndef(Idx->second));
-            It = BB->erase(It);
-            continue;
-          }
+          if (Idx != Index.end())
+            Repl.record(Ld, CurOrUndef(Idx->second));
         }
         ++It;
         continue;
@@ -166,6 +166,19 @@ void softbound::mem2reg(Function &F) {
       Cur[It->first] = It->second;
   });
 
+  // Phis placed in unreachable blocks never got incoming values; drop them
+  // (simplifyCFG removes those blocks anyway).
+  for (auto &BB : F.blocks()) {
+    if (Visited.count(BB.get()))
+      continue;
+    for (auto &I : *BB) {
+      auto *Phi = dyn_cast<PhiInst>(I.get());
+      if (Phi && PhiVar.count(Phi))
+        Repl.record(Phi, Mod->undef(Phi->type()));
+    }
+  }
+  Repl.apply(F);
+
   // Remove the promoted allocas.
   for (auto &BB : F.blocks())
     for (auto It = BB->begin(); It != BB->end();) {
@@ -175,20 +188,4 @@ void softbound::mem2reg(Function &F) {
       else
         ++It;
     }
-
-  // Phis placed in unreachable blocks never got incoming values; drop them
-  // (simplifyCFG removes those blocks anyway).
-  for (auto &BB : F.blocks()) {
-    if (Visited.count(BB.get()))
-      continue;
-    for (auto It = BB->begin(); It != BB->end();) {
-      auto *Phi = dyn_cast<PhiInst>(It->get());
-      if (Phi && PhiVar.count(Phi)) {
-        F.replaceAllUsesWith(Phi, Mod->undef(Phi->type()));
-        It = BB->erase(It);
-      } else {
-        ++It;
-      }
-    }
-  }
 }

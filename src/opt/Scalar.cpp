@@ -41,47 +41,26 @@ void removePhiEntriesFor(BasicBlock *BB, BasicBlock *Pred) {
     auto *Phi = dyn_cast<PhiInst>(I.get());
     if (!Phi)
       break;
-    // Rebuild the phi without entries from Pred.
-    std::vector<std::pair<Value *, BasicBlock *>> Keep;
-    for (unsigned K = 0; K < Phi->numIncoming(); ++K)
-      if (Phi->incomingBlock(K) != Pred)
-        Keep.emplace_back(Phi->incomingValue(K), Phi->incomingBlock(K));
-    if (Keep.size() == Phi->numIncoming())
-      continue;
-    auto Fresh = std::make_unique<PhiInst>(Phi->type(), Phi->name());
-    for (auto &[V, B] : Keep)
-      Fresh->addIncoming(V, B);
-    // Swap in place: replace uses and substitute the instruction.
-    PhiInst *FreshP = Fresh.get();
-    BB->parent()->replaceAllUsesWith(Phi, FreshP);
-    for (auto It = BB->begin(); It != BB->end(); ++It)
-      if (It->get() == Phi) {
-        FreshP->setParent(BB);
-        *It = std::move(Fresh);
-        break;
-      }
+    Phi->removeIncomingFor(Pred);
   }
 }
 
 /// Replaces single-entry phis by their value.
 bool foldTrivialPhis(Function &F, const std::set<BasicBlock *> &Live) {
-  bool Changed = false;
+  ValueReplacements Repl;
   for (auto &BB : F.blocks()) {
     if (!Live.count(BB.get()))
       continue;
-    for (auto It = BB->begin(); It != BB->end();) {
-      auto *Phi = dyn_cast<PhiInst>(It->get());
+    for (auto &I : *BB) {
+      auto *Phi = dyn_cast<PhiInst>(I.get());
       if (!Phi)
         break;
-      if (Phi->numIncoming() == 1) {
-        F.replaceAllUsesWith(Phi, Phi->incomingValue(0));
-        It = BB->erase(It);
-        Changed = true;
-        continue;
-      }
-      ++It;
+      if (Phi->numIncoming() == 1)
+        Repl.record(Phi, Phi->incomingValue(0));
     }
   }
+  bool Changed = !Repl.empty();
+  Repl.apply(F);
   return Changed;
 }
 
@@ -139,25 +118,31 @@ bool softbound::simplifyCFG(Function &F) {
   Changed |= foldTrivialPhis(F, Live);
 
   // 3. Merge B into P when P -> B is the only edge in either direction.
-  bool Merged = true;
-  while (Merged) {
-    Merged = false;
-    std::map<BasicBlock *, std::vector<BasicBlock *>> Preds;
-    for (auto &BB : F.blocks())
-      for (auto *S : BB->successors())
-        Preds[S].push_back(BB.get());
-
-    for (auto &BBPtr : F.blocks()) {
-      BasicBlock *P = BBPtr.get();
+  // One pass reaches the fixpoint: a merge only changes P's terminator
+  // (P is tried again at once) and turns B into P in its successors'
+  // predecessor lists.
+  struct BlockInfo {
+    std::vector<BasicBlock *> Preds;
+    Function::BlockList::iterator Where; ///< The block's place in F.
+  };
+  std::map<BasicBlock *, BlockInfo> Info;
+  for (auto It = F.blocks().begin(); It != F.blocks().end(); ++It) {
+    Info[It->get()].Where = It;
+    for (auto *S : (*It)->successors())
+      Info[S].Preds.push_back(It->get());
+  }
+  for (auto &BBPtr : F.blocks()) {
+    BasicBlock *P = BBPtr.get();
+    for (;;) {
       auto *Br = dyn_cast<BrInst>(P->terminator());
       if (!Br || Br->isConditional())
-        continue;
+        break;
       BasicBlock *B = Br->successor(0);
       if (B == P || B == F.entry())
-        continue;
-      auto &BP = Preds[B];
+        break;
+      auto &BP = Info.at(B).Preds;
       if (BP.size() != 1 || BP[0] != P)
-        continue;
+        break;
       // B's phis have exactly one incoming (from P): fold them.
       for (auto It = B->begin(); It != B->end();) {
         auto *Phi = dyn_cast<PhiInst>(It->get());
@@ -177,45 +162,23 @@ bool softbound::simplifyCFG(Function &F) {
         P->instructions().push_back(std::move(I));
       }
       // Successor phis that referenced B now come from P.
-      for (auto *S : P->successors())
+      for (auto *S : P->successors()) {
         for (auto &I : *S) {
           auto *Phi = dyn_cast<PhiInst>(I.get());
           if (!Phi)
             break;
           for (unsigned K = 0; K < Phi->numIncoming(); ++K)
-            if (Phi->incomingBlock(K) == B) {
-              // Rebuild entry: cheapest is to rewrite the block array via a
-              // fresh phi; incoming block arrays are private, so rebuild.
-              std::vector<std::pair<Value *, BasicBlock *>> Entries;
-              for (unsigned J = 0; J < Phi->numIncoming(); ++J)
-                Entries.emplace_back(Phi->incomingValue(J),
-                                     Phi->incomingBlock(J) == B
-                                         ? P
-                                         : Phi->incomingBlock(J));
-              auto Fresh =
-                  std::make_unique<PhiInst>(Phi->type(), Phi->name());
-              for (auto &[V, Blk] : Entries)
-                Fresh->addIncoming(V, Blk);
-              PhiInst *FreshP = Fresh.get();
-              F.replaceAllUsesWith(Phi, FreshP);
-              for (auto It2 = S->begin(); It2 != S->end(); ++It2)
-                if (It2->get() == Phi) {
-                  FreshP->setParent(S);
-                  *It2 = std::move(Fresh);
-                  break;
-                }
-              break;
-            }
+            if (Phi->incomingBlock(K) == B)
+              Phi->setIncomingBlock(K, P);
         }
+        for (auto *&Pred : Info.at(S).Preds)
+          if (Pred == B)
+            Pred = P;
+      }
       // Delete the now-empty block B.
-      for (auto It = F.blocks().begin(); It != F.blocks().end(); ++It)
-        if (It->get() == B) {
-          F.blocks().erase(It);
-          break;
-        }
-      Merged = true;
+      F.blocks().erase(Info.at(B).Where);
+      Info.erase(B);
       Changed = true;
-      break; // Preds map is stale; recompute.
     }
   }
   return Changed;
@@ -417,20 +380,21 @@ Value *foldInst(Instruction *I, Module &M) {
 bool softbound::constantFold(Function &F, Module &M) {
   if (!F.isDefinition())
     return false;
-  bool Changed = false;
+  // Each instruction sees the folds before it in its operands, as if
+  // every fold had been replaced across the body at once; the body is
+  // rewritten once at the end.
+  ValueReplacements Repl;
   for (auto &BB : F.blocks())
-    for (auto It = BB->begin(); It != BB->end();) {
-      Instruction *I = It->get();
+    for (auto &IP : *BB) {
+      Instruction *I = IP.get();
+      Repl.rewrite(*I);
       Value *Folded = I->isPure() || isa<BinOpInst>(I) ? foldInst(I, M)
                                                        : nullptr;
-      if (Folded && Folded != I) {
-        F.replaceAllUsesWith(I, Folded);
-        It = BB->erase(It);
-        Changed = true;
-        continue;
-      }
-      ++It;
+      if (Folded && Folded != I)
+        Repl.record(I, Folded);
     }
+  bool Changed = !Repl.empty();
+  Repl.apply(F);
   return Changed;
 }
 
@@ -510,27 +474,26 @@ bool makeKey(Instruction *I, CSEKey &Key) {
 bool softbound::localCSE(Function &F) {
   if (!F.isDefinition())
     return false;
-  bool Changed = false;
+  // Keys see earlier replacements in their operands; the body is
+  // rewritten once at the end.
+  ValueReplacements Repl;
   for (auto &BB : F.blocks()) {
     std::map<CSEKey, Instruction *> Seen;
-    for (auto It = BB->begin(); It != BB->end();) {
-      Instruction *I = It->get();
+    for (auto &IP : *BB) {
+      Instruction *I = IP.get();
+      Repl.rewrite(*I);
       CSEKey Key;
-      if (!makeKey(I, Key)) {
-        ++It;
+      if (!makeKey(I, Key))
         continue;
-      }
       auto Found = Seen.find(Key);
-      if (Found != Seen.end()) {
-        F.replaceAllUsesWith(I, Found->second);
-        It = BB->erase(It);
-        Changed = true;
-        continue;
-      }
-      Seen[Key] = I;
-      ++It;
+      if (Found != Seen.end())
+        Repl.record(I, Found->second);
+      else
+        Seen[Key] = I;
     }
   }
+  bool Changed = !Repl.empty();
+  Repl.apply(F);
   return Changed;
 }
 
@@ -567,6 +530,9 @@ unsigned softbound::eliminateRedundantChecks(Function &F) {
   if (!F.isDefinition())
     return 0;
   unsigned Removed = 0;
+  // Redundant meta.loads are replaced in one rewrite at the end; every
+  // instruction sees the earlier replacements in its operands.
+  ValueReplacements Repl;
   for (auto &BB : F.blocks()) {
     // (ptr, bounds) -> largest access size already checked in this block.
     std::map<std::pair<Value *, Value *>, uint64_t> CheckedStore;
@@ -575,6 +541,7 @@ unsigned softbound::eliminateRedundantChecks(Function &F) {
 
     for (auto It = BB->begin(); It != BB->end();) {
       Instruction *I = It->get();
+      Repl.rewrite(*I);
 
       if (auto *Chk = dyn_cast<SpatialCheckInst>(I)) {
         auto Key = std::make_pair(Chk->pointer(), Chk->bounds());
@@ -599,12 +566,11 @@ unsigned softbound::eliminateRedundantChecks(Function &F) {
       if (auto *ML = dyn_cast<MetaLoadInst>(I)) {
         auto Found = MetaLoaded.find(ML->address());
         if (Found != MetaLoaded.end()) {
-          F.replaceAllUsesWith(ML, Found->second);
-          It = BB->erase(It);
+          Repl.record(ML, Found->second);
           ++Removed;
-          continue;
+        } else {
+          MetaLoaded[ML->address()] = ML;
         }
-        MetaLoaded[ML->address()] = ML;
         ++It;
         continue;
       }
@@ -621,6 +587,7 @@ unsigned softbound::eliminateRedundantChecks(Function &F) {
       ++It;
     }
   }
+  Repl.apply(F);
   return Removed;
 }
 

@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Small compiler-portability helpers (unreachable marker, likely hints).
+/// Small compiler-portability helpers (unreachable marker, inlining hints).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,6 +25,12 @@ namespace softbound {
 }
 
 } // namespace softbound
+
+/// Inlining hints for the interpreter loop, whose size otherwise makes
+/// the inliner give up on its small hot helpers and pull in its large
+/// cold ones.
+#define SB_ALWAYS_INLINE [[gnu::always_inline]] inline
+#define SB_NOINLINE [[gnu::noinline]]
 
 /// Marks a point in code that must never be reached.
 #define sb_unreachable(MSG)                                                    \

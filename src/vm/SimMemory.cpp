@@ -6,6 +6,7 @@
 
 #include "vm/SimMemory.h"
 
+#include <cassert>
 #include <cstring>
 #include <new>
 
@@ -34,68 +35,19 @@ SimMemory::Segment::~Segment() {
 SimMemory::SimMemory(uint64_t GlobalSize, uint64_t HeapSize,
                      uint64_t StackSize)
     : Globals(GlobalSize), Heap(HeapSize), Stack(StackSize),
-      StackTopAddr(StackBase + StackSize) {}
+      StackTopAddr(StackBase + StackSize) {
+  assert(GlobalSize <= HeapBase - GlobalBase &&
+         HeapSize <= StackBase - HeapBase && "segments must stay disjoint");
+}
 
-namespace {
-/// Relaxed per-byte copies for concurrent mode. Lanes racing on the same
-/// simulated bytes is the workload's race, not the host's: routing every
-/// byte through __atomic builtins keeps the host behavior defined (and
-/// ThreadSanitizer quiet) at the cost of a per-byte loop instead of
-/// memcpy. Only multi-lane sessions pay it.
-void atomicCopyOut(uint8_t *Dst, const uint8_t *Src, uint64_t N) {
+void SimMemory::copyOutRelaxed(uint8_t *Dst, const uint8_t *Src, uint64_t N) {
   for (uint64_t I = 0; I < N; ++I)
     Dst[I] = __atomic_load_n(Src + I, __ATOMIC_RELAXED);
 }
-void atomicCopyIn(uint8_t *Dst, const uint8_t *Src, uint64_t N) {
+
+void SimMemory::copyInRelaxed(uint8_t *Dst, const uint8_t *Src, uint64_t N) {
   for (uint64_t I = 0; I < N; ++I)
     __atomic_store_n(Dst + I, Src[I], __ATOMIC_RELAXED);
-}
-} // namespace
-
-const uint8_t *SimMemory::resolve(uint64_t Addr, uint64_t N) const {
-  if (Addr >= GlobalBase && Addr + N <= GlobalBase + Globals.size() &&
-      Addr + N >= Addr)
-    return Globals.data() + (Addr - GlobalBase);
-  if (Addr >= HeapBase && Addr + N <= HeapBase + Heap.size() && Addr + N >= Addr)
-    return Heap.data() + (Addr - HeapBase);
-  if (Addr >= StackBase && Addr + N <= StackBase + Stack.size() &&
-      Addr + N >= Addr)
-    return Stack.data() + (Addr - StackBase);
-  return nullptr;
-}
-
-const uint8_t *SimMemory::span(uint64_t Addr, uint64_t &Avail) const {
-  for (const auto &[Base, Seg] : {std::pair{GlobalBase, &Globals},
-                                  std::pair{HeapBase, &Heap},
-                                  std::pair{StackBase, &Stack}})
-    if (Addr >= Base && Addr - Base < Seg->size()) {
-      Avail = Seg->size() - (Addr - Base);
-      return Seg->data() + (Addr - Base);
-    }
-  return nullptr;
-}
-
-bool SimMemory::read(uint64_t Addr, unsigned Size, uint64_t &Out) const {
-  const uint8_t *P = resolve(Addr, Size);
-  if (!P)
-    return false;
-  Out = 0;
-  if (Concurrent)
-    atomicCopyOut(reinterpret_cast<uint8_t *>(&Out), P, Size);
-  else
-    std::memcpy(&Out, P, Size); // Little-endian host assumed (x86-64).
-  return true;
-}
-
-bool SimMemory::write(uint64_t Addr, unsigned Size, uint64_t Val) {
-  uint8_t *P = resolve(Addr, Size);
-  if (!P)
-    return false;
-  if (Concurrent)
-    atomicCopyIn(P, reinterpret_cast<const uint8_t *>(&Val), Size);
-  else
-    std::memcpy(P, &Val, Size);
-  return true;
 }
 
 bool SimMemory::readBytes(uint64_t Addr, uint64_t N, uint8_t *Out) const {
@@ -103,7 +55,7 @@ bool SimMemory::readBytes(uint64_t Addr, uint64_t N, uint8_t *Out) const {
   if (!P)
     return false;
   if (Concurrent)
-    atomicCopyOut(Out, P, N);
+    copyOutRelaxed(Out, P, N);
   else
     std::memcpy(Out, P, N);
   return true;
@@ -114,7 +66,7 @@ bool SimMemory::writeBytes(uint64_t Addr, uint64_t N, const uint8_t *In) {
   if (!P)
     return false;
   if (Concurrent)
-    atomicCopyIn(P, In, N);
+    copyInRelaxed(P, In, N);
   else
     std::memcpy(P, In, N);
   return true;

@@ -16,7 +16,10 @@
 #ifndef SOFTBOUND_VM_SIMMEMORY_H
 #define SOFTBOUND_VM_SIMMEMORY_H
 
+#include "support/Compiler.h"
+
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <mutex>
 
@@ -55,10 +58,31 @@ public:
   //===--------------------------------------------------------------------===//
 
   /// Reads \p Size (1/2/4/8) bytes at \p Addr, zero-extended into \p Out.
-  bool read(uint64_t Addr, unsigned Size, uint64_t &Out) const;
+  /// Inline: every interpreted load and store comes through here.
+  SB_ALWAYS_INLINE bool read(uint64_t Addr, unsigned Size,
+                             uint64_t &Out) const {
+    const uint8_t *P = resolve(Addr, Size);
+    if (!P)
+      return false;
+    Out = 0;
+    if (Concurrent)
+      copyOutRelaxed(reinterpret_cast<uint8_t *>(&Out), P, Size);
+    else
+      std::memcpy(&Out, P, Size); // Little-endian host assumed (x86-64).
+    return true;
+  }
 
   /// Writes the low \p Size bytes of \p Val at \p Addr.
-  bool write(uint64_t Addr, unsigned Size, uint64_t Val);
+  SB_ALWAYS_INLINE bool write(uint64_t Addr, unsigned Size, uint64_t Val) {
+    uint8_t *P = resolve(Addr, Size);
+    if (!P)
+      return false;
+    if (Concurrent)
+      copyInRelaxed(P, reinterpret_cast<const uint8_t *>(&Val), Size);
+    else
+      std::memcpy(P, &Val, Size);
+    return true;
+  }
 
   bool readBytes(uint64_t Addr, uint64_t N, uint8_t *Out) const;
   bool writeBytes(uint64_t Addr, uint64_t N, const uint8_t *In);
@@ -150,14 +174,52 @@ private:
     uint64_t Size = 0;
   };
 
-  const uint8_t *resolve(uint64_t Addr, uint64_t N) const;
-  /// The host bytes at \p Addr and the mapped bytes from there to the
-  /// end of its segment (\p Avail), or null when \p Addr is unmapped.
-  const uint8_t *span(uint64_t Addr, uint64_t &Avail) const;
+  /// The one segment lookup. The segments are disjoint and ordered
+  /// (globals, heap, stack), so \p Addr can only lie in the highest one
+  /// whose base it reaches; \p Off is its offset there, past the
+  /// segment's end when \p Addr is unmapped (wrapped for an address
+  /// below the global segment).
+  const Segment &segmentOf(uint64_t Addr, uint64_t &Off) const {
+    if (Addr >= simlayout::StackBase) {
+      Off = Addr - simlayout::StackBase;
+      return Stack;
+    }
+    if (Addr >= simlayout::HeapBase) {
+      Off = Addr - simlayout::HeapBase;
+      return Heap;
+    }
+    Off = Addr - simlayout::GlobalBase;
+    return Globals;
+  }
+  /// The host bytes of [Addr, Addr+N), or null unless the whole range
+  /// lies in one mapped segment.
+  const uint8_t *resolve(uint64_t Addr, uint64_t N) const {
+    uint64_t Off;
+    const Segment &S = segmentOf(Addr, Off);
+    return Off <= S.size() && N <= S.size() - Off ? S.data() + Off : nullptr;
+  }
   uint8_t *resolve(uint64_t Addr, uint64_t N) {
     return const_cast<uint8_t *>(
         static_cast<const SimMemory *>(this)->resolve(Addr, N));
   }
+  /// The host bytes at \p Addr and the mapped bytes from there to the
+  /// end of its segment (\p Avail), or null when \p Addr is unmapped.
+  const uint8_t *span(uint64_t Addr, uint64_t &Avail) const {
+    uint64_t Off;
+    const Segment &S = segmentOf(Addr, Off);
+    if (Off >= S.size())
+      return nullptr;
+    Avail = S.size() - Off;
+    return S.data() + Off;
+  }
+
+  /// Relaxed per-byte copies for concurrent mode. Lanes racing on the
+  /// same simulated bytes is the workload's race, not the host's:
+  /// routing every byte through __atomic builtins keeps the host
+  /// behavior defined (and ThreadSanitizer quiet) at the cost of a
+  /// per-byte loop instead of memcpy. Only multi-lane sessions pay it.
+  static void copyOutRelaxed(uint8_t *Dst, const uint8_t *Src, uint64_t N);
+  static void copyInRelaxed(uint8_t *Dst, const uint8_t *Src, uint64_t N);
 
   Segment Globals;
   Segment Heap;

@@ -9,6 +9,8 @@
 #include "support/Compiler.h"
 #include "support/RNG.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 #include <thread>
 
@@ -122,19 +124,44 @@ Builtin builtinByName(const std::string &N) {
   return It == Map.end() ? Builtin::NotABuiltin : It->second;
 }
 
-/// Sign-extends the low \p Bits of \p V.
-uint64_t canon(uint64_t V, unsigned Bits) {
-  if (Bits >= 64)
+/// Sign-extends the low \p Bits (1..64) of \p V; an i1 is zero-extended.
+/// The widths of long, pointer and int results come first: at each
+/// handler the branches go the same way nearly every time.
+inline uint64_t canon(uint64_t V, unsigned Bits) {
+  if (Bits == 64)
     return V;
-  uint64_t Mask = (1ULL << Bits) - 1;
-  V &= Mask;
-  if (Bits > 1 && ((V >> (Bits - 1)) & 1))
-    V |= ~Mask;
-  return V;
+  if (Bits == 32)
+    return static_cast<uint64_t>(
+        static_cast<int64_t>(static_cast<int32_t>(V)));
+  unsigned Shift = 64 - Bits;
+  auto Ext = static_cast<uint64_t>(static_cast<int64_t>(V << Shift) >> Shift);
+  return Bits == 1 ? V & 1 : Ext;
 }
 
-uint64_t maskTo(uint64_t V, unsigned Bits) {
-  return Bits >= 64 ? V : V & ((1ULL << Bits) - 1);
+/// Zero-extends the low \p Bits (1..64) of \p V.
+inline uint64_t maskTo(uint64_t V, unsigned Bits) {
+  return V & (~0ULL >> (64 - Bits));
+}
+
+/// Signed division and remainder with the i64 wrap (INT64_MIN / -1 ==
+/// INT64_MIN, remainder 0); the divisor is not 0. Operands that both fit
+/// in 32 bits, with a divisor other than -1, take the cheaper 32-bit
+/// division, whose results are the same.
+inline uint64_t sdiv(int64_t L, int64_t R) {
+  if (L == static_cast<int32_t>(L) && R == static_cast<int32_t>(R) && R != -1)
+    return static_cast<uint64_t>(static_cast<int64_t>(
+        static_cast<int32_t>(L) / static_cast<int32_t>(R)));
+  if (L == INT64_MIN && R == -1)
+    return static_cast<uint64_t>(L);
+  return static_cast<uint64_t>(L / R);
+}
+inline uint64_t srem(int64_t L, int64_t R) {
+  if (L == static_cast<int32_t>(L) && R == static_cast<int32_t>(R) && R != -1)
+    return static_cast<uint64_t>(static_cast<int64_t>(
+        static_cast<int32_t>(L) % static_cast<int32_t>(R)));
+  if (R == -1)
+    return 0;
+  return static_cast<uint64_t>(L % R);
 }
 
 constexpr uint64_t RetTokenTag = 0x5EC0'0000'0000'0000ULL;
@@ -152,19 +179,19 @@ constexpr uint64_t JmpMagic = 0x4A4D'5042'5546'4D41ULL;
 
 namespace {
 
-/// One pre-resolved operand: a register of the running frame (Slot >= 0)
-/// or an immediate (constants, global and function addresses).
-struct DOperand {
-  int32_t Slot = -1;
-  uint64_t Imm = 0;
-};
-
 /// Decoded opcodes: the IR kinds with the BinOp, ICmp and Cast
 /// sub-operations and the check's guard folded in, so that one dispatch
 /// selects the handler.
 enum class Op : uint8_t {
-  Load,
-  Store,
+  // Loads and stores by access size, in log2 order.
+  Load1,
+  Load2,
+  Load4,
+  Load8,
+  Store1,
+  Store2,
+  Store4,
+  Store8,
   GEP,
   // BinOp, in BinOpInst::Op order.
   Add,
@@ -211,6 +238,17 @@ enum class Op : uint8_t {
   ExtractBounds,
 };
 
+/// The load or store opcode (\p First is Op::Load1 or Op::Store1) of a
+/// 1, 2, 4 or 8-byte access.
+Op accessOp(Op First, uint64_t Size) {
+  assert((Size == 1 || Size == 2 || Size == 4 || Size == 8) &&
+         "loads and stores move one scalar");
+  return static_cast<Op>(static_cast<int>(First) + (Size == 1   ? 0
+                                                    : Size == 2 ? 1
+                                                    : Size == 4 ? 2
+                                                                : 3));
+}
+
 static_assert(static_cast<int>(Op::AShr) - static_cast<int>(Op::Add) ==
                   static_cast<int>(BinOpInst::Op::AShr),
               "BinOp opcodes decode by offset from Op::Add");
@@ -219,19 +257,23 @@ static_assert(static_cast<int>(Op::CmpUGE) - static_cast<int>(Op::CmpEQ) ==
               "ICmp predicates decode by offset from Op::CmpEQ");
 
 /// One decoded instruction. Ops, Aux/NAux, Size and Flag mean what the
-/// opcode's handler in VMExec::interpret reads from them.
+/// opcode's handler in VMExec::interpret reads from them. Ops are the
+/// operand registers in IR operand order; every operand is a register of
+/// the running frame, immediates included (DecodedFunction::Image).
 struct DInst {
   Op Code = Op::Unreachable;
   uint8_t Bits = 64; ///< Integer width of the result, or of the operands
                      ///< of a compare or zext.
   bool Flag = false; ///< Load/Store: a pointer value. Check: a store
-                     ///< check. Ret: returns a value.
+                     ///< check. Ret: returns a value. Compare: fused
+                     ///< with the CondBr right after it.
   int32_t Dst = -1;  ///< Result register, or -1.
   uint32_t Aux = 0;  ///< First side-table entry: GEP steps, call
-                     ///< arguments, or the branch's edges.
+                     ///< arguments, or the branch's edges (a fused
+                     ///< compare: its CondBr's).
   uint32_t NAux = 0; ///< Side-table entries (GEP steps, call arguments).
   uint64_t Size = 0; ///< Access size, or the GEP's constant offset.
-  DOperand Ops[3];
+  int32_t Ops[3] = {0, 0, 0};
   const DecodedFunction *Callee = nullptr; ///< Direct call target.
   /// The source instruction: trap locations (where) and profile sites
   /// (siteOf) only.
@@ -240,14 +282,14 @@ struct DInst {
 
 /// A variable GEP index: address += Index * Scale.
 struct DStep {
-  DOperand Index;
+  int32_t Index = 0;
   uint64_t Scale = 0;
 };
 
 /// One phi assignment on a CFG edge.
 struct DMove {
   int32_t Dst = -1;
-  DOperand Src;
+  int32_t Src = 0;
 };
 
 /// One CFG edge: where it lands and the phi moves it performs.
@@ -258,6 +300,10 @@ struct DEdge {
   /// A move reads a register an earlier move of the edge writes, so the
   /// moves must read every source before writing any destination.
   bool Parallel = false;
+  /// A move carries bounds or a pointer pair, so the moves copy whole
+  /// registers; otherwise they copy the one word an integer or pointer
+  /// register is read through.
+  bool Whole = false;
 };
 
 /// One alloca: its register and its place below the frame top.
@@ -279,13 +325,16 @@ struct DecodedFunction {
   /// A definition the VM runs; calls to anything else go to the builtin.
   bool Callable = false;
   unsigned NumArgs = 0;
-  unsigned NumRegs = 0;
+  /// A new frame's registers: the function's own, zeroed, then one per
+  /// distinct immediate operand holding its value. Frames never write
+  /// the immediates' registers.
+  std::vector<VMVal> Image;
   /// Frame top to frame low: control words, locals, 16-byte rounding.
   uint64_t FrameBytes = 0;
   std::vector<DLocal> Locals; ///< Allocas, in declaration order.
   /// Every instruction but allocas and phis; the entry block first.
   std::vector<DInst> Code;
-  std::vector<DOperand> Args; ///< Call arguments.
+  std::vector<int32_t> Args; ///< Call argument registers.
   std::vector<DStep> Steps;   ///< GEP variable indices.
   std::vector<DEdge> Edges;   ///< Branch edges.
   std::vector<DMove> Moves;   ///< Phi moves of the edges.
@@ -380,14 +429,6 @@ private:
     return &Owner.Decoded[Idx];
   }
 
-  /// The word of \p O in the frame whose registers start at \p Base.
-  uint64_t word(size_t Base, const DOperand &O) const {
-    return O.Slot >= 0 ? Regs[Base + O.Slot].A : O.Imm;
-  }
-  VMVal value(size_t Base, const DOperand &O) const {
-    return O.Slot >= 0 ? Regs[Base + O.Slot] : VMVal{O.Imm, 0, 0};
-  }
-
   /// The per-site profile row for \p I, or null in the disabled mode
   /// (no profile attached, or the instruction never got a site ID). One
   /// pointer test when profiling is off; never touches C.Cycles.
@@ -411,13 +452,16 @@ private:
     const BasicBlock *BB = I.IR->parent();
     return "@" + BB->parent()->name() + "/" + BB->name();
   }
+  /// Traps with \p What followed by where(I). Out of line: the
+  /// interpreter's handlers stay small.
+  SB_NOINLINE void trapAt(TrapKind K, const char *What, const DInst &I);
 
   //===--------------------------------------------------------------------===//
   // Frames
   //===--------------------------------------------------------------------===//
 
-  /// Pushes a frame for \p Fn with zeroed registers and its allocas laid
-  /// out; the caller fills the arguments. \p RetDst is the caller's
+  /// Pushes a frame for \p Fn with its register image and its allocas
+  /// laid out; the caller fills the arguments. \p RetDst is the caller's
   /// result register. Returns false (having trapped) on overflow.
   bool pushFrame(const DecodedFunction &Fn, int32_t RetDst);
   /// Checks the frame's control words, then pops it.
@@ -433,12 +477,83 @@ private:
 
   /// Runs the top frame's decoded code until the run halts.
   void interpret();
-  /// Performs \p E's phi moves; returns its target code index.
-  uint32_t takeEdge(size_t Base, const DecodedFunction &Fn, const DEdge &E);
+  /// Performs \p E's phi moves on the registers \p R; returns its target
+  /// code index.
+  SB_ALWAYS_INLINE uint32_t takeEdge(VMVal *R, const DecodedFunction &Fn,
+                                     const DEdge &E) {
+    if (E.NMoves == 0)
+      return E.Target;
+    // The target's phis as one parallel assignment.
+    const DMove *Mv = &Fn.Moves[E.Move];
+    if (E.Parallel) {
+      if (PhiTmp.size() < E.NMoves)
+        PhiTmp.resize(E.NMoves);
+      for (uint32_t K = 0; K < E.NMoves; ++K)
+        PhiTmp[K] = R[Mv[K].Src];
+      for (uint32_t K = 0; K < E.NMoves; ++K)
+        R[Mv[K].Dst] = PhiTmp[K];
+    } else if (E.Whole) {
+      for (uint32_t K = 0; K < E.NMoves; ++K)
+        R[Mv[K].Dst] = R[Mv[K].Src];
+    } else {
+      for (uint32_t K = 0; K < E.NMoves; ++K)
+        R[Mv[K].Dst].A = R[Mv[K].Src].A;
+    }
+    return E.Target;
+  }
+  /// The load \p I of \p Size bytes; false when it trapped.
+  SB_ALWAYS_INLINE bool load(VMVal *R, const DInst &I, unsigned Size) {
+    uint64_t Addr = R[I.Ops[0]].A;
+    if (Cfg.Checker && !checkerAllows(I, Addr, /*IsStore=*/false))
+      return false;
+    uint64_t Raw;
+    if (!Mem.read(Addr, Size, Raw)) {
+      trapAt(TrapKind::Segfault, "load from unmapped address ", I);
+      return false;
+    }
+    ++C.Loads;
+    C.PtrLoads += I.Flag;
+    R[I.Dst].A = canon(Raw, I.Bits);
+    return true;
+  }
+  /// The store \p I of \p Size bytes; false when it trapped.
+  SB_ALWAYS_INLINE bool store(const VMVal *R, const DInst &I, unsigned Size) {
+    uint64_t Val = R[I.Ops[0]].A, Addr = R[I.Ops[1]].A;
+    if (Cfg.Checker && !checkerAllows(I, Addr, /*IsStore=*/true))
+      return false;
+    if (!Mem.write(Addr, Size, Val)) {
+      trapAt(TrapKind::Segfault, "store to unmapped address ", I);
+      return false;
+    }
+    ++C.Stores;
+    C.PtrStores += I.Flag;
+    return true;
+  }
   bool checkerAllows(const DInst &I, uint64_t Addr, bool IsStore);
-  bool spatialCheck(size_t Base, const DInst &I, SiteCounters *SC);
-  void execBuiltin(size_t Base, const DecodedFunction &Fn, const DInst &I,
-                   Builtin B);
+  SB_NOINLINE bool checkerAllowsDerive(const DInst &I, uint64_t From,
+                                       uint64_t Addr);
+  SB_ALWAYS_INLINE bool spatialCheck(const VMVal *R, const DInst &I,
+                                     SiteCounters *SC) {
+    uint64_t P = R[I.Ops[0]].A;
+    const VMVal &B = R[I.Ops[1]];
+    ++C.Checks;
+    C.Cycles += Cfg.CheckCost;
+    if (SC)
+      ++SC->Executed;
+    if (P >= B.A && P + I.Size <= B.B)
+      return true;
+    if (SC)
+      ++SC->Traps;
+    trapAt(TrapKind::SpatialViolation,
+           I.Flag ? "softbound: out-of-bounds store "
+                  : "softbound: out-of-bounds load ",
+           I);
+    return false;
+  }
+  /// Runs \p Callee, which the VM does not interpret, for the call \p I
+  /// of \p Fn: a builtin, or a BadIndirectCall trap.
+  SB_NOINLINE void execBuiltin(VMVal *R, const DecodedFunction &Fn,
+                               const DInst &I, const DecodedFunction &Callee);
 
   // Builtin helpers.
   /// Baseline-checker validation of a native (builtin) memory access —
@@ -584,28 +699,54 @@ void VM::loadImage() {
 void VM::decode(DecodedFunction &D) const {
   Function &F = *D.F;
   D.NumArgs = F.numArgs();
-  D.NumRegs = F.numRegs();
 
-  auto Operand = [&](const Value *V) {
-    DOperand O;
+  // Constants, null/undef, global and function addresses are immediates.
+  auto Immediate = [&](const Value *V, uint64_t &Imm) {
     switch (V->kind()) {
     case ValueKind::ConstInt:
-      O.Imm = static_cast<uint64_t>(cast<ConstantInt>(V)->value());
-      break;
+      Imm = static_cast<uint64_t>(cast<ConstantInt>(V)->value());
+      return true;
     case ValueKind::ConstNull:
     case ValueKind::ConstUndef:
-      break;
+      Imm = 0;
+      return true;
     case ValueKind::Global:
-      O.Imm = GlobalAddr.at(cast<GlobalVariable>(V));
-      break;
+      Imm = GlobalAddr.at(cast<GlobalVariable>(V));
+      return true;
     case ValueKind::Func:
-      O.Imm = FuncAddr.at(cast<Function>(V));
-      break;
+      Imm = FuncAddr.at(cast<Function>(V));
+      return true;
     default:
-      assert(V->slot() >= 0 && "use of unregistered value");
-      O.Slot = V->slot();
+      return false;
     }
-    return O;
+  };
+  // One register per distinct immediate value, above the function's
+  // own, in order of first use; the register image holds its value.
+  // ImmTable, a flat open-addressed set of those registers, finds a
+  // value's register; it has room for every operand to be a distinct
+  // immediate, at most half full.
+  D.Image.assign(F.numRegs(), VMVal());
+  std::vector<int32_t> ImmTable;
+  unsigned TableBits = 0;
+  auto ImmReg = [&](uint64_t Imm) {
+    size_t Mask = ImmTable.size() - 1;
+    for (size_t H = (Imm * 0x9E37'79B9'7F4A'7C15ULL) >> (64 - TableBits);;
+         H = (H + 1) & Mask) {
+      int32_t &R = ImmTable[H];
+      if (R < 0) {
+        R = static_cast<int32_t>(D.Image.size());
+        D.Image.push_back(VMVal{Imm, 0, 0});
+      }
+      if (D.Image[R].A == Imm)
+        return R;
+    }
+  };
+  auto Operand = [&](const Value *V) -> int32_t {
+    uint64_t Imm;
+    if (Immediate(V, Imm))
+      return ImmReg(Imm);
+    assert(V->slot() >= 0 && "use of unregistered value");
+    return V->slot();
   };
 
   // Frame layout, relative to a 16-aligned frame top (every frame top
@@ -619,9 +760,11 @@ void VM::decode(DecodedFunction &D) const {
   // frame entry) and phis (moved on the incoming edge) are not code.
   std::unordered_map<const BasicBlock *, uint32_t> Start;
   uint32_t N = 0;
+  size_t Uses = 0;
   for (const auto &BB : F.blocks()) {
     Start[BB.get()] = N;
     for (const auto &I : *BB) {
+      Uses += I->numOperands();
       if (const auto *AI = dyn_cast<AllocaInst>(I.get())) {
         Type *T = AI->allocatedType();
         assert(T->alignment() <= 16 && "frame layout assumes align <= 16");
@@ -634,6 +777,9 @@ void VM::decode(DecodedFunction &D) const {
     }
   }
   D.FrameBytes = 0 - (Cur & ~15ULL);
+  D.Image.reserve(F.numRegs() + Uses + 1);
+  ImmTable.assign(std::bit_ceil(2 * Uses + 2), -1);
+  TableBits = static_cast<unsigned>(std::countr_zero(ImmTable.size()));
 
   auto AddEdge = [&](const BasicBlock *From, const BasicBlock *To) {
     DEdge E;
@@ -645,10 +791,12 @@ void VM::decode(DecodedFunction &D) const {
         break;
       const Value *In = P->incomingFor(From);
       assert(In && "phi has no incoming value for predecessor");
-      DMove Mv{P->slot(), In ? Operand(In) : DOperand()};
+      DMove Mv{P->slot(), In ? Operand(In) : ImmReg(0)};
       for (uint32_t K = E.Move; K < D.Moves.size(); ++K)
-        if (Mv.Src.Slot >= 0 && D.Moves[K].Dst == Mv.Src.Slot)
+        if (D.Moves[K].Dst == Mv.Src)
           E.Parallel = true;
+      if (!P->type()->isPointer() && !isa<IntType>(P->type()))
+        E.Whole = true;
       D.Moves.push_back(Mv);
     }
     E.NMoves = static_cast<uint32_t>(D.Moves.size()) - E.Move;
@@ -661,24 +809,29 @@ void VM::decode(DecodedFunction &D) const {
       const Instruction &I = *IP;
       if (isa<AllocaInst>(I) || isa<PhiInst>(I))
         continue;
-      DInst X;
+      // Filled in place: Code has room for all N, so X stays valid.
+      DInst &X = D.Code.emplace_back();
       X.IR = &I;
       X.Dst = I.slot();
       // The handlers read the leading operands in IR operand order; GEP
-      // indices and call arguments past them go to the side tables.
-      for (unsigned K = 0; K < I.numOperands() && K < 3; ++K)
+      // indices and call arguments go to the side tables, and a direct
+      // call reads no callee operand.
+      unsigned NOps = std::min(I.numOperands(), 3u);
+      if (isa<GEPInst>(I) || isa<CallInst>(I))
+        NOps = isa<CallInst>(I) && cast<CallInst>(I).calledFunction() ? 0 : 1;
+      for (unsigned K = 0; K < NOps; ++K)
         X.Ops[K] = Operand(I.op(K));
       switch (I.kind()) {
       case ValueKind::Load:
-        X.Code = Op::Load;
         X.Size = I.type()->sizeInBytes();
+        X.Code = accessOp(Op::Load1, X.Size);
         X.Flag = I.type()->isPointer();
         X.Bits = X.Flag ? 64 : cast<IntType>(I.type())->bits();
         break;
       case ValueKind::Store: {
         Type *T = cast<StoreInst>(I).value()->type();
-        X.Code = Op::Store;
         X.Size = T->sizeInBytes();
+        X.Code = accessOp(Op::Store1, X.Size);
         X.Flag = T->isPointer();
         break;
       }
@@ -690,13 +843,13 @@ void VM::decode(DecodedFunction &D) const {
         [[maybe_unused]] bool Walked =
             cast<GEPInst>(I).walkSteps([&](const GEPStep &S) {
               auto Bytes = static_cast<uint64_t>(S.Bytes);
-              DOperand Index = Operand(S.Index);
+              uint64_t Imm;
               if (S.Field)
                 X.Size += Bytes;
-              else if (Index.Slot < 0)
-                X.Size += Index.Imm * Bytes;
+              else if (Immediate(S.Index, Imm))
+                X.Size += Imm * Bytes;
               else
-                D.Steps.push_back({Index, Bytes});
+                D.Steps.push_back({Operand(S.Index), Bytes});
               return true;
             });
         assert(Walked && "GEP index path leaves its type");
@@ -759,6 +912,16 @@ void VM::decode(DecodedFunction &D) const {
         X.Aux = static_cast<uint32_t>(D.Edges.size());
         for (unsigned K = 0; K < B.numSuccessors(); ++K)
           AddEdge(BB.get(), B.successor(K));
+        // A compare right before the branch, in its block, that computes
+        // the condition takes the branch itself (VMExec::interpret).
+        if (B.isConditional() && D.Code.size() > 1) {
+          DInst &Cmp = D.Code.end()[-2];
+          if (Cmp.Code >= Op::CmpEQ && Cmp.Code <= Op::CmpUGE &&
+              Cmp.IR->parent() == BB.get() && Cmp.Dst == X.Ops[0]) {
+            Cmp.Flag = true;
+            Cmp.Aux = X.Aux;
+          }
+        }
         break;
       }
       case ValueKind::Unreachable:
@@ -795,7 +958,6 @@ void VM::decode(DecodedFunction &D) const {
       default:
         sb_unreachable("unhandled instruction kind");
       }
-      D.Code.push_back(X);
     }
 }
 
@@ -865,41 +1027,44 @@ bool VMExec::pushFrame(const DecodedFunction &Fn, int32_t RetDst) {
     trap(TrapKind::StackOverflow, "frame limit exceeded in @" + Fn.F->name());
     return false;
   }
-
-  Frame Fr;
-  Fr.Fn = &Fn;
-  Fr.Gen = NextGen++;
-  Fr.RetDst = RetDst;
-  Fr.FrameTop = Frames.empty() ? StackTop : Frames.back().FrameLow;
-  Fr.SavedFP = Frames.empty() ? 0 : Frames.back().FrameTop;
-  assert((Fr.FrameTop & 15) == 0 && "frame tops are 16-aligned");
-  Fr.FrameLow = Fr.FrameTop - Fn.FrameBytes;
-  if (Fr.FrameLow < StackLimit + 64) {
+  const Frame *Caller = Frames.empty() ? nullptr : &Frames.back();
+  uint64_t Top = Caller ? Caller->FrameLow : StackTop;
+  assert((Top & 15) == 0 && "frame tops are 16-aligned");
+  if (Top - Fn.FrameBytes < StackLimit + 64) {
     trap(TrapKind::StackOverflow, "stack exhausted in @" + Fn.F->name());
     return false;
   }
+  size_t RegBase = Caller ? Caller->RegBase + Caller->Fn->Image.size() : 0;
+  uint64_t SavedFP = Caller ? Caller->FrameTop : 0;
+
+  // Built in place: Caller is stale from here on.
+  Frame &Fr = Frames.emplace_back();
+  Fr.Fn = &Fn;
+  Fr.Gen = NextGen++;
+  Fr.RetDst = RetDst;
+  Fr.RegBase = RegBase;
+  Fr.FrameTop = Top;
+  Fr.FrameLow = Top - Fn.FrameBytes;
+  Fr.SavedFP = SavedFP;
+  Fr.EntryCycle = C.Cycles;
 
   // Zero the locals area (deterministic runs) and install control words.
   Mem.zeroRange(Fr.FrameLow, Fr.fpSlot() - Fr.FrameLow);
   Mem.write(Fr.retSlot(), 8, Fr.retToken());
   Mem.write(Fr.fpSlot(), 8, Fr.SavedFP);
 
-  if (!Frames.empty())
-    Fr.RegBase = Frames.back().RegBase + Frames.back().Fn->NumRegs;
-  size_t End = Fr.RegBase + Fn.NumRegs;
+  size_t End = RegBase + Fn.Image.size();
   if (Regs.size() < End)
     Regs.resize(std::max(End, 2 * Regs.size()));
-  std::fill(Regs.begin() + Fr.RegBase, Regs.begin() + End, VMVal());
-
+  VMVal *R = Regs.data() + RegBase;
+  std::copy(Fn.Image.begin(), Fn.Image.end(), R);
   for (const DLocal &L : Fn.Locals) {
-    uint64_t Addr = Fr.FrameTop - L.Offset;
-    Regs[Fr.RegBase + L.Slot] = VMVal{Addr, 0, 0};
+    uint64_t Addr = Top - L.Offset;
+    R[L.Slot].A = Addr;
     if (Cfg.Checker)
       Cfg.Checker->onAlloc(ObjectRegion::Stack, Addr, L.Size);
   }
 
-  Fr.EntryCycle = C.Cycles;
-  Frames.push_back(Fr);
   ++C.Calls;
   if (Frames.size() > C.MaxFrameDepth)
     C.MaxFrameDepth = Frames.size();
@@ -942,25 +1107,25 @@ void VMExec::returnFrom(VMVal RetVal) {
 }
 
 void VMExec::popFrame(VMVal RetVal) {
-  Frame Fr = Frames.back();
-  Frames.pop_back();
-
+  const Frame &Fr = Frames.back();
   // Shallow frames become VM-phase trace events: timestamps are
   // simulated cycles (deterministic), duration is the frame's inclusive
   // cycle span. Deep recursion is capped by depth and the event buffer.
-  if (Telem && Frames.size() < MaxTraceDepth)
+  if (Telem && Frames.size() <= MaxTraceDepth)
     Telem->addCompleteEvent(traceName(Fr.Fn->F->name()), "vm",
                             Telemetry::TidVM, Fr.EntryCycle,
                             C.Cycles - Fr.EntryCycle);
   releaseFrame(Fr);
+  int32_t RetDst = Fr.RetDst;
+  Frames.pop_back();
 
   if (Frames.empty()) {
     Res.ExitCode = static_cast<int64_t>(RetVal.A);
     Halted = true;
     return;
   }
-  if (Fr.RetDst >= 0)
-    Regs[Frames.back().RegBase + Fr.RetDst] = RetVal;
+  if (RetDst >= 0)
+    Regs[Frames.back().RegBase + RetDst] = RetVal;
 }
 
 //===----------------------------------------------------------------------===//
@@ -999,22 +1164,18 @@ RunResult VMExec::run(const std::string &EntryName,
   return Res;
 }
 
-uint32_t VMExec::takeEdge(size_t Base, const DecodedFunction &Fn,
-                          const DEdge &E) {
-  // The target's phis as one parallel assignment.
-  uint32_t End = E.Move + E.NMoves;
-  if (E.Parallel) {
-    if (PhiTmp.size() < E.NMoves)
-      PhiTmp.resize(E.NMoves);
-    for (uint32_t K = E.Move; K < End; ++K)
-      PhiTmp[K - E.Move] = value(Base, Fn.Moves[K].Src);
-    for (uint32_t K = E.Move; K < End; ++K)
-      Regs[Base + Fn.Moves[K].Dst] = PhiTmp[K - E.Move];
-  } else {
-    for (uint32_t K = E.Move; K < End; ++K)
-      Regs[Base + Fn.Moves[K].Dst] = value(Base, Fn.Moves[K].Src);
-  }
-  return E.Target;
+void VMExec::trapAt(TrapKind K, const char *What, const DInst &I) {
+  trap(K, What + where(I));
+}
+
+bool VMExec::checkerAllowsDerive(const DInst &I, uint64_t From,
+                                 uint64_t Addr) {
+  if (Cfg.Checker->checkDerive(From, Addr))
+    return true;
+  trap(TrapKind::BaselineViolation, std::string(Cfg.Checker->name()) +
+                                        ": out-of-object pointer arithmetic " +
+                                        where(I));
+  return false;
 }
 
 bool VMExec::checkerAllows(const DInst &I, uint64_t Addr, bool IsStore) {
@@ -1027,85 +1188,89 @@ bool VMExec::checkerAllows(const DInst &I, uint64_t Addr, bool IsStore) {
   return false;
 }
 
-bool VMExec::spatialCheck(size_t Base, const DInst &I, SiteCounters *SC) {
-  uint64_t P = word(Base, I.Ops[0]);
-  VMVal B = value(Base, I.Ops[1]);
-  ++C.Checks;
-  C.Cycles += Cfg.CheckCost;
-  if (SC)
-    ++SC->Executed;
-  if (P >= B.A && P + I.Size <= B.B)
-    return true;
-  if (SC)
-    ++SC->Traps;
-  trap(TrapKind::SpatialViolation,
-       std::string("softbound: out-of-bounds ") +
-           (I.Flag ? "store" : "load") + " " + where(I));
-  return false;
-}
 
 void VMExec::interpret() {
   // The outer loop (re)loads the top frame; the inner one runs it until
   // a call, return, builtin or trap may have changed the frame stack.
   // Handlers that stay in the frame `continue`; the rest `break` out of
   // the switch, which leaves the inner loop.
-  const uint64_t StepLimit = Cfg.StepLimit;
+  //
+  // Each executed instruction counts one Insts and one cycle. The inner
+  // loop counts them in Left, the steps StepLimit still allows, and
+  // Flush adds the steps taken to C before anything reads C: a call
+  // (pushFrame, builtins), a return, and leaving the inner loop. The
+  // handlers' own adds to C.Cycles commute with it.
   while (!Halted) {
     Frame &Fr = Frames.back();
     const DecodedFunction &Fn = *Fr.Fn;
+    const DInst *Code = Fn.Code.data();
     const size_t Base = Fr.RegBase;
+    VMVal *R = Regs.data() + Base;
     uint32_t PC = Fr.PC;
+    uint64_t Budget = Cfg.StepLimit - C.Insts;
+    uint64_t Left = Budget;
+    auto Flush = [&] {
+      C.Insts += Budget - Left;
+      C.Cycles += Budget - Left;
+      Budget = Left;
+    };
     for (;;) {
-      const DInst &I = Fn.Code[PC++];
-      if (++C.Insts > StepLimit) {
-        trap(TrapKind::StepLimit, "step limit exceeded " + where(I));
+      const DInst &I = Code[PC++];
+      if (Left == 0) {
+        Flush();
+        ++C.Insts;
+        trapAt(TrapKind::StepLimit, "step limit exceeded ", I);
         break;
       }
-      ++C.Cycles;
-      auto W = [&](unsigned K) { return word(Base, I.Ops[K]); };
-      auto Set = [&](VMVal V) { Regs[Base + I.Dst] = V; };
-      auto SetWord = [&](uint64_t V) { Set(VMVal{V, 0, 0}); };
-
+      --Left;
+      auto W = [&](unsigned K) { return R[I.Ops[K]].A; };
+      // One-word results write A only: integer and pointer registers
+      // are only ever read through A (docs/runtime.md "Interpreter").
+      auto SetWord = [&](uint64_t V) { R[I.Dst].A = V; };
+      bool Taken;
       switch (I.Code) {
-      case Op::Load: {
-        uint64_t Addr = W(0);
-        if (Cfg.Checker && !checkerAllows(I, Addr, /*IsStore=*/false))
+      // The size in the opcode makes each copy one fixed-size move.
+      case Op::Load1:
+        if (!load(R, I, 1))
           break;
-        uint64_t Raw;
-        if (!Mem.read(Addr, static_cast<unsigned>(I.Size), Raw)) {
-          trap(TrapKind::Segfault, "load from unmapped address " + where(I));
-          break;
-        }
-        ++C.Loads;
-        C.PtrLoads += I.Flag;
-        SetWord(canon(Raw, I.Bits));
         continue;
-      }
-      case Op::Store: {
-        uint64_t Val = W(0), Addr = W(1);
-        if (Cfg.Checker && !checkerAllows(I, Addr, /*IsStore=*/true))
+      case Op::Load2:
+        if (!load(R, I, 2))
           break;
-        if (!Mem.write(Addr, static_cast<unsigned>(I.Size), Val)) {
-          trap(TrapKind::Segfault, "store to unmapped address " + where(I));
-          break;
-        }
-        ++C.Stores;
-        C.PtrStores += I.Flag;
         continue;
-      }
+      case Op::Load4:
+        if (!load(R, I, 4))
+          break;
+        continue;
+      case Op::Load8:
+        if (!load(R, I, 8))
+          break;
+        continue;
+      case Op::Store1:
+        if (!store(R, I, 1))
+          break;
+        continue;
+      case Op::Store2:
+        if (!store(R, I, 2))
+          break;
+        continue;
+      case Op::Store4:
+        if (!store(R, I, 4))
+          break;
+        continue;
+      case Op::Store8:
+        if (!store(R, I, 8))
+          break;
+        continue;
       case Op::GEP: {
         // Wrapping uint64_t arithmetic: the modular address real hardware
         // computes, with no host overflow for any index.
         uint64_t From = W(0);
         uint64_t Addr = From + I.Size;
         for (uint32_t K = I.Aux; K < I.Aux + I.NAux; ++K)
-          Addr += word(Base, Fn.Steps[K].Index) * Fn.Steps[K].Scale;
-        if (Cfg.Checker && !Cfg.Checker->checkDerive(From, Addr)) {
-          trap(TrapKind::BaselineViolation,
-               std::string(Cfg.Checker->name()) +
-                   ": out-of-object pointer arithmetic " + where(I));
+          Addr += R[Fn.Steps[K].Index].A * Fn.Steps[K].Scale;
+        if (Cfg.Checker && !checkerAllowsDerive(I, From, Addr))
           break;
-        }
         SetWord(Addr);
         continue;
       }
@@ -1122,14 +1287,10 @@ void VMExec::interpret() {
       case Op::SRem: {
         auto SL = static_cast<int64_t>(W(0)), SR = static_cast<int64_t>(W(1));
         if (SR == 0) {
-          trap(TrapKind::DivByZero, "division by zero " + where(I));
+          trapAt(TrapKind::DivByZero, "division by zero ", I);
           break;
         }
-        uint64_t Out;
-        if (SL == INT64_MIN && SR == -1)
-          Out = I.Code == Op::SDiv ? static_cast<uint64_t>(SL) : 0;
-        else
-          Out = static_cast<uint64_t>(I.Code == Op::SDiv ? SL / SR : SL % SR);
+        uint64_t Out = I.Code == Op::SDiv ? sdiv(SL, SR) : srem(SL, SR);
         SetWord(canon(Out, I.Bits));
         continue;
       }
@@ -1137,7 +1298,7 @@ void VMExec::interpret() {
       case Op::URem: {
         uint64_t UL = maskTo(W(0), I.Bits), UR = maskTo(W(1), I.Bits);
         if (UR == 0) {
-          trap(TrapKind::DivByZero, "division by zero " + where(I));
+          trapAt(TrapKind::DivByZero, "division by zero ", I);
           break;
         }
         SetWord(canon(I.Code == Op::UDiv ? UL / UR : UL % UR, I.Bits));
@@ -1165,34 +1326,44 @@ void VMExec::interpret() {
                       I.Bits));
         continue;
       case Op::CmpEQ:
-        SetWord(W(0) == W(1));
-        continue;
+        Taken = W(0) == W(1);
+        goto Compared;
       case Op::CmpNE:
-        SetWord(W(0) != W(1));
-        continue;
+        Taken = W(0) != W(1);
+        goto Compared;
       case Op::CmpSLT:
-        SetWord(static_cast<int64_t>(W(0)) < static_cast<int64_t>(W(1)));
-        continue;
+        Taken = static_cast<int64_t>(W(0)) < static_cast<int64_t>(W(1));
+        goto Compared;
       case Op::CmpSLE:
-        SetWord(static_cast<int64_t>(W(0)) <= static_cast<int64_t>(W(1)));
-        continue;
+        Taken = static_cast<int64_t>(W(0)) <= static_cast<int64_t>(W(1));
+        goto Compared;
       case Op::CmpSGT:
-        SetWord(static_cast<int64_t>(W(0)) > static_cast<int64_t>(W(1)));
-        continue;
+        Taken = static_cast<int64_t>(W(0)) > static_cast<int64_t>(W(1));
+        goto Compared;
       case Op::CmpSGE:
-        SetWord(static_cast<int64_t>(W(0)) >= static_cast<int64_t>(W(1)));
-        continue;
+        Taken = static_cast<int64_t>(W(0)) >= static_cast<int64_t>(W(1));
+        goto Compared;
       case Op::CmpULT:
-        SetWord(maskTo(W(0), I.Bits) < maskTo(W(1), I.Bits));
-        continue;
+        Taken = maskTo(W(0), I.Bits) < maskTo(W(1), I.Bits);
+        goto Compared;
       case Op::CmpULE:
-        SetWord(maskTo(W(0), I.Bits) <= maskTo(W(1), I.Bits));
-        continue;
+        Taken = maskTo(W(0), I.Bits) <= maskTo(W(1), I.Bits);
+        goto Compared;
       case Op::CmpUGT:
-        SetWord(maskTo(W(0), I.Bits) > maskTo(W(1), I.Bits));
-        continue;
+        Taken = maskTo(W(0), I.Bits) > maskTo(W(1), I.Bits);
+        goto Compared;
       case Op::CmpUGE:
-        SetWord(maskTo(W(0), I.Bits) >= maskTo(W(1), I.Bits));
+        Taken = maskTo(W(0), I.Bits) >= maskTo(W(1), I.Bits);
+      Compared:
+        // A compare fused with the CondBr after it also takes that
+        // branch, charging its step, unless the budget has no step left
+        // for it: then the CondBr runs on its own and traps at the step
+        // limit.
+        SetWord(Taken);
+        if (I.Flag && Left != 0) {
+          --Left;
+          PC = takeEdge(R, Fn, Fn.Edges[I.Aux + (Taken ? 0 : 1)]);
+        }
         continue;
       case Op::CastCopy:
         SetWord(W(0));
@@ -1204,43 +1375,42 @@ void VMExec::interpret() {
         SetWord(maskTo(W(0), I.Bits));
         continue;
       case Op::Select:
-        Set(value(Base, I.Ops[W(0) & 1 ? 1 : 2]));
+        R[I.Dst] = R[I.Ops[W(0) & 1 ? 1 : 2]];
         continue;
       case Op::Call: {
+        Flush();
         const DecodedFunction *Callee = I.Callee;
         if (!Callee && !(Callee = funcAt(W(0)))) {
-          trap(TrapKind::BadIndirectCall,
-               "indirect call to non-function address " + where(I));
+          trapAt(TrapKind::BadIndirectCall,
+                 "indirect call to non-function address ", I);
           break;
         }
         Fr.PC = PC;
         if (!Callee->Callable) {
-          if (Callee->B == Builtin::NotABuiltin)
-            trap(TrapKind::BadIndirectCall,
-                 "call to undefined function @" + Callee->F->name());
-          else
-            execBuiltin(Base, Fn, I, Callee->B);
+          execBuiltin(R, Fn, I, *Callee);
           break;
         }
         if (!pushFrame(*Callee, I.Dst))
           break;
-        // Fr is stale from here on: the push may have moved Frames.
-        size_t CalleeBase = Frames.back().RegBase;
+        // Fr and R are stale from here on: the push may have moved Frames
+        // and Regs.
+        VMVal *Args = Regs.data() + Frames.back().RegBase;
         for (uint32_t K = 0; K < I.NAux && K < Callee->NumArgs; ++K)
-          Regs[CalleeBase + K] = value(Base, Fn.Args[I.Aux + K]);
+          Args[K] = Regs[Base + Fn.Args[I.Aux + K]];
         break;
       }
       case Op::Ret:
-        returnFrom(I.Flag ? value(Base, I.Ops[0]) : VMVal());
+        Flush();
+        returnFrom(I.Flag ? R[I.Ops[0]] : VMVal());
         break;
       case Op::Br:
-        PC = takeEdge(Base, Fn, Fn.Edges[I.Aux]);
+        PC = takeEdge(R, Fn, Fn.Edges[I.Aux]);
         continue;
       case Op::CondBr:
-        PC = takeEdge(Base, Fn, Fn.Edges[I.Aux + (W(0) & 1 ? 0 : 1)]);
+        PC = takeEdge(R, Fn, Fn.Edges[I.Aux + (W(0) & 1 ? 0 : 1)]);
         continue;
       case Op::Unreachable:
-        trap(TrapKind::UnreachableExecuted, "unreachable executed " + where(I));
+        trapAt(TrapKind::UnreachableExecuted, "unreachable executed ", I);
         break;
 
       //===----------------------------------------------------------------===//
@@ -1248,7 +1418,7 @@ void VMExec::interpret() {
       //===----------------------------------------------------------------===//
 
       case Op::MakeBounds:
-        Set(VMVal{W(0), W(1), 0});
+        R[I.Dst] = VMVal{W(0), W(1), 0};
         continue;
       case Op::GuardedCheck: {
         // The guard test costs one simulated instruction on every
@@ -1268,18 +1438,18 @@ void VMExec::interpret() {
         }
         if (SC)
           ++SC->FallbackFired;
-        if (!spatialCheck(Base, I, SC))
+        if (!spatialCheck(R, I, SC))
           break;
         continue;
       }
       case Op::Check:
-        if (!spatialCheck(Base, I, siteOf(I)))
+        if (!spatialCheck(R, I, siteOf(I)))
           break;
         continue;
       case Op::FuncPtrCheck: {
         SiteCounters *SC = siteOf(I);
         uint64_t P = W(0);
-        VMVal B = value(Base, I.Ops[1]);
+        const VMVal &B = R[I.Ops[1]];
         ++C.FuncPtrChecks;
         C.Cycles += Cfg.CheckCost;
         if (SC)
@@ -1288,9 +1458,8 @@ void VMExec::interpret() {
           continue;
         if (SC)
           ++SC->Traps;
-        trap(TrapKind::FuncPtrViolation,
-             "softbound: indirect call through non-function pointer " +
-                 where(I));
+        trapAt(TrapKind::FuncPtrViolation,
+               "softbound: indirect call through non-function pointer ", I);
         break;
       }
       case Op::MetaLoad: {
@@ -1300,12 +1469,12 @@ void VMExec::interpret() {
         C.Cycles += Cfg.Meta->lookupCost();
         if (SiteCounters *SC = siteOf(I))
           ++SC->Executed;
-        Set(VMVal{B.Base, B.Bound, 0});
+        R[I.Dst] = VMVal{B.Base, B.Bound, 0};
         continue;
       }
       case Op::MetaStore: {
         assert(Cfg.Meta && "meta.store without a metadata facility");
-        VMVal B = value(Base, I.Ops[1]);
+        const VMVal &B = R[I.Ops[1]];
         Cfg.Meta->update(W(0), B.A, B.B);
         ++C.MetaStores;
         C.Cycles += Cfg.Meta->updateCost();
@@ -1314,21 +1483,22 @@ void VMExec::interpret() {
         continue;
       }
       case Op::PackPB: {
-        VMVal B = value(Base, I.Ops[1]);
-        Set(VMVal{W(0), B.A, B.B});
+        const VMVal &B = R[I.Ops[1]];
+        R[I.Dst] = VMVal{W(0), B.A, B.B};
         continue;
       }
       case Op::ExtractPtr:
         SetWord(W(0));
         continue;
       case Op::ExtractBounds: {
-        VMVal PP = value(Base, I.Ops[0]);
-        Set(VMVal{PP.B, PP.C, 0});
+        const VMVal &PP = R[I.Ops[0]];
+        R[I.Dst] = VMVal{PP.B, PP.C, 0};
         continue;
       }
       }
       break;
     }
+    Flush();
   }
 }
 
@@ -1390,16 +1560,22 @@ bool VMExec::recoverToGuard(TrapKind K) {
   return true;
 }
 
-void VMExec::execBuiltin(size_t Base, const DecodedFunction &Fn,
-                         const DInst &I, Builtin B) {
+void VMExec::execBuiltin(VMVal *R, const DecodedFunction &Fn, const DInst &I,
+                         const DecodedFunction &Callee) {
+  const Builtin B = Callee.B;
+  if (B == Builtin::NotABuiltin) {
+    trap(TrapKind::BadIndirectCall,
+         "call to undefined function @" + Callee.F->name());
+    return;
+  }
   ++C.Calls;
   std::vector<VMVal> &A = BuiltinArgs;
   A.clear();
   for (uint32_t K = I.Aux; K < I.Aux + I.NAux; ++K)
-    A.push_back(value(Base, Fn.Args[K]));
+    A.push_back(R[Fn.Args[K]]);
   auto Ret = [&](VMVal V) {
     if (I.Dst >= 0)
-      Regs[Base + I.Dst] = V;
+      R[I.Dst] = V;
   };
   const Frame &Fr = Frames.back();
 

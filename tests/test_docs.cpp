@@ -193,8 +193,12 @@ TEST(DocsDrift, RuntimeDocCurrent) {
         "test_traffic.cpp", "--requests",
         // Simulated address space: demand-zero segments, global refusal.
         "MAP_NORESERVE", "global segment exhausted",
-        // Interpreter: the decoded form and the step-limit rule.
-        "DecodedFunction", "StepLimit", "Insts == N + 1"})
+        // Interpreter: the decoded form, the step-limit rule, the
+        // register image, compare-branch fusion, the batched counters
+        // and the one-word-write invariant.
+        "DecodedFunction", "StepLimit", "Insts == N + 1", "register image",
+        "Compare-branch fusion", "fused compare", "flushes",
+        "one-word-write invariant"})
     EXPECT_NE(Doc.find(Needle), std::string::npos)
         << "docs/runtime.md no longer mentions '" << Needle << "'";
 

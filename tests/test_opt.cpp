@@ -145,6 +145,47 @@ TEST(SimplifyCFG, RemovesDeadBlocksAfterReturn) {
   EXPECT_TRUE(verifyModule(*M).empty());
 }
 
+TEST(Pipeline, LongIfChainFoldsInOnePass) {
+  // 4000 copies of `if (x) { y = y + a[k % 16]; }` with x known to be
+  // 1: every branch, compare, remainder and join phi of the chain folds
+  // away, leaving the blocks, compares and phis of the fill loop alone.
+  // Each pass applies its replacements in one rewrite of the body, so
+  // this stays well inside the test timeout (one whole-body scan per
+  // replacement took seconds).
+  auto Chain = [](int N) {
+    std::string Src = "int a[16];\n"
+                      "int main() {\n"
+                      "  for (int i = 0; i < 16; i++) a[i] = i;\n"
+                      "  int x = 1;\n"
+                      "  int y = 0;\n";
+    for (int K = 0; K < N; ++K)
+      Src += "  if (x) { y = y + a[" + std::to_string(K) + " % 16]; }\n";
+    return Src + "  return y;\n}\n";
+  };
+  constexpr int N = 4000;
+  auto M = compileOk(Chain(N));
+  auto Loop = compileOk(Chain(0));
+  optimizeModule(*M);
+  optimizeModule(*Loop);
+  ASSERT_TRUE(verifyModule(*M).empty());
+  Function *F = M->getFunction("main");
+  Function *LoopF = Loop->getFunction("main");
+  unsigned Rems = 0;
+  for (auto &BB : F->blocks())
+    for (auto &I : *BB)
+      if (auto *B = dyn_cast<BinOpInst>(I.get()))
+        Rems += B->opcode() == BinOpInst::Op::SRem;
+  EXPECT_EQ(Rems, 0u);
+  EXPECT_EQ(F->blocks().size(), LoopF->blocks().size());
+  EXPECT_EQ(countKind(*F, ValueKind::ICmp),
+            countKind(*LoopF, ValueKind::ICmp));
+  EXPECT_EQ(countKind(*F, ValueKind::Phi), countKind(*LoopF, ValueKind::Phi));
+  EXPECT_EQ(countKind(*F, ValueKind::Load), static_cast<unsigned>(N));
+  VM Machine(*M, VMConfig{});
+  // y = sum of k % 16 over k < 4000 = 250 * (0 + 1 + ... + 15).
+  EXPECT_EQ(Machine.run("main").ExitCode, 250 * 120);
+}
+
 TEST(Pipeline, OptimizationPreservesRecursion) {
   auto M = compileOk("int ack(int m, int n) {\n"
                      "  if (m == 0) return n + 1;\n"

@@ -12,7 +12,9 @@
 /// that the attack suite relies on, wrapping GEP address arithmetic,
 /// and the pins of the decoded interpreter: parallel phi moves,
 /// immediate global and function addresses, the step limit and the
-/// cost model, and setjmp resumption.
+/// cost model (a fused compare and branch included), setjmp resumption,
+/// signed division and sub-word wraparound, and the constant registers
+/// of recursive frames.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,7 +25,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <fstream>
+#include <tuple>
 #include <unistd.h>
 
 using namespace softbound;
@@ -614,6 +618,124 @@ TEST(VMDecoded, LongjmpResumesAfterAMidBlockSetjmp) {
     ASSERT_TRUE(R.ok()) << Spec << ": " << R.Message;
     EXPECT_EQ(R.ExitCode, 500 + 14 + 21) << Spec;
     EXPECT_GE(R.Counters.MaxFrameDepth, 5u) << Spec;
+  }
+}
+
+TEST(VMDecoded, StepLimitBetweenAFusedCompareAndItsBranch) {
+  // The header's icmp takes the branch after it itself, charging the
+  // branch's step. With no step left for the branch, the branch runs on
+  // its own and traps: every limit, the icmps at steps 3, 10, 17 and 24
+  // included, stops with Insts == N + 1 and Cycles == N.
+  auto M = allocaPhiLoop();
+  for (uint64_t N = 0; N < 27; ++N) {
+    RunResult R = runModule(*M, N);
+    ASSERT_EQ(R.Trap, TrapKind::StepLimit) << N << ": " << trapName(R.Trap);
+    EXPECT_EQ(R.Counters.Insts, N + 1) << N;
+    EXPECT_EQ(R.Counters.Cycles, N) << N;
+  }
+  for (uint64_t N : {3u, 10u, 17u, 24u}) {
+    RunResult R = runModule(*M, N);
+    EXPECT_NE(R.Message.find("@main/header"), std::string::npos)
+        << N << ": " << R.Message;
+    EXPECT_EQ(R.Counters.Loads, (N - 3) / 7) << N;
+  }
+}
+
+/// define T @f(T %a, T %b) { ret (a op b) }, run on \p A and \p B; the
+/// exit code is the result register's word.
+int64_t binop(IntType *(TypeContext::*Ty)(), BinOpInst::Op Op, int64_t A,
+              int64_t B) {
+  Module M;
+  IntType *T = (M.ctx().*Ty)();
+  Function *F = M.createFunction("f", M.ctx().funcTy(T, {T, T}));
+  IRBuilder Bld(M);
+  Bld.setInsertPoint(F->createBlock("entry"));
+  Bld.ret(Bld.binop(Op, F->arg(0), F->arg(1)));
+  EXPECT_TRUE(verifyModule(M).empty());
+  VM Machine(M, VMConfig{});
+  RunResult R = Machine.run("f", {A, B});
+  EXPECT_TRUE(R.ok()) << R.Message;
+  return R.ExitCode;
+}
+
+TEST(VMDecoded, SignedDivisionWrapsLikeTheTargetWidth) {
+  using O = BinOpInst::Op;
+  constexpr int64_t I32Min = INT32_MIN;
+  // i32: INT32_MIN / -1 wraps to INT32_MIN; any remainder by -1 is 0.
+  EXPECT_EQ(binop(&TypeContext::i32, O::SDiv, I32Min, -1), I32Min);
+  EXPECT_EQ(binop(&TypeContext::i32, O::SRem, I32Min, -1), 0);
+  EXPECT_EQ(binop(&TypeContext::i32, O::SRem, 5, -1), 0);
+  EXPECT_EQ(binop(&TypeContext::i32, O::SDiv, I32Min, 1), I32Min);
+  // Truncation toward zero, the remainder taking the dividend's sign.
+  for (auto [A, B, Q, Rm] : {std::tuple{-7, 2, -3, -1}, {7, -2, -3, 1},
+                             {-7, -2, 3, -1}, {7, 2, 3, 1}}) {
+    EXPECT_EQ(binop(&TypeContext::i32, O::SDiv, A, B), Q) << A << "/" << B;
+    EXPECT_EQ(binop(&TypeContext::i32, O::SRem, A, B), Rm) << A << "%" << B;
+  }
+  // i64: INT32_MIN / -1 does not wrap; operands past the i32 range
+  // divide in full; INT64_MIN / -1 wraps.
+  EXPECT_EQ(binop(&TypeContext::i64, O::SDiv, I32Min, -1), -I32Min);
+  EXPECT_EQ(binop(&TypeContext::i64, O::SRem, I32Min, -1), 0);
+  EXPECT_EQ(binop(&TypeContext::i64, O::SDiv, -I32Min, -1), I32Min);
+  EXPECT_EQ(binop(&TypeContext::i64, O::SDiv, (1LL << 40) + 7, 3),
+            ((1LL << 40) + 7) / 3);
+  EXPECT_EQ(binop(&TypeContext::i64, O::SRem, -(1LL << 40) - 7, 3),
+            (-(1LL << 40) - 7) % 3);
+  EXPECT_EQ(binop(&TypeContext::i64, O::SDiv, 1LL << 33, -(1LL << 32)), -2);
+  EXPECT_EQ(binop(&TypeContext::i64, O::SDiv, INT64_MIN, -1), INT64_MIN);
+  EXPECT_EQ(binop(&TypeContext::i64, O::SRem, INT64_MIN, -1), 0);
+}
+
+TEST(VMDecoded, SubWordResultsWrapToTheirWidth) {
+  using O = BinOpInst::Op;
+  // char and short results sign-extend from their width.
+  EXPECT_EQ(binop(&TypeContext::i8, O::Add, 127, 1), -128);
+  EXPECT_EQ(binop(&TypeContext::i8, O::Mul, 100, 3), 44);
+  EXPECT_EQ(binop(&TypeContext::i8, O::Sub, -128, 1), 127);
+  EXPECT_EQ(binop(&TypeContext::i16, O::Add, 32767, 1), -32768);
+  EXPECT_EQ(binop(&TypeContext::i16, O::Mul, 300, 300), 90000 - 65536);
+  EXPECT_EQ(binop(&TypeContext::i16, O::Shl, 1, 15), -32768);
+  EXPECT_EQ(binop(&TypeContext::i32, O::Add, INT32_MAX, 1), INT32_MIN);
+  // An i1 keeps its one bit, zero-extended.
+  EXPECT_EQ(binop(&TypeContext::i1, O::Add, 1, 1), 0);
+  EXPECT_EQ(binop(&TypeContext::i1, O::Sub, 0, 1), 1);
+
+  // The same through the frontend: char and short parameters, sums and
+  // products truncated on return, and a char store read back.
+  RunResult R = runPlain("char cadd(char a, char b) { return a + b; }\n"
+                         "short smul(short a, short b) { return a * b; }\n"
+                         "char buf[2];\n"
+                         "int main() {\n"
+                         "  buf[0] = cadd(100, 100);\n"
+                         "  return buf[0] * 100000 + smul(300, 300);\n"
+                         "}");
+  ASSERT_TRUE(R.ok()) << R.Message;
+  EXPECT_EQ(R.ExitCode, -56 * 100000 + (90000 - 65536));
+}
+
+TEST(VMDecoded, ConstantRegistersSurviveRecursiveCalls) {
+  // Every frame of f gets its constants from the function's register
+  // image; its recursive calls' frames sit above it and leave them be.
+  // The constants take f's last registers, so an image copied even one
+  // register short gives a wrong result.
+  const char *Src = "long f(long n) {\n"
+                    "  if (n == 0) return 7;\n"
+                    "  return f(n - 1) * 3 + 1000003;\n"
+                    "}\n"
+                    "int main() { return f(6) % 1000000007; }";
+  long Expected = 7;
+  for (int K = 0; K < 6; ++K)
+    Expected = Expected * 3 + 1000003;
+  for (const char *Spec : {"", "optimize", "optimize,softbound,checkopt"}) {
+    PipelinePlan Plan;
+    Plan.frontend(Src);
+    if (*Spec) {
+      ASSERT_TRUE(Plan.appendSpec(Spec)) << Spec;
+    }
+    RunResult R = runSession(Plan, {}).Combined;
+    ASSERT_TRUE(R.ok()) << Spec << ": " << R.Message;
+    EXPECT_EQ(R.ExitCode, Expected % 1000000007) << Spec;
+    EXPECT_GE(R.Counters.MaxFrameDepth, 8u) << Spec;
   }
 }
 

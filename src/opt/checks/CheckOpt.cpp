@@ -7,12 +7,14 @@
 #include "opt/checks/CheckOpt.h"
 
 #include "opt/Passes.h"
+#include "opt/checks/CallGraph.h"
 #include "opt/checks/InterProc.h"
 #include "opt/checks/LoopHoist.h"
 #include "opt/checks/Partition.h"
 #include "support/Casting.h"
 
 #include <algorithm>
+#include <optional>
 
 using namespace softbound;
 
@@ -20,7 +22,8 @@ namespace softbound {
 namespace checkopt {
 
 // Sub-pass entry point (RedundantChecks.cpp).
-void eliminateRedundantSpatialChecks(Function &F, const CheckOptConfig &Cfg,
+void eliminateRedundantSpatialChecks(Function &F, const DomTree &DT,
+                                     const CheckOptConfig &Cfg,
                                      CheckOptStats &Stats);
 
 } // namespace checkopt
@@ -39,77 +42,80 @@ unsigned countSpatialChecks(const Function &F) {
 
 } // namespace
 
-namespace {
-
-/// Shared body of the function- and module-level drivers. \p ArgRanges
-/// (optional) feeds the runtime-limit hull hoister's static guard
-/// discharge; \p DischargeUsed reports whether any discharge leaned on it.
-void optimizeChecksImpl(Function &F, const CheckOptConfig &Cfg,
-                        CheckOptStats &Stats,
-                        const std::map<const Argument *, checkopt::IntRange>
-                            *ArgRanges,
-                        bool *DischargeUsed) {
-  if (!F.isDefinition())
-    return;
-  Stats.ChecksBefore += countSpatialChecks(F);
-
-  // Hoist before eliminating: the hull checks it plants in preheaders
-  // become dominating facts that the elimination walk can use to subsume
-  // checks in later loops over the same object.
-  if (Cfg.HoistLoopChecks) {
-    checkopt::hoistLoopChecks(F, Stats, Cfg, ArgRanges, DischargeUsed);
-    // Identical hull pointers materialized for several checks of the same
-    // loop collapse here, letting exact-fact elimination dedup their checks.
-    localCSE(F);
-  }
-  if (Cfg.EliminateDominated || Cfg.RangeSubsumption)
-    checkopt::eliminateRedundantSpatialChecks(F, Cfg, Stats);
-
-  // Deleted checks strand their bounds/GEP arithmetic; sweep it.
-  dce(F);
-
-  Stats.ChecksAfter += countSpatialChecks(F);
-}
-
-} // namespace
-
-void softbound::optimizeChecks(Function &F, const CheckOptConfig &Cfg,
-                               CheckOptStats &Stats) {
-  optimizeChecksImpl(F, Cfg, Stats, nullptr, nullptr);
-}
-
 CheckOptStats softbound::optimizeChecks(Module &M, const CheckOptConfig &Cfg) {
   CheckOptStats Stats;
-  // Top-down argument ranges let the runtime-limit hoister discharge its
-  // trip/wrap guards statically. They lean on the closed-module
-  // assumption, so any use is recorded as an entry contract below —
-  // exactly as checkopt(interproc) records its own deletions. Module
-  // driver only: the ranges need every call site.
-  checkopt::InterProcArgRanges IPR;
-  const std::map<const Argument *, checkopt::IntRange> *Ranges = nullptr;
-  bool DischargeUsed = false;
-  if (Cfg.HoistLoopChecks && Cfg.RuntimeLimitHulls && Cfg.InterProc) {
-    IPR = checkopt::computeInterProcArgRanges(M);
-    Ranges = &IPR.Ranges;
-  }
+  // The analyses are built once per run and shared by every sub-pass. No
+  // sub-pass edits a CFG, a call, or whether a function's address escapes
+  // (tests/test_checkopt_golden.cpp checks the whole corpus), so none of
+  // them goes stale; instruction-level analyses are built by their users.
+  checkopt::DomTreeMap DTs;
   for (const auto &F : M.functions())
-    optimizeChecksImpl(*F, Cfg, Stats, Ranges, &DischargeUsed);
-  if (DischargeUsed)
-    M.recordInterProcContract(IPR.Internal);
+    if (F->isDefinition())
+      DTs.try_emplace(F.get(), *F);
+  std::optional<checkopt::CallGraph> CG;
+  if (Cfg.InterProc || Cfg.Partition)
+    CG.emplace(M);
+  std::optional<checkopt::InterProcEngine> IP;
+  if (Cfg.InterProc)
+    IP.emplace(M, *CG, DTs);
+
+  // Set when a deletion leaned on the closed-module assumption; the entry
+  // contract is recorded once, below.
+  bool ClosedModule = false;
+
+  // Top-down argument ranges let the runtime-limit hoister discharge its
+  // trip/wrap guards statically. The fixpoint runs here, before any
+  // function is edited, and propagation below reuses it.
+  const checkopt::ArgRangeTable *Ranges = nullptr;
+  if (Cfg.HoistLoopChecks && Cfg.RuntimeLimitHulls && IP)
+    Ranges = &IP->argumentRanges();
+  for (const auto &FP : M.functions()) {
+    Function &F = *FP;
+    if (!F.isDefinition())
+      continue;
+    const DomTree &DT = DTs.at(&F);
+    Stats.ChecksBefore += countSpatialChecks(F);
+    // Hoist before eliminating: the hull checks it plants in preheaders
+    // become dominating facts that the elimination walk can use to subsume
+    // checks in later loops over the same object.
+    if (Cfg.HoistLoopChecks) {
+      checkopt::hoistLoopChecks(F, DT, Stats, Cfg, Ranges, ClosedModule);
+      // Identical hull pointers materialized for several checks of the
+      // same loop collapse here, letting exact-fact elimination dedup
+      // their checks.
+      localCSE(F);
+    }
+    if (Cfg.EliminateDominated || Cfg.RangeSubsumption)
+      checkopt::eliminateRedundantSpatialChecks(F, DT, Cfg, Stats);
+    // Deleted checks strand their bounds/GEP arithmetic; sweep it.
+    dce(F);
+    Stats.ChecksAfter += countSpatialChecks(F);
+  }
+
   // Inter-procedural propagation runs after the per-function passes so
   // hoisted hull checks and surviving dominating checks serve as call-site
-  // facts; it needs every call site, so only the module driver can run it.
-  // When the hoister already computed the argument-range fixpoint above,
-  // the propagation adopts it instead of repeating the most expensive
-  // phase (the per-function passes never change a call argument's value).
-  if (Cfg.InterProc) {
-    unsigned Deleted = checkopt::propagateInterProcChecks(M, Stats, Ranges);
+  // facts. It computes the argument-range fixpoint now unless the hoister
+  // already asked for it.
+  if (IP) {
+    unsigned Deleted = IP->propagate(Stats);
     Stats.ChecksAfter -= std::min(Deleted, Stats.ChecksAfter);
+    ClosedModule |= Deleted > 0;
   }
   // Partitioning runs last: it can only prove a function once every other
   // sub-pass has discharged its checks, and it never creates or removes a
   // check itself — it converts check elision into metadata-op elision.
   if (Cfg.Partition)
-    checkopt::partitionCheckedRegions(M, Stats);
+    ClosedModule |= checkopt::partitionCheckedRegions(M, *CG, Stats) > 0;
+
+  // Every proof above that leaned on the closed-module assumption makes
+  // the internal functions unsafe custom entries; the run driver enforces
+  // this (see RunRequest::Entry).
+  if (ClosedModule) {
+    std::vector<const Function *> Internal;
+    for (const auto &F : M.functions())
+      if (F->isDefinition() && !CG->externallyReachable(F.get()))
+        Internal.push_back(F.get());
+    M.recordInterProcContract(Internal);
+  }
   return Stats;
 }

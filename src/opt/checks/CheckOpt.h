@@ -37,16 +37,14 @@
 ///      a call-graph pass that elides callee-side checks every direct
 ///      call site already proves, turns callee-guaranteed checks into
 ///      caller-side facts, and settles global-array checks whose
-///      argument-propagated index range stays inside the object. Only
-///      reachable from the Module-level driver (it needs every call
-///      site); the per-function overload ignores the knob.
+///      argument-propagated index range stays inside the object.
 ///   6. Checked-region partitioning (Partition.h, module-level): after
 ///      every other sub-pass has run, classify each function fully-proven
 ///      (no checks left, no escaping metadata obligations) or
 ///      instrumented, and strip metadata propagation from the
 ///      fully-proven ones — the CheckedCBox-style checked/unchecked
-///      region split. Module-level only, on by default, left off by
-///      explicit knob lists (the A/B convention).
+///      region split. On by default, left off by explicit knob lists
+///      (the A/B convention).
 ///
 /// Soundness contract: sub-passes 1-3 only ever *strengthen or move
 /// earlier* the set of conditions checked on any path — a program that
@@ -96,13 +94,13 @@ struct CheckOptConfig {
   /// Inter-procedural bounds propagation (opt/checks/InterProc.h): elide
   /// callee checks proven at every call site, reuse callee-guaranteed
   /// checks as caller facts, and settle global-array checks via
-  /// inter-procedural integer ranges. Module-level only.
+  /// inter-procedural integer ranges.
   bool InterProc = true;
   /// Checked-region partitioning (opt/checks/Partition.h): classify each
   /// function as fully-proven or instrumented after the other sub-passes
   /// have run, and strip metadata propagation (meta.load/meta.store) from
-  /// the fully-proven ones. Module-level only; leans on the closed-module
-  /// contract like InterProc.
+  /// the fully-proven ones. Leans on the closed-module contract like
+  /// InterProc.
   bool Partition = true;
 };
 
@@ -180,13 +178,13 @@ struct CheckOptStats {
   }
 };
 
-/// Runs the configured sub-passes over one function, accumulating into
-/// \p Stats. The function must be verifier-clean; it stays verifier-clean.
-void optimizeChecks(Function &F, const CheckOptConfig &Cfg,
-                    CheckOptStats &Stats);
-
-/// Module-wide driver (hoist, then eliminate, then DCE the dead bounds
-/// arithmetic the deletions exposed).
+/// Runs the configured sub-passes over \p M: per function, hoist, then
+/// eliminate, then DCE the dead bounds arithmetic the deletions exposed;
+/// then inter-procedural propagation over the whole module; then
+/// partitioning. Builds one dominator tree per defined function and one
+/// call graph for the run and shares them across the sub-passes, and
+/// records the closed-module entry contract when any proof leaned on it.
+/// The module must be verifier-clean; it stays verifier-clean.
 CheckOptStats optimizeChecks(Module &M, const CheckOptConfig &Cfg = {});
 
 /// Instruction-level dominance: true when \p A executes before \p B on

@@ -31,9 +31,10 @@
 ///   * Summaries + substitution — per-function argument/global check
 ///     requirements, must-execute check hulls, and return-checked hulls,
 ///     each substitutable at a call site through the sbabi layout.
-///   * The Engine — argument-range propagation to fixpoint, one fact walk
-///     per function (walkDomTree, Dominators.h), and the final
-///     mark-and-sweep.
+///   * argRangeFixpoint — top-down argument-range propagation to a
+///     widened fixpoint, computed once per checkopt run (InterProcEngine).
+///   * Propagation — one fact walk per function (walkDomTree,
+///     Dominators.h) and the final mark-and-sweep.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -635,63 +636,16 @@ IntervalSet intersectSets(const IntervalSet &A, const IntervalSet &B) {
 }
 
 //===----------------------------------------------------------------------===//
-// Engine
+// Argument-range fixpoint
 //===----------------------------------------------------------------------===//
 
-class Engine {
-public:
-  explicit Engine(Module &M) : M(M), CG(M) {
-    for (const auto &F : M.functions())
-      if (F->isDefinition())
-        Defined.push_back(F.get());
-  }
-
-  unsigned run(CheckOptStats &Stats,
-               const std::map<const Argument *, IntRange> *Seed = nullptr);
-
-  /// Just the argument-range phase (see InterProc.h
-  /// computeInterProcArgRanges).
-  InterProcArgRanges argRanges();
-
-private:
-  void prepare();
-  void adoptArgRanges(const std::map<const Argument *, IntRange> &Seed);
-
-  struct FuncInfo {
-    std::unique_ptr<DomTree> DT;
-    std::unique_ptr<InstOrder> Ord;
-    std::unique_ptr<ScalarRanges> SR;
-    /// Call -> (ExtractPtr, ExtractBounds) users, for return summaries.
-    std::map<const CallInst *, std::pair<Value *, Value *>> Extracts;
-  };
-
-  enum class Reason { Range, Caller, Sunk, Callee };
-
-  void propagateArgRanges();
-  void summarize(Function &F);
-  void walk(Function &F);
-  void walkBlockBody(FuncInfo &FI, ScopedFacts<FactKey> &Env,
-                     BasicBlock *BB);
-  void visitCheck(FuncInfo &FI, ScopedFacts<FactKey> &Env, BasicBlock *BB,
-                  BasicBlock::iterator It);
-  void visitCall(ScopedFacts<FactKey> &Env, CallInst *Call,
-                 Function *Callee);
-  bool substituteReq(const CheckReq &R, const CallInst &Call,
-                     const Function &Callee, FactKey &Key, int64_t &Lo,
-                     int64_t &Hi) const;
-  void mark(SpatialCheckInst *C, Reason R) { Deleted.emplace(C, R); }
-
-  Module &M;
-  CallGraph CG;
-  std::vector<Function *> Defined;
-  std::map<const Function *, FuncInfo> Infos;
-  std::map<const Function *, FuncSummary> Summaries;
-  std::map<const Function *, std::vector<IntRange>> ArgRanges;
-  std::map<SpatialCheckInst *, bool> AllSitesProve;
-  std::map<SpatialCheckInst *, Reason> Deleted;
-};
-
-void Engine::propagateArgRanges() {
+/// Top-down integer argument ranges over the call graph, on the IR as it
+/// stands. Externally reachable functions (the VM entry, address-taken
+/// functions) get full-width ranges; arguments of functions with no
+/// observed call site stay empty (bottom).
+ArgRangeTable argRangeFixpoint(const std::vector<Function *> &Defined,
+                               const CallGraph &CG, const DomTreeMap &DTs) {
+  ArgRangeTable ArgRanges;
   for (Function *F : Defined) {
     std::vector<IntRange> Init(F->numArgs());
     for (unsigned I = 0; I < F->numArgs(); ++I)
@@ -723,7 +677,7 @@ void Engine::propagateArgRanges() {
         continue;
       std::unique_ptr<ScalarRanges> &SRp = SRCache[F];
       if (!SRp || Dirty.count(F)) {
-        SRp = std::make_unique<ScalarRanges>(*F, *Infos[F].DT, ArgRanges[F]);
+        SRp = std::make_unique<ScalarRanges>(*F, DTs.at(F), ArgRanges[F]);
         Dirty.erase(F);
       }
       const ScalarRanges &SR = *SRp;
@@ -751,30 +705,67 @@ void Engine::propagateArgRanges() {
     }
     Converged = !Changed;
   }
-  if (!Converged) {
+  if (!Converged)
     for (Function *F : Defined)
       for (unsigned I = 0; I < F->numArgs(); ++I)
         ArgRanges[F][I] =
             F->arg(I)->type()->isInt()
                 ? fullWidth(cast<IntType>(F->arg(I)->type())->bits())
                 : IntRange::full();
-    SRCache.clear(); // Every cached analysis saw narrower arguments.
-  }
-
-  // Final per-function analyses for the fact walk: adopt cached ones
-  // whose inputs already are the final argument ranges; build the rest
-  // (leaf functions are never visited above, so never cached).
-  for (Function *F : Defined) {
-    auto It = SRCache.find(F);
-    if (It != SRCache.end() && It->second && !Dirty.count(F))
-      Infos[F].SR = std::move(It->second);
-    else
-      Infos[F].SR =
-          std::make_unique<ScalarRanges>(*F, *Infos[F].DT, ArgRanges[F]);
-  }
+  return ArgRanges;
 }
 
-void Engine::summarize(Function &F) {
+//===----------------------------------------------------------------------===//
+// Propagation
+//===----------------------------------------------------------------------===//
+
+/// One propagation: summaries, fact walks and deletions over the current
+/// IR, under argument ranges fixed beforehand.
+class Propagation {
+public:
+  Propagation(const std::vector<Function *> &Defined, const CallGraph &CG,
+              const DomTreeMap &DTs, const ArgRangeTable &ArgRanges)
+      : CG(CG), Defined(Defined), DTs(DTs), ArgRanges(ArgRanges) {}
+
+  unsigned run(CheckOptStats &Stats);
+
+private:
+  void prepare();
+
+  struct FuncInfo {
+    const DomTree *DT = nullptr;
+    std::unique_ptr<InstOrder> Ord;
+    std::unique_ptr<ScalarRanges> SR;
+    /// Call -> (ExtractPtr, ExtractBounds) users, for return summaries.
+    std::map<const CallInst *, std::pair<Value *, Value *>> Extracts;
+  };
+
+  enum class Reason { Range, Caller, Sunk, Callee };
+
+  void summarize(Function &F);
+  void walk(Function &F);
+  void walkBlockBody(FuncInfo &FI, ScopedFacts<FactKey> &Env,
+                     BasicBlock *BB);
+  void visitCheck(FuncInfo &FI, ScopedFacts<FactKey> &Env, BasicBlock *BB,
+                  BasicBlock::iterator It);
+  void visitCall(ScopedFacts<FactKey> &Env, CallInst *Call,
+                 Function *Callee);
+  bool substituteReq(const CheckReq &R, const CallInst &Call,
+                     const Function &Callee, FactKey &Key, int64_t &Lo,
+                     int64_t &Hi) const;
+  void mark(SpatialCheckInst *C, Reason R) { Deleted.emplace(C, R); }
+
+  const CallGraph &CG;
+  const std::vector<Function *> &Defined;
+  const DomTreeMap &DTs;
+  const ArgRangeTable &ArgRanges;
+  std::map<const Function *, FuncInfo> Infos;
+  std::map<const Function *, FuncSummary> Summaries;
+  std::map<SpatialCheckInst *, bool> AllSitesProve;
+  std::map<SpatialCheckInst *, Reason> Deleted;
+};
+
+void Propagation::summarize(Function &F) {
   FuncInfo &FI = Infos[&F];
   FuncSummary &Sum = Summaries[&F];
   unsigned OrigCount = sbabi::originalParamCount(F);
@@ -908,9 +899,9 @@ void Engine::summarize(Function &F) {
   }
 }
 
-bool Engine::substituteReq(const CheckReq &R, const CallInst &Call,
-                           const Function &Callee, FactKey &Key, int64_t &Lo,
-                           int64_t &Hi) const {
+bool Propagation::substituteReq(const CheckReq &R, const CallInst &Call,
+                                const Function &Callee, FactKey &Key,
+                                int64_t &Lo, int64_t &Hi) const {
   __int128 Base = R.Base;
   int64_t Scale = R.IdxArgNo >= 0 ? R.Scale : 0;
   const Value *Idx = nullptr;
@@ -988,8 +979,8 @@ bool Engine::substituteReq(const CheckReq &R, const CallInst &Call,
   return true;
 }
 
-void Engine::visitCheck(FuncInfo &FI, ScopedFacts<FactKey> &Env,
-                        BasicBlock *BB, BasicBlock::iterator It) {
+void Propagation::visitCheck(FuncInfo &FI, ScopedFacts<FactKey> &Env,
+                             BasicBlock *BB, BasicBlock::iterator It) {
   auto *C = cast<SpatialCheckInst>(It->get());
   LinearPtr L = decomposeLinearPtr(C->pointer());
   CanonBounds CB = canonBounds(C->bounds());
@@ -1060,8 +1051,8 @@ void Engine::visitCheck(FuncInfo &FI, ScopedFacts<FactKey> &Env,
   Env.add(Key, L.Base, End);
 }
 
-void Engine::visitCall(ScopedFacts<FactKey> &Env, CallInst *Call,
-                       Function *Callee) {
+void Propagation::visitCall(ScopedFacts<FactKey> &Env, CallInst *Call,
+                            Function *Callee) {
   const FuncSummary &Sum = Summaries[Callee];
 
   // Requirements first: facts established *by* this call must not prove
@@ -1099,8 +1090,8 @@ void Engine::visitCall(ScopedFacts<FactKey> &Env, CallInst *Call,
   }
 }
 
-void Engine::walkBlockBody(FuncInfo &FI, ScopedFacts<FactKey> &Env,
-                           BasicBlock *BB) {
+void Propagation::walkBlockBody(FuncInfo &FI, ScopedFacts<FactKey> &Env,
+                                BasicBlock *BB) {
   for (auto It = BB->begin(); It != BB->end(); ++It) {
     Instruction *I = It->get();
     if (auto *C = dyn_cast<SpatialCheckInst>(I)) {
@@ -1120,7 +1111,7 @@ void Engine::walkBlockBody(FuncInfo &FI, ScopedFacts<FactKey> &Env,
   }
 }
 
-void Engine::walk(Function &F) {
+void Propagation::walk(Function &F) {
   FuncInfo &FI = Infos[&F];
   ScopedFacts<FactKey> Env;
   walkDomTree(
@@ -1133,11 +1124,15 @@ void Engine::walk(Function &F) {
       [&](BasicBlock *, size_t Mark) { Env.rollbackTo(Mark); });
 }
 
-void Engine::prepare() {
+/// The per-function analyses of the walk, built on the current IR: the
+/// run's dominator trees stay valid (no checkopt sub-pass edits a CFG),
+/// but instruction order and scalar ranges see every earlier edit.
+void Propagation::prepare() {
   for (Function *F : Defined) {
     FuncInfo &FI = Infos[F];
-    FI.DT = std::make_unique<DomTree>(*F);
+    FI.DT = &DTs.at(F);
     FI.Ord = std::make_unique<InstOrder>(*F);
+    FI.SR = std::make_unique<ScalarRanges>(*F, *FI.DT, ArgRanges.at(F));
     for (const auto &BB : F->blocks())
       for (const auto &IP : *BB) {
         if (auto *EP = dyn_cast<ExtractPtrInst>(IP.get())) {
@@ -1153,50 +1148,8 @@ void Engine::prepare() {
   }
 }
 
-InterProcArgRanges Engine::argRanges() {
-  InterProcArgRanges Out;
-  if (Defined.empty())
-    return Out;
+unsigned Propagation::run(CheckOptStats &Stats) {
   prepare();
-  propagateArgRanges();
-  for (Function *F : Defined) {
-    const auto &Rs = ArgRanges[F];
-    for (unsigned I = 0; I < F->numArgs() && I < Rs.size(); ++I)
-      Out.Ranges[F->arg(I)] = Rs[I];
-    if (!CG.externallyReachable(F))
-      Out.Internal.push_back(F);
-  }
-  return Out;
-}
-
-/// Re-seeds ArgRanges from a prior computeInterProcArgRanges() of the
-/// same module and builds the per-function analyses on the current IR —
-/// the fixpoint itself is not repeated (see the seed contract in
-/// InterProc.h).
-void Engine::adoptArgRanges(
-    const std::map<const Argument *, IntRange> &Seed) {
-  for (Function *F : Defined) {
-    std::vector<IntRange> Rs(F->numArgs());
-    for (unsigned I = 0; I < F->numArgs(); ++I)
-      if (auto It = Seed.find(F->arg(I)); It != Seed.end())
-        Rs[I] = It->second;
-    ArgRanges[F] = std::move(Rs);
-    Infos[F].SR =
-        std::make_unique<ScalarRanges>(*F, *Infos[F].DT, ArgRanges[F]);
-  }
-}
-
-unsigned Engine::run(CheckOptStats &Stats,
-                     const std::map<const Argument *, IntRange> *Seed) {
-  if (Defined.empty())
-    return 0;
-
-  prepare();
-
-  if (Seed)
-    adoptArgRanges(*Seed); // Installs every Infos[F].SR from the seed.
-  else
-    propagateArgRanges(); // Also installs every Infos[F].SR.
 
   for (Function *F : CG.bottomUp())
     summarize(*F);
@@ -1255,30 +1208,27 @@ unsigned Engine::run(CheckOptStats &Stats,
       dce(*F); // Sweep the bounds arithmetic the deletions stranded.
   }
   Stats.InterProcChecksElided += N;
-
-  // Every deletion above leans on the closed-module assumption, so once
-  // anything was elided, record which functions must no longer be entered
-  // directly: the run driver enforces this (see RunRequest::Entry).
-  if (N > 0) {
-    std::vector<const Function *> Internal;
-    for (Function *F : Defined)
-      if (!CG.externallyReachable(F))
-        Internal.push_back(F);
-    M.recordInterProcContract(Internal);
-  }
   return N;
 }
 
 } // namespace
 
-unsigned checkopt::propagateInterProcChecks(
-    Module &M, CheckOptStats &Stats,
-    const std::map<const Argument *, IntRange> *SeedArgRanges) {
-  Engine E(M);
-  return E.run(Stats, SeedArgRanges);
+InterProcEngine::InterProcEngine(Module &M, const CallGraph &CG,
+                                 const DomTreeMap &DTs)
+    : CG(CG), DTs(DTs) {
+  for (const auto &F : M.functions())
+    if (F->isDefinition())
+      Defined.push_back(F.get());
 }
 
-InterProcArgRanges checkopt::computeInterProcArgRanges(Module &M) {
-  Engine E(M);
-  return E.argRanges();
+const ArgRangeTable &InterProcEngine::argumentRanges() {
+  if (!Ranges)
+    Ranges = argRangeFixpoint(Defined, CG, DTs);
+  return *Ranges;
+}
+
+unsigned InterProcEngine::propagate(CheckOptStats &Stats) {
+  if (Defined.empty())
+    return 0;
+  return Propagation(Defined, CG, DTs, argumentRanges()).run(Stats);
 }

@@ -64,10 +64,11 @@
 /// Module::entryFunction() ("main"/"_sb_main") and every other call
 /// arrives through an analyzed site. Driving a transformed module from a
 /// custom RunRequest::Entry naming an internally-called function would
-/// bypass these proofs, so whenever the pass deletes a check it records
-/// the contract on the module (Module::recordInterProcContract) with the
-/// set of functions that must not be entered directly, and runSession
-/// refuses such entries (see the contract note on RunRequest::Entry).
+/// bypass these proofs, so whenever the pass deletes a check the checkopt
+/// driver (CheckOpt.cpp) records the contract on the module
+/// (Module::recordInterProcContract) with the set of functions that must
+/// not be entered directly, and runSession refuses such entries (see the
+/// contract note on RunRequest::Entry).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -75,9 +76,11 @@
 #define SOFTBOUND_OPT_CHECKS_INTERPROC_H
 
 #include "ir/Module.h"
+#include "opt/Dominators.h"
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <vector>
 
 namespace softbound {
@@ -85,6 +88,8 @@ namespace softbound {
 struct CheckOptStats;
 
 namespace checkopt {
+
+class CallGraph;
 
 /// A signed-integer interval [Lo, Hi] (inclusive), Lo > Hi encoding the
 /// empty range. The scalar lattice of the inter-procedural propagation;
@@ -106,40 +111,51 @@ struct IntRange {
   static IntRange make(int64_t Lo, int64_t Hi) { return {Lo, Hi}; }
 };
 
-/// Runs the whole propagation over \p M: builds the call graph, iterates
-/// argument ranges to a (widened) fixpoint, computes per-function
-/// summaries, walks every function's dominator tree collecting and
-/// consuming facts, and deletes every check all three mechanisms proved
-/// redundant (sweeping stranded bounds arithmetic with dce). Updates the
-/// InterProc* counters of \p Stats and returns the number of spatial
-/// checks deleted (the caller owns the ChecksAfter adjustment).
-///
-/// \p SeedArgRanges (optional) is a previously computed
-/// computeInterProcArgRanges() result for the same module: the argument
-/// fixpoint is skipped and the seed adopted verbatim. Sound across the
-/// per-function check passes because they never change a call argument's
-/// value (hoisting only adds pure arithmetic, elimination only deletes
-/// checks, CSE substitutes value-identical SSA names), so the pre-pass
-/// fixpoint still over-approximates every argument.
-unsigned propagateInterProcChecks(
-    Module &M, CheckOptStats &Stats,
-    const std::map<const Argument *, IntRange> *SeedArgRanges = nullptr);
+/// Integer argument ranges per defined function, indexed by argument
+/// number.
+using ArgRangeTable = std::map<const Function *, std::vector<IntRange>>;
 
-/// The propagation's first phase on its own: top-down integer argument
-/// ranges over the call graph (threshold widening, branch refinement),
-/// flattened per Argument. Externally reachable functions (the VM entry,
-/// address-taken functions) get full-width ranges; arguments of functions
-/// with no observed call site come back empty (bottom). `Internal` is the
-/// call graph's non-externally-reachable cohort: every range here leans on
-/// the closed-module assumption, so a consumer that deletes (or weakens)
-/// a check based on one must record the entry contract with exactly this
-/// set (Module::recordInterProcContract) — the runtime-limit hull hoister
-/// does this when it discharges a trip/wrap guard statically.
-struct InterProcArgRanges {
-  std::map<const Argument *, IntRange> Ranges;
-  std::vector<const Function *> Internal;
+/// One dominator tree per defined function.
+using DomTreeMap = std::map<const Function *, DomTree>;
+
+/// The propagation over one checkopt run. It borrows the run's call graph
+/// and dominator trees, which stay valid across the run because no checkopt
+/// sub-pass edits a CFG, a call, or whether a function's address escapes
+/// (tests/test_checkopt_golden.cpp checks this over the whole corpus).
+class InterProcEngine {
+public:
+  InterProcEngine(Module &M, const CallGraph &CG, const DomTreeMap &DTs);
+
+  /// Top-down integer argument ranges over the call graph (threshold
+  /// widening, branch refinement), computed on the first call, on the IR
+  /// as it stands, and kept. Externally reachable functions (the VM
+  /// entry, address-taken functions) get full-width ranges; arguments of
+  /// functions with no observed call site stay empty (bottom). Every
+  /// range of a non-externally-reachable function leans on the
+  /// closed-module assumption: a check deleted or weakened on the
+  /// strength of one obliges the caller to record the entry contract.
+  /// The ranges stay sound across the per-function check passes, which
+  /// never change a call argument's value (hoisting only adds pure
+  /// arithmetic, elimination only deletes checks, CSE substitutes
+  /// value-identical SSA names).
+  const ArgRangeTable &argumentRanges();
+
+  /// Runs the propagation: computes per-function summaries, walks every
+  /// function's dominator tree collecting and consuming facts, and
+  /// deletes every check the three mechanisms proved redundant (sweeping
+  /// stranded bounds arithmetic with dce). Instruction order and scalar
+  /// ranges are rebuilt on the current IR. Updates the InterProc*
+  /// counters of \p Stats and returns the number of spatial checks
+  /// deleted (the caller owns the ChecksAfter adjustment and, when it is
+  /// nonzero, the entry contract).
+  unsigned propagate(CheckOptStats &Stats);
+
+private:
+  const CallGraph &CG;
+  const DomTreeMap &DTs;
+  std::vector<Function *> Defined;
+  std::optional<ArgRangeTable> Ranges;
 };
-InterProcArgRanges computeInterProcArgRanges(Module &M);
 
 } // namespace checkopt
 } // namespace softbound

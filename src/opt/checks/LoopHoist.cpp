@@ -51,8 +51,8 @@
 /// procedurally propagated ranges (checkopt(interproc)'s top-down
 /// argument ranges, peeled through sign extensions and constant +/-) lie
 /// inside the region, the guard is discharged statically: unguarded
-/// hulls, no fallback — and the module records the whole-program contract
-/// the range proof leaned on (Module::recordInterProcContract).
+/// hulls, no fallback — and the checkopt driver records the whole-program
+/// contract the range proof leaned on (Module::recordInterProcContract).
 ///
 /// Soundness rests on the same three proofs as the constant case, all
 /// established before any rewrite and conditioned on the region:
@@ -596,15 +596,13 @@ IVSpan symbolicSpan(const SymbolicCountedLoop &S) {
 class LoopHoister {
 public:
   using LoopOfIV = std::map<const Value *, const NaturalLoop *>;
-  using ArgRangeMap = std::map<const Argument *, IntRange>;
-
   using BlockPosMap = std::map<const BasicBlock *, unsigned>;
 
   LoopHoister(Module &M, const NaturalLoop &L, const LoopShape &Shape,
               const DomTree &DT, const BlockPosMap &BlockPos,
               const IVBox &Enclosing, const LoopOfIV &EnclosingLoops,
               const SymbolicCountedLoop *AncestorSym,
-              const ArgRangeMap *ArgRanges, bool *DischargeUsed,
+              const ArgRangeTable *ArgRanges, bool &DischargeUsed,
               CheckOptStats &Stats)
       : M(M), L(L), Shape(Shape), DT(DT), BlockPos(BlockPos),
         Enclosing(Enclosing), EnclosingLoops(EnclosingLoops),
@@ -680,11 +678,11 @@ private:
     if (auto *A = dyn_cast<Argument>(V)) {
       if (!ArgRanges)
         return IntRange::full();
-      auto It = ArgRanges->find(A);
+      auto It = ArgRanges->find(A->parent());
       if (It == ArgRanges->end())
         return IntRange::full();
       UsedArg = true;
-      return It->second;
+      return It->second[A->index()];
     }
     if (auto *CI = dyn_cast<CastInst>(V);
         CI && CI->opcode() == CastInst::Op::SExt)
@@ -834,8 +832,8 @@ private:
   const IVBox &Enclosing; ///< Usable IVs of enclosing counted loops.
   const LoopOfIV &EnclosingLoops; ///< Which loop each enclosing IV drives.
   const SymbolicCountedLoop *AncestorSym; ///< Symbolic ancestor dim, if any.
-  const ArgRangeMap *ArgRanges;           ///< Interproc argument ranges.
-  bool *DischargeUsed; ///< Out-flag: a range proof was relied on.
+  const ArgRangeTable *ArgRanges;         ///< Interproc argument ranges.
+  bool &DischargeUsed; ///< Out-flag: a range proof was relied on.
   CheckOptStats &Stats;
   const SymbolicCountedLoop *SymSrc = nullptr; ///< Owner of the symbols.
   SymPair Syms; ///< The (up to two) symbols usable here.
@@ -1171,15 +1169,13 @@ void LoopHoister::hoistInBlock(BasicBlock *BB) {
             It = BB->erase(It);
             ++Stats.LoopChecksHoisted;
             ++Stats.RuntimeGuardsDischarged;
-            if (UsedArg && DischargeUsed)
-              *DischargeUsed = true;
+            DischargeUsed |= UsedArg;
             continue;
           }
           bool UsedArg2 = false;
           if (provablyTripsNow(UsedArg2)) {
             Discharged = true;
-            if (UsedArg2 && DischargeUsed)
-              *DischargeUsed = true;
+            DischargeUsed |= UsedArg2;
           } else {
             NewGuard = G ? insertAtEnd(L.Preheader,
                                        new BinOpInst(BinOpInst::Op::And,
@@ -1338,16 +1334,14 @@ void LoopHoister::hoistInBlock(BasicBlock *BB) {
           It = BB->erase(It);
           ++Stats.LoopChecksHoisted;
           ++Stats.RuntimeGuardsDischarged;
-          if (UsedArg && DischargeUsed)
-            *DischargeUsed = true;
+          DischargeUsed |= UsedArg;
           continue;
         }
       }
       bool UsedArg = false;
       if (rangeDischarges(Win, NeedTrip, NeedDiv, UsedArg)) {
         ++Stats.RuntimeGuardsDischarged;
-        if (UsedArg && DischargeUsed)
-          *DischargeUsed = true;
+        DischargeUsed |= UsedArg;
       } else {
         Guard = combinedGuard(Win, NeedTrip, NeedDiv);
       }
@@ -1375,13 +1369,9 @@ void LoopHoister::hoistInBlock(BasicBlock *BB) {
 namespace softbound {
 namespace checkopt {
 
-void hoistLoopChecks(Function &F, CheckOptStats &Stats,
-                     const CheckOptConfig &Cfg,
-                     const std::map<const Argument *, IntRange> *ArgRanges,
-                     bool *ArgRangeDischargeUsed) {
-  if (!F.isDefinition())
-    return;
-  DomTree DT(F);
+void hoistLoopChecks(Function &F, const DomTree &DT, CheckOptStats &Stats,
+                     const CheckOptConfig &Cfg, const ArgRangeTable *ArgRanges,
+                     bool &ArgRangeDischargeUsed) {
   std::vector<NaturalLoop> Loops = findSimpleLoops(F, DT);
   Stats.LoopsAnalyzed += Loops.size();
   Module &M = *F.parent();

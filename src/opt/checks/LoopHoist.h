@@ -18,8 +18,6 @@
 #include "ir/Function.h"
 #include "opt/checks/InterProc.h"
 
-#include <map>
-
 namespace softbound {
 
 struct CheckOptConfig;
@@ -40,17 +38,18 @@ namespace checkopt {
 ///  * Checks it emits with an i1 guard operand may be skipped at run
 ///    time; they are valid *fact sources for no other pass* (see the
 ///    guarded-check rules in RedundantChecks.cpp / InterProc.cpp).
-///  * \p ArgRanges (optional) must be a computeInterProcArgRanges()
-///    result for the enclosing module that is still current — i.e. no
-///    pass has changed any call argument's value since it was computed.
-///    When a hull guard is discharged from it, \p ArgRangeDischargeUsed
-///    (when non-null) is set and the caller MUST record the entry
+///  * \p DT is \p F's dominator tree; hoisting adds and deletes
+///    instructions but never edits the CFG, so it stays valid.
+///  * \p ArgRanges (optional) must be InterProcEngine::argumentRanges()
+///    of the enclosing module, computed before any check pass changed a
+///    call argument's value. When a hull guard is discharged from it,
+///    \p ArgRangeDischargeUsed is set and the caller MUST record the entry
 ///    contract on the module (Module::recordInterProcContract with the
-///    ranges' Internal cohort) before the module runs.
-void hoistLoopChecks(Function &F, CheckOptStats &Stats,
-                     const CheckOptConfig &Cfg,
-                     const std::map<const Argument *, IntRange> *ArgRanges,
-                     bool *ArgRangeDischargeUsed);
+///    call graph's non-externally-reachable functions) before the module
+///    runs.
+void hoistLoopChecks(Function &F, const DomTree &DT, CheckOptStats &Stats,
+                     const CheckOptConfig &Cfg, const ArgRangeTable *ArgRanges,
+                     bool &ArgRangeDischargeUsed);
 
 } // namespace checkopt
 } // namespace softbound

@@ -231,20 +231,16 @@ struct FuncInfo {
 
 } // namespace
 
-unsigned checkopt::partitionCheckedRegions(Module &M, CheckOptStats &Stats) {
-  CallGraph CG(M);
-
+unsigned checkopt::partitionCheckedRegions(Module &M, const CallGraph &CG,
+                                           CheckOptStats &Stats) {
   // Phase 0: boundary reconstruction. Runs before classification so a
   // function whose only metadata stores were reconstructible null inits
   // can still reach the fully-proven verdict below.
   std::map<const Function *, unsigned> Reconstructed;
-  unsigned Elided = 0;
   for (const auto &FP : M.functions())
     if (FP->isDefinition() && FP->isTransformed())
-      if (unsigned N = elideReconstructibleStores(*FP)) {
+      if (unsigned N = elideReconstructibleStores(*FP))
         Reconstructed[FP.get()] = N;
-        Elided += N;
-      }
 
   // Phase 1: per-function obligations — no checks left, address never
   // taken, metadata stores confined to non-escaping locals.
@@ -462,17 +458,5 @@ unsigned checkopt::partitionCheckedRegions(Module &M, CheckOptStats &Stats) {
     Stats.Partition.push_back(std::move(V));
   }
 
-  // Caller-set reasoning above leaned on the closed-module assumption,
-  // so stripping anything records the same whole-program entry contract
-  // checkopt(interproc) records for its deletions. Phase 0's
-  // reconstruction elisions are deliberately excluded: they hold for any
-  // caller with any arguments, so they impose no entry restriction.
-  if (Removed) {
-    std::vector<const Function *> Internal;
-    for (Function *F : Order)
-      if (!CG.externallyReachable(F))
-        Internal.push_back(F);
-    M.recordInterProcContract(Internal);
-  }
-  return Removed + Elided;
+  return Removed;
 }

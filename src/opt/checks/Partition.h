@@ -39,10 +39,10 @@
 /// parameters and still pass bounds at calls (a shared `make.bounds 0, 0`
 /// stands in for deleted metadata loads), so instrumented and proven
 /// frames interleave freely. Because caller-set reasoning leans on the
-/// closed-module assumption, any stripping records the entry contract via
-/// Module::recordInterProcContract — exactly as checkopt(interproc) does —
-/// and the Verifier enforces that functions marked uninstrumented contain
-/// no metadata instructions.
+/// closed-module assumption, any stripping obliges the checkopt driver to
+/// record the entry contract via Module::recordInterProcContract — exactly
+/// as checkopt(interproc)'s deletions do — and the Verifier enforces that
+/// functions marked uninstrumented contain no metadata instructions.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,13 +54,18 @@
 namespace softbound {
 namespace checkopt {
 
+class CallGraph;
+
 /// Classifies every defined function and strips metadata propagation from
 /// the fully-proven ones (see file comment for the proof obligations).
-/// Appends one PartitionVerdict per inspected function to \p Stats and
-/// bumps the partition counters. Records the inter-procedural entry
-/// contract when anything was stripped. Returns the number of metadata
-/// instructions removed.
-unsigned partitionCheckedRegions(Module &M, CheckOptStats &Stats);
+/// \p CG is \p M's call graph. Appends one PartitionVerdict per inspected
+/// function to \p Stats and bumps the partition counters. Returns the
+/// number of metadata instructions stripped from fully-proven functions;
+/// when it is nonzero the caller must record the entry contract. Boundary
+/// reconstruction's null-init store elisions are not counted: they hold
+/// for any caller with any arguments, so they impose no entry restriction.
+unsigned partitionCheckedRegions(Module &M, const CallGraph &CG,
+                                 CheckOptStats &Stats);
 
 } // namespace checkopt
 } // namespace softbound

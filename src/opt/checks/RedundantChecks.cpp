@@ -49,8 +49,9 @@ using ValuePair = std::pair<const Value *, const Value *>;
 /// FuncPtrSeen deduplicates function-pointer encoding checks.
 class RCEWalker {
 public:
-  RCEWalker(Function &F, const CheckOptConfig &Cfg, CheckOptStats &Stats)
-      : F(F), DT(F), Cfg(Cfg), Stats(Stats) {}
+  RCEWalker(Function &F, const DomTree &DT, const CheckOptConfig &Cfg,
+            CheckOptStats &Stats)
+      : F(F), DT(DT), Cfg(Cfg), Stats(Stats) {}
 
   void run();
 
@@ -63,7 +64,7 @@ private:
   Scope enter(BasicBlock *BB);
 
   Function &F;
-  DomTree DT;
+  const DomTree &DT;
   const CheckOptConfig &Cfg;
   CheckOptStats &Stats;
 
@@ -143,11 +144,10 @@ RCEWalker::Scope RCEWalker::enter(BasicBlock *BB) {
 namespace softbound {
 namespace checkopt {
 
-void eliminateRedundantSpatialChecks(Function &F, const CheckOptConfig &Cfg,
+void eliminateRedundantSpatialChecks(Function &F, const DomTree &DT,
+                                     const CheckOptConfig &Cfg,
                                      CheckOptStats &Stats) {
-  if (!F.isDefinition())
-    return;
-  RCEWalker(F, Cfg, Stats).run();
+  RCEWalker(F, DT, Cfg, Stats).run();
 }
 
 } // namespace checkopt

@@ -388,6 +388,17 @@ TEST(InstDominates, OrdersWithinAndAcrossBlocks) {
 // Precision: dominance + range elimination on hand-built IR
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// The intra-procedural sub-passes only: the fixtures below exercise
+/// dominance and range elimination, not the module-level sub-passes.
+CheckOptConfig intraOnly() {
+  CheckOptConfig Cfg;
+  Cfg.InterProc = false;
+  Cfg.Partition = false;
+  return Cfg;
+}
+
 /// Builds `probe(i8* p)` with a diamond CFG and a configurable list of
 /// checks; returns the function.
 struct DiamondFixture {
@@ -426,6 +437,8 @@ struct DiamondFixture {
   }
 };
 
+} // namespace
+
 TEST(CheckOptRCE, DominatingCheckKillsDescendants) {
   DiamondFixture D;
   IRBuilder B(D.M);
@@ -439,8 +452,7 @@ TEST(CheckOptRCE, DominatingCheckKillsDescendants) {
   B.spatialCheck(D.P, D.Bounds, 16, true); // Stronger: stays.
   D.finish();
 
-  CheckOptStats S;
-  optimizeChecks(*D.F, CheckOptConfig{}, S);
+  CheckOptStats S = optimizeChecks(D.M, intraOnly());
   EXPECT_EQ(S.DominatedEliminated, 2u);
   EXPECT_EQ(S.ChecksBefore, 4u);
   EXPECT_EQ(S.ChecksAfter, 2u);
@@ -457,8 +469,7 @@ TEST(CheckOptRCE, SiblingBranchFactsDoNotLeak) {
   B.spatialCheck(D.P, D.Bounds, 8, true); // Post-merge, not dominated.
   D.finish();
 
-  CheckOptStats S;
-  optimizeChecks(*D.F, CheckOptConfig{}, S);
+  CheckOptStats S = optimizeChecks(D.M, intraOnly());
   EXPECT_EQ(S.ChecksAfter, 3u)
       << "facts from one branch must not kill checks in the sibling or "
          "below the merge";
@@ -486,8 +497,7 @@ TEST(CheckOptRCE, RangeSubsumptionCoversConstantOffsets) {
   B.spatialCheck(G2, D.Bounds, 8, true);   // [12, 20): tail out, stays.
   D.finish();
 
-  CheckOptStats S;
-  optimizeChecks(*D.F, CheckOptConfig{}, S);
+  CheckOptStats S = optimizeChecks(D.M, intraOnly());
   EXPECT_EQ(S.RangeEliminated, 1u);
   EXPECT_EQ(S.ChecksAfter, 2u);
 
@@ -500,10 +510,9 @@ TEST(CheckOptRCE, RangeSubsumptionCoversConstantOffsets) {
   C.setInsertPoint(D2.Left);
   C.spatialCheck(G3, D2.Bounds, 8, true);
   D2.finish();
-  CheckOptConfig NoRange;
+  CheckOptConfig NoRange = intraOnly();
   NoRange.RangeSubsumption = false;
-  CheckOptStats S2;
-  optimizeChecks(*D2.F, NoRange, S2);
+  CheckOptStats S2 = optimizeChecks(D2.M, NoRange);
   EXPECT_EQ(S2.RangeEliminated, 0u);
   EXPECT_EQ(S2.ChecksAfter, 2u);
 }
@@ -519,8 +528,7 @@ TEST(CheckOptRCE, AdjacentIntervalsMergeToCoverWideAccess) {
   B.spatialCheck(D.P, D.Bounds, 16, true); // [0, 16): merged cover, killed.
   D.finish();
 
-  CheckOptStats S;
-  optimizeChecks(*D.F, CheckOptConfig{}, S);
+  CheckOptStats S = optimizeChecks(D.M, intraOnly());
   EXPECT_EQ(S.RangeEliminated, 1u);
   EXPECT_EQ(S.ChecksAfter, 2u);
 }

@@ -46,6 +46,17 @@ unsigned countChecksIn(const Function &F) {
   return N;
 }
 
+/// Runs the propagation alone over \p M, with the analyses the checkopt
+/// driver would share with it.
+unsigned propagate(Module &M, CheckOptStats &Stats) {
+  checkopt::CallGraph CG(M);
+  checkopt::DomTreeMap DTs;
+  for (const auto &F : M.functions())
+    if (F->isDefinition())
+      DTs.try_emplace(F.get(), *F);
+  return checkopt::InterProcEngine(M, CG, DTs).propagate(Stats);
+}
+
 BuildResult buildSpec(const std::string &Src, const std::string &Spec) {
   PipelinePlan Plan;
   Plan.frontend(Src);
@@ -393,7 +404,7 @@ TEST(InterProcPrecision, DuplicateCallerCheckSinksIntoCallee) {
   B.ret();
 
   CheckOptStats Stats;
-  unsigned Deleted = checkopt::propagateInterProcChecks(M, Stats);
+  unsigned Deleted = propagate(M, Stats);
   EXPECT_EQ(Deleted, 1u);
   EXPECT_EQ(Stats.InterProcSunkElided, 1u);
   EXPECT_EQ(countChecksIn(*Caller), 0u);
@@ -427,7 +438,7 @@ TEST(InterProcPrecision, EqualSizeSinkKeepsExactlyOneCopy) {
   B.ret();
 
   CheckOptStats Stats;
-  unsigned Deleted = checkopt::propagateInterProcChecks(M, Stats);
+  unsigned Deleted = propagate(M, Stats);
   EXPECT_EQ(Deleted, 1u);
   EXPECT_EQ(countChecksIn(*Caller) + countChecksIn(*F), 1u)
       << "one copy of the condition must survive";
@@ -464,7 +475,7 @@ TEST(InterProcPrecision, SinkRequiresCalleeEntryCheck) {
   B.ret();
 
   CheckOptStats Stats;
-  checkopt::propagateInterProcChecks(M, Stats);
+  propagate(M, Stats);
   EXPECT_EQ(Stats.InterProcSunkElided, 0u);
   EXPECT_EQ(countChecksIn(*Caller), 1u);
 }
@@ -495,7 +506,7 @@ TEST(InterProcPrecision, SinkBlockedByInterveningAccess) {
   B.ret();
 
   CheckOptStats Stats;
-  checkopt::propagateInterProcChecks(M, Stats);
+  propagate(M, Stats);
   EXPECT_EQ(Stats.InterProcSunkElided, 0u);
   EXPECT_EQ(countChecksIn(*Caller), 1u);
 }
@@ -558,7 +569,7 @@ TEST(InterProcPrecision, DeepCfgChainIsWalkedIteratively) {
   B.ret();
 
   CheckOptStats Stats;
-  unsigned Deleted = checkopt::propagateInterProcChecks(M, Stats);
+  unsigned Deleted = propagate(M, Stats);
   EXPECT_EQ(Deleted, 1u);
   EXPECT_EQ(Stats.InterProcCallerElided, 1u);
   EXPECT_EQ(countChecksIn(*F), 1u) << "the dominating entry check survives";

@@ -53,6 +53,11 @@ BuildResult buildSpec(const std::string &Src, const std::string &Spec) {
   return R;
 }
 
+/// Runs partitioning alone over \p M.
+unsigned partition(Module &M, CheckOptStats &Stats) {
+  return checkopt::partitionCheckedRegions(M, checkopt::CallGraph(M), Stats);
+}
+
 const PartitionVerdict *verdictFor(const CheckOptStats &S,
                                    const std::string &Substr) {
   auto It = std::find_if(S.Partition.begin(), S.Partition.end(),
@@ -183,13 +188,13 @@ TEST(PartitionLattice, ProvenFunctionIsStrippedAndContractRecorded) {
   Type *I8P = Ctx.ptrTo(Ctx.i8());
   IRBuilder B(M);
 
-  // g: transformed, check-free, one meta.load from a local whose result
-  // feeds nothing — the canonical fully-proven leaf.
+  // g: transformed, check-free, metadata copied within one non-escaping
+  // local — the canonical fully-proven leaf.
   Function *G = M.createFunction("g", Ctx.funcTy(Ctx.voidTy(), {}));
   G->setTransformed();
   B.setInsertPoint(G->createBlock("entry"));
   Value *Slot = B.alloca_(I8P, "slot");
-  B.metaLoad(Slot);
+  B.metaStore(Slot, B.metaLoad(Slot));
   B.ret();
 
   Function *Main = M.createFunction("main", Ctx.funcTy(Ctx.i32(), {}));
@@ -198,11 +203,12 @@ TEST(PartitionLattice, ProvenFunctionIsStrippedAndContractRecorded) {
   B.call(G, {});
   B.ret(M.constI32(0));
 
-  CheckOptStats Stats;
-  unsigned Removed = checkopt::partitionCheckedRegions(M, Stats);
-  EXPECT_EQ(Removed, 1u);
+  // Through the checkopt driver, which records the entry contract.
+  CheckOptConfig PartitionOnly{false, false, false, false, false, true};
+  CheckOptStats Stats = optimizeChecks(M, PartitionOnly);
   EXPECT_EQ(Stats.PartitionProven, 2u) << "g and main are both proven";
   EXPECT_EQ(Stats.PartitionMetaLoadsRemoved, 1u);
+  EXPECT_EQ(Stats.PartitionMetaStoresRemoved, 1u);
 
   const PartitionVerdict *V = verdictFor(Stats, "g");
   ASSERT_NE(V, nullptr);
@@ -235,7 +241,7 @@ TEST(PartitionLattice, RemainingChecksBlockTheVerdict) {
   B.ret();
 
   CheckOptStats Stats;
-  EXPECT_EQ(checkopt::partitionCheckedRegions(M, Stats), 0u);
+  EXPECT_EQ(partition(M, Stats), 0u);
   const PartitionVerdict *V = verdictFor(Stats, "f");
   ASSERT_NE(V, nullptr);
   EXPECT_FALSE(V->FullyProven);
@@ -270,7 +276,7 @@ TEST(PartitionLattice, AddressTakenFunctionIsNeverProven) {
   EXPECT_TRUE(CG.externallyReachable(H));
 
   CheckOptStats Stats;
-  checkopt::partitionCheckedRegions(M, Stats);
+  partition(M, Stats);
   const PartitionVerdict *V = verdictFor(Stats, "h");
   ASSERT_NE(V, nullptr);
   EXPECT_FALSE(V->FullyProven);
@@ -317,7 +323,7 @@ TEST(PartitionLattice, EscapingMetaStoreBlocksTheVerdict) {
   B.ret();
 
   CheckOptStats Stats;
-  checkopt::partitionCheckedRegions(M, Stats);
+  partition(M, Stats);
   const PartitionVerdict *V = verdictFor(Stats, "f");
   ASSERT_NE(V, nullptr);
   EXPECT_FALSE(V->FullyProven);
@@ -359,7 +365,7 @@ TEST(PartitionLattice, StrippedBoundsLeakDemotesTheFunction) {
   B.ret(M.constI32(0));
 
   CheckOptStats Stats;
-  checkopt::partitionCheckedRegions(M, Stats);
+  partition(M, Stats);
   const PartitionVerdict *V = verdictFor(Stats, "g");
   ASSERT_NE(V, nullptr);
   EXPECT_FALSE(V->FullyProven);
@@ -388,7 +394,7 @@ TEST(PartitionLattice, ExternallyVisibleReturnBoundsDemote) {
   EXPECT_TRUE(CG.externallyReachable(K)) << "no recorded call sites";
 
   CheckOptStats Stats;
-  checkopt::partitionCheckedRegions(M, Stats);
+  partition(M, Stats);
   const PartitionVerdict *V = verdictFor(Stats, "k");
   ASSERT_NE(V, nullptr);
   EXPECT_FALSE(V->FullyProven);

@@ -1298,6 +1298,263 @@ TEST(RuntimeHulls, NestedConstantLoopRehoistsGuardedHulls) {
 }
 
 //===----------------------------------------------------------------------===//
+// Loop-shape table: which loops count, and what hoisting makes of them
+//===----------------------------------------------------------------------===//
+
+/// The counted-loop and hull counters one build reports, in table order:
+/// {LoopsAnalyzed, LoopsCounted, LoopsCountedRuntime, LoopsCountedSymInit,
+/// LoopsCountedStrided, LoopChecksHoisted, RuntimeHullChecks,
+/// RuntimeDivisGuards}.
+struct LoopCounters {
+  unsigned Loops, Counted, Runtime, SymInit, Strided, Hoisted, RuntimeHulls,
+      Divis;
+
+  static LoopCounters of(const CheckOptStats &S) {
+    return {S.LoopsAnalyzed,       S.LoopsCounted,
+            S.LoopsCountedRuntime, S.LoopsCountedSymInit,
+            S.LoopsCountedStrided, S.LoopChecksHoisted,
+            S.RuntimeHullChecks,   S.RuntimeDivisGuards};
+  }
+  /// Table-row spelling, so a mismatch prints the row to paste.
+  std::string str() const {
+    std::string S = "{";
+    for (unsigned V : {Loops, Counted, Runtime, SymInit, Strided, Hoisted,
+                       RuntimeHulls, Divis})
+      S += (S.size() > 1 ? ", " : "") + std::to_string(V);
+    return S + "}";
+  }
+};
+
+/// One mini-C loop shape: the source, an in-bounds run and an off-by-one
+/// run (which must trap), and the counters under `checkopt(hoist)` and
+/// `checkopt(hoist,runtime-limit)`.
+struct LoopShapeCase {
+  const char *Name;
+  const char *Body; ///< Statements of main between the prologue and return.
+  const char *Params;
+  std::vector<int64_t> InArgs, OffArgs;
+  int InExit;
+  LoopCounters Hoist, RuntimeLimit;
+};
+
+/// Every case allocates `p` (n longs for the constant shapes, 16 or 64 for
+/// the symbolic ones) and returns `s % 100`.
+const LoopShapeCase LoopShapeCases[] = {
+    {"const_lt", "long *p = (long*)malloc(n * 8);\n"
+                 "for (int i = 0; i < 16; i++) { p[i] = i; s = s + i; }",
+     "int n", {16}, {15}, 20,
+     {1, 1, 0, 0, 0, 1, 0, 0}, {1, 1, 0, 0, 0, 1, 0, 0}},
+    {"const_le", "long *p = (long*)malloc(n * 8);\n"
+                 "for (int i = 0; i <= 15; i++) { p[i] = i; s = s + i; }",
+     "int n", {16}, {15}, 20,
+     {1, 1, 0, 0, 0, 1, 0, 0}, {1, 1, 0, 0, 0, 1, 0, 0}},
+    {"const_gt", "long *p = (long*)malloc(n * 8);\n"
+                 "for (int i = 16; i > 0; i--) { p[i - 1] = i; s = s + i; }",
+     "int n", {16}, {15}, 36,
+     {1, 1, 0, 0, 0, 1, 0, 0}, {1, 1, 0, 0, 0, 1, 0, 0}},
+    {"const_ge", "long *p = (long*)malloc(n * 8);\n"
+                 "for (int i = 15; i >= 0; i--) { p[i] = i; s = s + i; }",
+     "int n", {16}, {15}, 20,
+     {1, 1, 0, 0, 0, 1, 0, 0}, {1, 1, 0, 0, 0, 1, 0, 0}},
+    {"ne_exact_hit",
+     "long *p = (long*)malloc(n * 8);\n"
+     "for (int i = 0; i != 16; i = i + 2) { p[i] = i; s = s + i; }",
+     "int n", {15}, {14}, 56,
+     {1, 1, 0, 0, 0, 1, 0, 0}, {1, 1, 0, 0, 0, 1, 0, 0}},
+    // The step never lands on the limit: only the exit() call ends it.
+    {"ne_step_misses",
+     "long *p = (long*)malloc(n * 8);\n"
+     "for (int i = 0; i != 15; i = i + 2) {\n"
+     "  p[i] = i; s = s + i;\n"
+     "  if (i == 14) exit((int)s);\n"
+     "}",
+     "int n", {15}, {14}, 56,
+     {1, 0, 0, 0, 0, 0, 0, 0}, {1, 0, 0, 0, 0, 0, 0, 0}},
+    {"count_above_2_30",
+     "long *p = (long*)malloc(n * 8);\n"
+     "for (int i = 0; i < 2000000000; i++) {\n"
+     "  p[i] = i; s = s + i;\n"
+     "  if (i == 15) exit((int)s);\n"
+     "}",
+     "int n", {16}, {15}, 120,
+     {1, 0, 0, 0, 0, 0, 0, 0}, {1, 0, 0, 0, 0, 0, 0, 0}},
+    // `i <= INT_MAX` holds for every int: the IV wraps instead of exiting.
+    {"const_limit_wraps_int",
+     "long *p = (long*)malloc(n * 8);\n"
+     "for (int i = 2147483632; i <= 2147483647; i++) {\n"
+     "  p[i - 2147483632] = i; s = s + 1;\n"
+     "  if (i == 2147483647) exit((int)s);\n"
+     "}",
+     "int n", {16}, {15}, 16,
+     {1, 0, 0, 0, 0, 0, 0, 0}, {1, 0, 0, 0, 0, 0, 0, 0}},
+    {"sym_init", "long *p = (long*)malloc(16 * 8);\n"
+                 "for (int i = lo; i < 16; i++) { p[i] = i; s = s + i; }",
+     "int lo", {0}, {-1}, 20,
+     {1, 0, 0, 0, 0, 0, 0, 0}, {1, 0, 1, 1, 0, 1, 2, 0}},
+    {"sym_limit", "long *p = (long*)malloc(16 * 8);\n"
+                  "for (int i = 0; i < n; i++) { p[i] = i; s = s + i; }",
+     "int n", {16}, {17}, 20,
+     {1, 0, 0, 0, 0, 0, 0, 0}, {1, 0, 1, 0, 0, 1, 2, 0}},
+    {"sym_both", "long *p = (long*)malloc(16 * 8);\n"
+                 "for (int i = lo; i < hi; i++) { p[i] = i; s = s + i; }",
+     "int lo, int hi", {0, 16}, {0, 17}, 20,
+     {1, 0, 0, 0, 0, 0, 0, 0}, {1, 0, 1, 1, 0, 1, 2, 0}},
+    {"sym_decreasing",
+     "long *p = (long*)malloc(16 * 8);\n"
+     "for (int i = n - 1; i >= 0; i--) { p[i] = i; s = s + i; }",
+     "int n", {16}, {17}, 20,
+     {1, 0, 0, 0, 0, 0, 0, 0}, {1, 0, 1, 1, 0, 1, 2, 0}},
+    // i = 1, 4, ..., 13 in bounds; n = 19 reaches p[16].
+    {"stride_3", "long *p = (long*)malloc(16 * 8);\n"
+                 "for (int i = 1; i < n; i = i + 3) { p[i] = i; s = s + i; }",
+     "int n", {16}, {19}, 35,
+     {1, 0, 0, 0, 0, 0, 0, 0}, {1, 0, 1, 0, 1, 1, 2, 1}},
+    // k is declared after i, so its phi precedes i's in the header; it
+    // also steps by a constant but is not what the exit branch tests.
+    {"accumulator_first",
+     "long *p = (long*)malloc(n * 8);\n"
+     "int i;\n"
+     "int k = 0;\n"
+     "for (i = 0; i < 16; i++) { k = k + 1; p[i] = k; s = s + k; }",
+     "int n", {16}, {15}, 36,
+     {1, 1, 0, 0, 0, 1, 0, 0}, {1, 1, 0, 0, 0, 1, 0, 0}},
+    {"accumulator_first_sym",
+     "long *p = (long*)malloc(16 * 8);\n"
+     "int i;\n"
+     "int k = 0;\n"
+     "for (i = 0; i < n; i++) { k = k + 1; p[i] = k; s = s + k; }",
+     "int n", {16}, {17}, 36,
+     {1, 0, 0, 0, 0, 0, 0, 0}, {1, 0, 1, 0, 0, 1, 2, 0}},
+    {"rect_nest_sym_outer",
+     "long *p = (long*)malloc(64 * 8);\n"
+     "for (int i = 0; i < n; i++)\n"
+     "  for (int j = 0; j < 16; j++) { p[i * 16 + j] = j; s = s + j; }",
+     "int n", {4}, {5}, 80,
+     {2, 1, 0, 0, 0, 0, 0, 0}, {2, 1, 1, 0, 0, 3, 4, 0}},
+};
+
+std::string loopShapeSource(const LoopShapeCase &C) {
+  return std::string("int main(") + C.Params + ") {\n  long s = 0;\n" +
+         C.Body + "\n  return (int)(s % 100);\n}";
+}
+
+TEST(LoopShapeTable, MiniCShapesCountHoistAndTrapAsPinned) {
+  const char *Specs[] = {"optimize,softbound,checkopt(hoist)",
+                         "optimize,softbound,checkopt(hoist,runtime-limit)"};
+  for (const LoopShapeCase &C : LoopShapeCases) {
+    for (int K = 0; K < 2; ++K) {
+      SCOPED_TRACE(std::string(C.Name) + " under " + Specs[K]);
+      PipelinePlan Plan;
+      Plan.frontend(loopShapeSource(C));
+      ASSERT_TRUE(Plan.appendSpec(Specs[K]));
+      BuildResult Prog = Plan.build();
+      ASSERT_TRUE(Prog.ok()) << Prog.errorText();
+      const LoopCounters &Want = K == 0 ? C.Hoist : C.RuntimeLimit;
+      EXPECT_EQ(LoopCounters::of(Prog.Pipeline.CheckOpt).str(), Want.str());
+
+      RunRequest RO;
+      RO.Args = C.InArgs;
+      RunResult In = runSession(Prog, RO).Combined;
+      EXPECT_TRUE(In.ok()) << trapName(In.Trap) << " " << In.Message;
+      EXPECT_EQ(In.ExitCode, C.InExit);
+      RO.Args = C.OffArgs;
+      EXPECT_EQ(runSession(Prog, RO).Combined.Trap,
+                TrapKind::SpatialViolation);
+    }
+  }
+}
+
+/// One hand-built loop with an unsigned exit test (the frontend emits
+/// unsigned compares only between pointers): `main(i64 n)` runs
+/// `for (i = Init; i Pred Limit; i += Step) buf[i + IndexAdj] = i` over
+/// `@buf = [16 x i64]`, checked against bounds [buf + BoundLo, End) where
+/// End is buf + n elements (SymBound) or buf + 16, and Limit is n
+/// (SymLimit) or LimitC.
+struct UnsignedLoopCase {
+  const char *Name;
+  ICmpInst::Pred Pred;
+  int64_t Init, Step;
+  bool SymLimit;
+  int64_t LimitC, IndexAdj;
+  bool SymBound;
+  int64_t BoundLo;
+  int64_t InArg, OffArg;
+  LoopCounters Hoist, RuntimeLimit;
+};
+
+const UnsignedLoopCase UnsignedLoopCases[] = {
+    {"ult_const", ICmpInst::Pred::ULT, 0, 1, false, 16, 0, true, 0, 16, 15,
+     {1, 1, 0, 0, 0, 1, 0, 0}, {1, 1, 0, 0, 0, 1, 0, 0}},
+    {"uge_const", ICmpInst::Pred::UGE, 16, -1, false, 1, -1, true, 0, 16, 15,
+     {1, 1, 0, 0, 0, 1, 0, 0}, {1, 1, 0, 0, 0, 1, 0, 0}},
+    {"ult_sym", ICmpInst::Pred::ULT, 0, 1, true, 0, 0, false, 0, 16, 17,
+     {1, 0, 0, 0, 0, 0, 0, 0}, {1, 0, 0, 0, 0, 0, 0, 0}},
+    {"uge_sym", ICmpInst::Pred::UGE, 15, -1, true, 0, 0, false, 1, 1, 0,
+     {1, 0, 0, 0, 0, 0, 0, 0}, {1, 0, 0, 0, 0, 0, 0, 0}},
+};
+
+std::unique_ptr<Module> unsignedLoop(const UnsignedLoopCase &C) {
+  auto M = std::make_unique<Module>();
+  TypeContext &Ctx = M->ctx();
+  Type *Arr = Ctx.arrayOf(Ctx.i64(), 16);
+  GlobalVariable *Buf = M->createGlobal("buf", Arr, GlobalInitializer());
+  Function *F = M->createFunction("main", Ctx.funcTy(Ctx.i64(), {Ctx.i64()}));
+  Value *N = F->arg(0);
+  BasicBlock *Entry = F->createBlock("entry");
+  BasicBlock *Header = F->createBlock("header");
+  BasicBlock *Body = F->createBlock("body");
+  BasicBlock *Exit = F->createBlock("exit");
+  IRBuilder B(*M);
+  auto Elem = [&](Value *Idx) {
+    return B.gep(Arr, Buf, {M->constI64(0), Idx});
+  };
+  B.setInsertPoint(Entry);
+  Value *Bounds = B.makeBounds(Elem(M->constI64(C.BoundLo)),
+                               Elem(C.SymBound ? N : M->constI64(16)));
+  B.br(Header);
+  B.setInsertPoint(Header);
+  PhiInst *I = B.phi(Ctx.i64(), "i");
+  B.condBr(B.icmp(C.Pred, I, C.SymLimit ? N : M->constI64(C.LimitC)), Body,
+           Exit);
+  B.setInsertPoint(Body);
+  Value *P = Elem(C.IndexAdj ? B.add(I, M->constI64(C.IndexAdj)) : I);
+  B.spatialCheck(P, Bounds, 8, true);
+  B.store(I, P);
+  Value *Next = B.add(I, M->constI64(C.Step));
+  B.br(Header);
+  I->addIncoming(M->constI64(C.Init), Entry);
+  I->addIncoming(Next, Body);
+  B.setInsertPoint(Exit);
+  B.ret(M->constI64(7));
+  return M;
+}
+
+TEST(LoopShapeTable, UnsignedExitTestsCountHoistAndTrapAsPinned) {
+  for (const UnsignedLoopCase &C : UnsignedLoopCases) {
+    for (bool Runtime : {false, true}) {
+      SCOPED_TRACE(std::string(C.Name) +
+                   (Runtime ? " with runtime-limit" : " with hoist only"));
+      std::unique_ptr<Module> M = unsignedLoop(C);
+      ASSERT_TRUE(verifyModule(*M).empty()) << verifyModule(*M).front();
+      CheckOptConfig Cfg;
+      Cfg.EliminateDominated = Cfg.RangeSubsumption = false;
+      Cfg.InterProc = Cfg.Partition = false;
+      Cfg.RuntimeLimitHulls = Runtime;
+      CheckOptStats S = optimizeChecks(*M, Cfg);
+      ASSERT_TRUE(verifyModule(*M).empty()) << verifyModule(*M).front();
+      EXPECT_EQ(LoopCounters::of(S).str(),
+                (Runtime ? C.RuntimeLimit : C.Hoist).str());
+
+      RunResult In = VM(*M, VMConfig{}).run("main", {C.InArg});
+      EXPECT_TRUE(In.ok()) << trapName(In.Trap) << " " << In.Message;
+      EXPECT_EQ(In.ExitCode, 7);
+      EXPECT_EQ(VM(*M, VMConfig{}).run("main", {C.OffArg}).Trap,
+                TrapKind::SpatialViolation);
+    }
+  }
+}
+
+//===----------------------------------------------------------------------===//
 // Precision: the struct-field exemplar
 //===----------------------------------------------------------------------===//
 

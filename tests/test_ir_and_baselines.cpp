@@ -113,6 +113,196 @@ TEST(Verifier, CatchesBadSpatialCheckOperands) {
   EXPECT_NE(Errors[0].find("bounds"), std::string::npos);
 }
 
+/// True when some diagnostic contains \p Needle.
+bool reports(const std::vector<std::string> &Errors,
+             const std::string &Needle) {
+  for (const std::string &E : Errors)
+    if (E.find(Needle) != std::string::npos)
+      return true;
+  return false;
+}
+
+std::string joined(const std::vector<std::string> &Errors) {
+  std::string S;
+  for (const std::string &E : Errors)
+    S += E + "\n";
+  return S;
+}
+
+/// `f(i64 a)` with an entry block positioned for building.
+struct VerifierFixture {
+  Module M;
+  Function *F = nullptr;
+  BasicBlock *Entry = nullptr;
+  IRBuilder B{M};
+
+  VerifierFixture() {
+    TypeContext &Ctx = M.ctx();
+    F = M.createFunction("f", Ctx.funcTy(Ctx.voidTy(), {Ctx.i64()}));
+    Entry = F->createBlock("entry");
+    B.setInsertPoint(Entry);
+  }
+  std::vector<std::string> errors() const { return verifyModule(M); }
+};
+
+TEST(Verifier, CatchesOperandFromAnotherFunction) {
+  VerifierFixture X;
+  Function *G = X.M.createFunction(
+      "g", X.M.ctx().funcTy(X.M.ctx().voidTy(), {X.M.ctx().i64()}));
+  X.B.add(G->arg(0), X.M.constI64(1));
+  X.B.ret();
+  std::vector<std::string> Errors = X.errors();
+  EXPECT_TRUE(
+      reports(Errors, "in @f: operand 0 is not defined in this function"))
+      << joined(Errors);
+}
+
+TEST(Verifier, CatchesUseAboveDefinitionInOneBlock) {
+  VerifierFixture X;
+  Instruction *First = X.B.binop(BinOpInst::Op::Add, X.F->arg(0),
+                                 X.M.constI64(1), "first");
+  Instruction *Second = X.B.binop(BinOpInst::Op::Add, X.F->arg(0),
+                                  X.M.constI64(2), "second");
+  First->setOp(1, Second);
+  X.B.ret();
+  std::vector<std::string> Errors = X.errors();
+  EXPECT_TRUE(
+      reports(Errors, "operand 1 is used before its definition in block entry"))
+      << joined(Errors);
+}
+
+TEST(Verifier, CatchesNullOperand) {
+  // A guarded check whose guard slot is empty: neither the printer nor
+  // the typing rules read a missing guard, so only the operand rule fires.
+  VerifierFixture X;
+  TypeContext &Ctx = X.M.ctx();
+  Value *P = X.B.castOp(CastInst::Op::IntToPtr, X.F->arg(0),
+                        Ctx.ptrTo(Ctx.i8()), "p");
+  Value *Bounds = X.B.makeBounds(X.M.constI64(0), X.M.constI64(64));
+  Value *G = X.B.icmp(ICmpInst::Pred::SGT, X.F->arg(0), X.M.constI64(0));
+  SpatialCheckInst *C = X.B.spatialCheck(P, Bounds, 8, true, G);
+  C->setOp(2, nullptr);
+  X.B.ret();
+  std::vector<std::string> Errors = X.errors();
+  EXPECT_TRUE(reports(Errors, "null operand 2")) << joined(Errors);
+}
+
+TEST(Verifier, CatchesTerminatorInTheMiddleOfABlock) {
+  VerifierFixture X;
+  BasicBlock *Next = X.F->createBlock("next");
+  X.B.br(Next);
+  X.B.ret();
+  X.B.setInsertPoint(Next);
+  X.B.ret();
+  std::vector<std::string> Errors = X.errors();
+  EXPECT_TRUE(reports(Errors, "terminator in the middle of block entry"))
+      << joined(Errors);
+}
+
+TEST(Verifier, CatchesPhiAfterNonPhi) {
+  VerifierFixture X;
+  BasicBlock *Join = X.F->createBlock("join");
+  X.B.br(Join);
+  X.B.setInsertPoint(Join);
+  X.B.add(X.F->arg(0), X.M.constI64(1));
+  auto *Phi = new PhiInst(X.M.ctx().i64(), "late");
+  Phi->addIncoming(X.F->arg(0), X.Entry);
+  Join->append(std::unique_ptr<Instruction>(Phi));
+  X.B.ret();
+  std::vector<std::string> Errors = X.errors();
+  EXPECT_TRUE(reports(Errors, "phi after non-phi instruction"))
+      << joined(Errors);
+}
+
+TEST(Verifier, CatchesPhiIncomingBlocksThatAreNotThePredecessors) {
+  VerifierFixture X;
+  BasicBlock *Other = X.F->createBlock("other");
+  BasicBlock *Join = X.F->createBlock("join");
+  X.B.br(Join);
+  X.B.setInsertPoint(Other);
+  X.B.ret();
+  X.B.setInsertPoint(Join);
+  PhiInst *Phi = X.B.phi(X.M.ctx().i64(), "p");
+  Phi->addIncoming(X.F->arg(0), Other); // Join's only predecessor is entry.
+  X.B.ret();
+  std::vector<std::string> Errors = X.errors();
+  EXPECT_TRUE(reports(Errors, "phi incoming blocks do not match predecessors"))
+      << joined(Errors);
+}
+
+TEST(Verifier, CatchesBranchToAnotherFunctionsBlock) {
+  VerifierFixture X;
+  Function *G =
+      X.M.createFunction("g", X.M.ctx().funcTy(X.M.ctx().voidTy(), {}));
+  BasicBlock *Foreign = G->createBlock("foreign");
+  X.B.br(Foreign);
+  X.B.setInsertPoint(Foreign);
+  X.B.ret();
+  std::vector<std::string> Errors = X.errors();
+  EXPECT_TRUE(reports(Errors, "in @f: branch to block outside function"))
+      << joined(Errors);
+}
+
+/// `f` holding one spatial check and one meta.load, the two carrying
+/// module-assigned sites 0 and 1.
+struct SiteFixture : VerifierFixture {
+  Instruction *Add = nullptr;
+  SpatialCheckInst *Check = nullptr;
+  MetaLoadInst *Meta = nullptr;
+
+  SiteFixture() {
+    TypeContext &Ctx = M.ctx();
+    Value *P = B.castOp(CastInst::Op::IntToPtr, F->arg(0),
+                        Ctx.ptrTo(Ctx.i8()), "p");
+    Add = B.binop(BinOpInst::Op::Add, F->arg(0), M.constI64(1), "sum");
+    Check = B.spatialCheck(P, B.makeBounds(M.constI64(0), M.constI64(64)), 8,
+                           false);
+    Meta = B.metaLoad(P);
+    B.ret();
+    M.assignCheckSites();
+  }
+};
+
+TEST(Verifier, SiteTableIsConsistentAfterAssignment) {
+  SiteFixture X;
+  EXPECT_EQ(X.Check->site(), 0);
+  EXPECT_EQ(X.Meta->site(), 1);
+  EXPECT_TRUE(X.errors().empty()) << joined(X.errors());
+}
+
+TEST(Verifier, CatchesSiteOnANonCheckInstruction) {
+  SiteFixture X;
+  X.Add->setSite(0);
+  EXPECT_TRUE(reports(X.errors(), "in @f: site 0 on a non-check instruction"))
+      << joined(X.errors());
+}
+
+TEST(Verifier, CatchesSiteOutsideTheTable) {
+  SiteFixture X;
+  X.Meta->setSite(5);
+  EXPECT_TRUE(
+      reports(X.errors(), "site 5 outside the module site table (2 entries)"))
+      << joined(X.errors());
+}
+
+TEST(Verifier, CatchesSiteOnTwoInstructions) {
+  SiteFixture X;
+  X.Meta->setSite(0);
+  EXPECT_TRUE(
+      reports(X.errors(), "site 0 assigned to more than one instruction"))
+      << joined(X.errors());
+}
+
+TEST(Verifier, CatchesSiteKindThatDisagreesWithTheTable) {
+  SiteFixture X;
+  X.Check->setSite(1);
+  X.Meta->setSite(0);
+  EXPECT_TRUE(reports(X.errors(), "site 1 ('f#1') kind disagrees"))
+      << joined(X.errors());
+  EXPECT_TRUE(reports(X.errors(), "site 0 ('f#0') kind disagrees"))
+      << joined(X.errors());
+}
+
 //===----------------------------------------------------------------------===//
 // Splay tree vs std::map oracle
 //===----------------------------------------------------------------------===//

@@ -145,6 +145,7 @@ constexpr size_t MaxSummarySites = 10;
 void fillHotSites(WorkloadNumbers &Num, const Module &M,
                   const SiteProfile &Prof) {
   ShadowSpaceMetadata ShadowCosts;
+  const uint64_t CheckCost = RunRequest().CheckCost; // The sessions' price.
   const auto &Sites = M.checkSites();
   Num.SitesTotal = Sites.size();
   std::vector<std::pair<size_t, SiteRow>> Rows;
@@ -163,11 +164,11 @@ void fillHotSites(WorkloadNumbers &Num, const Module &M,
     case ValueKind::SpatialCheck:
       Row.Kind = "check";
       Row.SimCost =
-          SC.Executed * 3 + (SC.GuardElided + SC.FallbackFired) * 1;
+          SC.Executed * CheckCost + (SC.GuardElided + SC.FallbackFired) * 1;
       break;
     case ValueKind::FuncPtrCheck:
       Row.Kind = "funcptr";
-      Row.SimCost = SC.Executed * 3;
+      Row.SimCost = SC.Executed * CheckCost;
       break;
     case ValueKind::MetaLoad:
       Row.Kind = "meta.load";

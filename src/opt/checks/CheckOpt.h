@@ -67,9 +67,6 @@
 
 namespace softbound {
 
-class DomTree;
-class InstOrder;
-
 /// Per-sub-pass toggles (ablation knobs).
 struct CheckOptConfig {
   /// Delete checks dominated by an equal-or-stronger check on the same
@@ -186,12 +183,6 @@ struct CheckOptStats {
 /// records the closed-module entry contract when any proof leaned on it.
 /// The module must be verifier-clean; it stays verifier-clean.
 CheckOptStats optimizeChecks(Module &M, const CheckOptConfig &Cfg = {});
-
-/// Instruction-level dominance: true when \p A executes before \p B on
-/// every path reaching \p B (strict; an instruction does not dominate
-/// itself). \p DT and \p Ord must be current for the containing function.
-bool instDominates(const DomTree &DT, const InstOrder &Ord,
-                   const Instruction *A, const Instruction *B);
 
 namespace checkopt {
 

@@ -40,7 +40,6 @@
 
 #include "opt/checks/InterProc.h"
 
-#include "ir/InstOrder.h"
 #include "opt/Dominators.h"
 #include "opt/Passes.h"
 #include "opt/checks/CallGraph.h"
@@ -734,7 +733,6 @@ private:
 
   struct FuncInfo {
     const DomTree *DT = nullptr;
-    std::unique_ptr<InstOrder> Ord;
     std::unique_ptr<ScalarRanges> SR;
     /// Call -> (ExtractPtr, ExtractBounds) users, for return summaries.
     std::map<const CallInst *, std::pair<Value *, Value *>> Extracts;
@@ -845,10 +843,12 @@ void Propagation::summarize(Function &F) {
 
       if (Analyzable)
         Sum.Elidable.push_back(R);
+      // A ret ends its block, so a check dominates it exactly when the
+      // check's block dominates the ret's.
       bool DominatesRets = !Rets.empty();
       for (RetInst *Ret : Rets)
         DominatesRets =
-            DominatesRets && instDominates(*FI.DT, *FI.Ord, C, Ret);
+            DominatesRets && FI.DT->dominates(C->parent(), Ret->parent());
       if (DominatesRets)
         Sum.MustCheck.push_back(R);
       if (EntryPrefix.count(C))
@@ -878,7 +878,7 @@ void Propagation::summarize(Function &F) {
           for (const auto &IP : *BB) {
             auto *C = dyn_cast<SpatialCheckInst>(IP.get());
             if (!C || C->isGuarded() ||
-                !instDominates(*FI.DT, *FI.Ord, C, Ret))
+                !FI.DT->dominates(C->parent(), Ret->parent()))
               continue;
             LinearPtr LC = decomposeLinearPtr(C->pointer());
             if (LC.Index || LC.Root != LV.Root ||
@@ -1126,12 +1126,11 @@ void Propagation::walk(Function &F) {
 
 /// The per-function analyses of the walk, built on the current IR: the
 /// run's dominator trees stay valid (no checkopt sub-pass edits a CFG),
-/// but instruction order and scalar ranges see every earlier edit.
+/// but scalar ranges and the extract map see every earlier edit.
 void Propagation::prepare() {
   for (Function *F : Defined) {
     FuncInfo &FI = Infos[F];
     FI.DT = &DTs.at(F);
-    FI.Ord = std::make_unique<InstOrder>(*F);
     FI.SR = std::make_unique<ScalarRanges>(*F, *FI.DT, ArgRanges.at(F));
     for (const auto &BB : F->blocks())
       for (const auto &IP : *BB) {

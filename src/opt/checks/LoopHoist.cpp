@@ -21,11 +21,11 @@
 /// whole nest's checks to two.
 ///
 /// **Run-time bounds.** Loops counted by up to two loop-invariant
-/// *symbolic* bounds (Loops.h SymbolicCountedLoop) hoist too — symbolic
-/// init (`for (i = lo; i < hi; i++)`), the decreasing shape
-/// (`for (i = n - 1; i >= 0; i--)`), and |step| > 1 sweeps. The IV box
-/// spans become affine in the run-time values of the init symbol I and
-/// limit symbol L (`C + KI*I + KL*L`), the hull corner offsets are
+/// *symbolic* bounds (the symbolic form of Loops.h CountedLoop) hoist
+/// too — symbolic init (`for (i = lo; i < hi; i++)`), the decreasing
+/// shape (`for (i = n - 1; i >= 0; i--)`), and |step| > 1 sweeps. The IV
+/// box spans become affine in the run-time values of the init symbol I
+/// and limit symbol L (`C + KI*I + KL*L`), the hull corner offsets are
 /// materialized in the preheader as `Root + (KI*I + KL*L + C)` bytes, and
 /// every proof the constant case makes statically becomes a *region* of
 /// (I, L) values for which it holds:
@@ -57,26 +57,24 @@
 /// Soundness rests on the same three proofs as the constant case, all
 /// established before any rewrite and conditioned on the region:
 ///
-///   1. Exact iteration sets. analyzeCountedLoop() /
-///      analyzeSymbolicCountedLoop() give each IV sequence; a check's
-///      block dominating the latch means the check runs on every
-///      completed iteration (header checks widen to the exit IV; for
-///      symbolic loops header checks are skipped — they run even on
-///      zero-trip passes). loopBodyIsSafe() excludes anything that could
-///      keep a normally-completing run from finishing every iteration,
-///      and enclosing IVs are only used when the hoisted loop's header
-///      dominates the enclosing latch. Hence on a clean run inside the
-///      region the original program itself evaluates checks at both hull
-///      corners: the hoisted checks are a subset of the original dynamic
-///      checks, moved earlier. Outside the region the fallback checks are
-///      the original checks, unmoved. A run that would have trapped still
-///      traps — though possibly earlier and, when the original trap was
-///      of another kind, as a spatial violation instead. Clean runs are
-///      never affected. A symbol that coincides with an enclosing loop's
-///      IV is never paired with widening over that IV: the dimension is
-///      dropped from the box and every occurrence reads the one live
-///      value through the symbol instead, so corners mix no two
-///      iterations (see hoistLoopChecks).
+///   1. Exact iteration sets. analyzeCountedLoop() gives each IV sequence; a
+///      check's block dominating the latch means the check runs on every
+///      completed iteration (header checks widen to the exit IV; for symbolic
+///      loops header checks are skipped — they run even on zero-trip passes).
+///      loopBodyIsSafe() excludes anything that could keep a
+///      normally-completing run from finishing every iteration, and enclosing
+///      IVs are only used when the hoisted loop's header dominates the
+///      enclosing latch. Hence on a clean run inside the region the original
+///      program itself evaluates checks at both hull corners: the hoisted
+///      checks are a subset of the original dynamic checks, moved earlier.
+///      Outside the region the fallback checks are the original checks,
+///      unmoved. A run that would have trapped still traps — though possibly
+///      earlier and, when the original trap was of another kind, as a spatial
+///      violation instead. Clean runs are never affected. A symbol that
+///      coincides with an enclosing loop's IV is never paired with widening
+///      over that IV: the dimension is dropped from the box and every
+///      occurrence reads the one live value through the symbol instead, so
+///      corners mix no two iterations (see hoistLoopChecks).
 ///
 ///   2. Faithful re-evaluation. The linearizer verifies (for every (I, L)
 ///      in the region) that every intermediate node of the index
@@ -576,19 +574,30 @@ bool isSpeculatable(const Instruction *I) {
 
 /// How each loop of the function was classified.
 struct LoopShape {
-  bool Constant = false;
-  bool Symbolic = false;
-  bool Usable = false; ///< Shape recognized and body safe.
+  bool Usable = false; ///< Counted and body safe.
   CountedLoop CL;
-  SymbolicCountedLoop SCL;
 };
 
-/// The body-IV span of a symbolic counted loop as affine endpoints.
-IVSpan symbolicSpan(const SymbolicCountedLoop &S) {
-  AffVal Init = S.InitV ? AffVal{0, 1, 0} : AffVal{S.InitC, 0, 0};
-  AffVal End = S.Limit ? AffVal{S.EndAdj, 0, 1}
-                       : AffVal{__int128(S.LimitC) + S.EndAdj, 0, 0};
-  return S.Up ? IVSpan{Init, End} : IVSpan{End, Init};
+/// A counted loop's init and limit as affine values (constants collapse
+/// to C).
+AffVal initAff(const CountedLoop &CL) {
+  return CL.Init.Sym ? AffVal{0, 1, 0} : AffVal{CL.Init.C, 0, 0};
+}
+AffVal limitAff(const CountedLoop &CL) {
+  return CL.Limit.Sym ? AffVal{0, 0, 1} : AffVal{CL.Limit.C, 0, 0};
+}
+
+/// The IV span a check in \p CL observes, as affine endpoints: the body
+/// IVs, plus the exit IV for a header check of an exact loop
+/// (\p ThroughExit; header checks of symbolic loops are never hoisted).
+IVSpan spanOf(const CountedLoop &CL, bool ThroughExit) {
+  AffVal Last = limitAff(CL);
+  if (CL.isSymbolic())
+    Last.C += CL.EndAdj;
+  else
+    Last = AffVal{ThroughExit ? CL.ExitIV : CL.LastBody, 0, 0};
+  AffVal First = initAff(CL);
+  return CL.Step > 0 ? IVSpan{First, Last} : IVSpan{Last, First};
 }
 
 /// Per-loop hoisting context, caching the i8* view of each root pointer,
@@ -598,23 +607,20 @@ public:
   using LoopOfIV = std::map<const Value *, const NaturalLoop *>;
   using BlockPosMap = std::map<const BasicBlock *, unsigned>;
 
-  LoopHoister(Module &M, const NaturalLoop &L, const LoopShape &Shape,
+  LoopHoister(Module &M, const NaturalLoop &L, const CountedLoop &CL,
               const DomTree &DT, const BlockPosMap &BlockPos,
               const IVBox &Enclosing, const LoopOfIV &EnclosingLoops,
-              const SymbolicCountedLoop *AncestorSym,
+              const CountedLoop *AncestorSym,
               const ArgRangeTable *ArgRanges, bool &DischargeUsed,
               CheckOptStats &Stats)
-      : M(M), L(L), Shape(Shape), DT(DT), BlockPos(BlockPos),
+      : M(M), L(L), CL(CL), DT(DT), BlockPos(BlockPos),
         Enclosing(Enclosing), EnclosingLoops(EnclosingLoops),
         AncestorSym(AncestorSym), ArgRanges(ArgRanges),
-        DischargeUsed(DischargeUsed), Stats(Stats) {
-    if (Shape.Symbolic)
-      SymSrc = &Shape.SCL;
-    else if (AncestorSym)
-      SymSrc = AncestorSym;
+        DischargeUsed(DischargeUsed), Stats(Stats),
+        SymSrc(CL.isSymbolic() ? &CL : AncestorSym) {
     if (SymSrc) {
-      Syms.I = SymSrc->InitV;
-      Syms.L = SymSrc->Limit;
+      Syms.I = SymSrc->Init.Sym;
+      Syms.L = SymSrc->Limit.Sym;
     }
   }
 
@@ -632,7 +638,7 @@ public:
         continue;
       // Symbolic loops: header checks also run on the (possibly zero-trip)
       // exiting pass, whose IV is the exit value — leave them alone.
-      if (Shape.Symbolic && BB == L.Header)
+      if (CL.isSymbolic() && BB == L.Header)
         continue;
       hoistInBlock(BB);
     }
@@ -642,7 +648,7 @@ private:
   void hoistInBlock(BasicBlock *BB);
   Value *byteView(Value *Root);
   Value *sym64(const Value *Sym);
-  Value *symOrConst64(const Value *Sym, int64_t C);
+  Value *bound64(const LoopBound &B);
   Value *scaled(Value *V, int64_t K, const std::string &Name);
   Value *andOf(Value *A, Value *B);
   Value *guardFor(const SymRegion &Win);
@@ -655,14 +661,6 @@ private:
   bool collectAvailChain(Value *V, std::vector<Instruction *> &PostOrder,
                          std::set<const Value *> &Visited, int Budget);
   void commitAvailChain(const std::vector<Instruction *> &PostOrder);
-
-  /// The symbols' values as affine forms (constants collapse to C).
-  AffVal initAff() const {
-    return SymSrc->InitV ? AffVal{0, 1, 0} : AffVal{SymSrc->InitC, 0, 0};
-  }
-  AffVal limitAff() const {
-    return SymSrc->Limit ? AffVal{0, 0, 1} : AffVal{SymSrc->LimitC, 0, 0};
-  }
 
   /// The inter-procedurally propagated range of a symbol's run-time
   /// value: argument ranges peeled through value-preserving sign
@@ -723,6 +721,11 @@ private:
     return IntRange::full();
   }
 
+  /// rangeOf over a loop bound; a constant bound is a point range.
+  IntRange rangeOf(const LoopBound &B) const {
+    return B.Sym ? rangeOf(B.Sym, RangesUsedArg) : IntRange::of(B.C);
+  }
+
   bool usable(const IntRange &R) const { return !R.empty() && !R.isFull(); }
 
   /// The symbol ranges are fixed for the hoister's lifetime (SymSrc never
@@ -733,10 +736,8 @@ private:
     if (RangesCached)
       return;
     RangesCached = true;
-    CachedRI = SymSrc->InitV ? rangeOf(SymSrc->InitV, RangesUsedArg)
-                             : IntRange::of(SymSrc->InitC);
-    CachedRL = SymSrc->Limit ? rangeOf(SymSrc->Limit, RangesUsedArg)
-                             : IntRange::of(SymSrc->LimitC);
+    CachedRI = rangeOf(SymSrc->Init);
+    CachedRL = rangeOf(SymSrc->Limit);
   }
 
   /// True when the propagated symbol ranges prove the loop can never run
@@ -826,16 +827,16 @@ private:
 
   Module &M;
   const NaturalLoop &L;
-  const LoopShape &Shape;
+  const CountedLoop &CL; ///< The hoisted loop's counted form.
   const DomTree &DT;
   const BlockPosMap &BlockPos; ///< Function-order index of every block.
   const IVBox &Enclosing; ///< Usable IVs of enclosing counted loops.
   const LoopOfIV &EnclosingLoops; ///< Which loop each enclosing IV drives.
-  const SymbolicCountedLoop *AncestorSym; ///< Symbolic ancestor dim, if any.
-  const ArgRangeTable *ArgRanges;         ///< Interproc argument ranges.
+  const CountedLoop *AncestorSym; ///< Symbolic ancestor dim, if any.
+  const ArgRangeTable *ArgRanges; ///< Interproc argument ranges.
   bool &DischargeUsed; ///< Out-flag: a range proof was relied on.
   CheckOptStats &Stats;
-  const SymbolicCountedLoop *SymSrc = nullptr; ///< Owner of the symbols.
+  const CountedLoop *SymSrc; ///< Owner of the symbols, if any.
   SymPair Syms; ///< The (up to two) symbols usable here.
   mutable bool RangesCached = false;   ///< ensureRanges() ran.
   mutable IntRange CachedRI, CachedRL; ///< Symbol ranges (once per loop).
@@ -884,8 +885,8 @@ Value *LoopHoister::sym64(const Value *Sym) {
   return V;
 }
 
-Value *LoopHoister::symOrConst64(const Value *Sym, int64_t C) {
-  return Sym ? sym64(Sym) : static_cast<Value *>(M.constI64(C));
+Value *LoopHoister::bound64(const LoopBound &B) {
+  return B.Sym ? sym64(B.Sym) : static_cast<Value *>(M.constI64(B.C));
 }
 
 Value *LoopHoister::scaled(Value *V, int64_t K, const std::string &Name) {
@@ -974,9 +975,8 @@ Value *LoopHoister::tripGuard() {
     return TripG;
   TripG = insertAtEnd(
       L.Preheader,
-      new ICmpInst(SymSrc->Pred, symOrConst64(SymSrc->InitV, SymSrc->InitC),
-                   symOrConst64(SymSrc->Limit, SymSrc->LimitC), M.ctx().i1(),
-                   "hull.trip"));
+      new ICmpInst(SymSrc->Pred, bound64(SymSrc->Init), bound64(SymSrc->Limit),
+                   M.ctx().i1(), "hull.trip"));
   return TripG;
 }
 
@@ -991,9 +991,8 @@ Value *LoopHoister::divisGuard() {
   int64_t S = SymSrc->Step > 0 ? SymSrc->Step : -SymSrc->Step;
   Value *D = insertAtEnd(
       L.Preheader,
-      new BinOpInst(BinOpInst::Op::Sub,
-                    symOrConst64(SymSrc->Limit, SymSrc->LimitC),
-                    symOrConst64(SymSrc->InitV, SymSrc->InitC), "hull.span"));
+      new BinOpInst(BinOpInst::Op::Sub, bound64(SymSrc->Limit),
+                    bound64(SymSrc->Init), "hull.span"));
   Value *R = insertAtEnd(L.Preheader, new BinOpInst(BinOpInst::Op::SRem, D,
                                                     M.constI64(S), "hull.rem"));
   DivisG = insertAtEnd(L.Preheader,
@@ -1133,7 +1132,7 @@ void LoopHoister::hoistInBlock(BasicBlock *BB) {
       continue;
     }
 
-    if (Shape.Constant && !InHeader && Shape.CL.BodyCount == 0) {
+    if (!CL.isSymbolic() && !InHeader && CL.BodyCount == 0) {
       // Provably dead body: the check never executes at all.
       It = BB->erase(It);
       ++Stats.LoopChecksHoisted;
@@ -1158,7 +1157,7 @@ void LoopHoister::hoistInBlock(BasicBlock *BB) {
         commitAvailChain(Chain);
         Value *NewGuard = G;
         bool Discharged = false;
-        if (Shape.Symbolic) {
+        if (CL.isSymbolic()) {
           // A check hoisted out of a symbolic loop must not run on a
           // zero-trip pass: conjoin the *exact* trip test (false <=> the
           // body, and hence the original check, never executed) — unless
@@ -1208,14 +1207,7 @@ void LoopHoister::hoistInBlock(BasicBlock *BB) {
     // IV values this check observes: body blocks run the body IV span;
     // a (constant-loop) header check additionally observes the exit IV.
     IVBox Box = Enclosing;
-    if (Shape.Constant) {
-      int64_t IvLast = InHeader ? Shape.CL.ExitIV : Shape.CL.LastBody;
-      Box[Shape.CL.IV] =
-          IVSpan{AffVal{std::min(Shape.CL.Init, IvLast), 0, 0},
-                 AffVal{std::max(Shape.CL.Init, IvLast), 0, 0}};
-    } else {
-      Box[Shape.SCL.IV] = symbolicSpan(Shape.SCL);
-    }
+    Box[CL.IV] = spanOf(CL, InHeader);
 
     SymRegion Win;
     LinPtr LP;
@@ -1230,11 +1222,8 @@ void LoopHoister::hoistInBlock(BasicBlock *BB) {
     // with another iteration's offset — an address the original program
     // never computes.
     bool EnclosingOk = true;
-    const Value *OwnIV = Shape.Constant
-                             ? static_cast<const Value *>(Shape.CL.IV)
-                             : static_cast<const Value *>(Shape.SCL.IV);
     for (const auto &[IV, A] : LP.Off.Coef) {
-      if (A == 0 || IV == OwnIV)
+      if (A == 0 || IV == CL.IV)
         continue;
       const NaturalLoop *E = EnclosingLoops.at(IV);
       if (!E->isInvariant(LP.Root) || !E->isInvariant(Chk->bounds())) {
@@ -1271,27 +1260,28 @@ void LoopHoister::hoistInBlock(BasicBlock *BB) {
     // is execution-implied (this preheader only runs inside its body),
     // so only its wrap window — and, for strided shapes, divisibility —
     // is needed.
-    bool NeedTrip = Shape.Symbolic;
+    bool NeedTrip = CL.isSymbolic();
     // Divisibility validates only a strided span's closed-form endpoint,
     // so it is needed exactly when the expression touched that span's
-    // dimension — for the hoisted loop just as for the ancestor.
-    bool NeedDiv = (Shape.Symbolic && Shape.SCL.NeedDivis &&
-                    UsedDims.count(Shape.SCL.IV) != 0) ||
-                   (AncestorSymUsed && AncestorSym->NeedDivis);
-    if (Shape.Symbolic) {
-      requireMin(Win, limitAff(), Shape.SCL.LimitMin);
-      requireMax(Win, limitAff(), Shape.SCL.LimitMax);
+    // dimension — for the hoisted loop just as for the ancestor. (Only
+    // the symbolic form sets NeedDivis.)
+    bool NeedDiv =
+        (CL.NeedDivis && UsedDims.count(CL.IV) != 0) ||
+        (AncestorSymUsed && AncestorSym->NeedDivis);
+    if (NeedTrip) {
+      requireMin(Win, limitAff(CL), CL.LimitMin);
+      requireMax(Win, limitAff(CL), CL.LimitMax);
     }
     if (AncestorSymUsed) {
-      requireMin(Win, limitAff(), AncestorSym->LimitMin);
-      requireMax(Win, limitAff(), AncestorSym->LimitMax);
+      requireMin(Win, limitAff(*AncestorSym), AncestorSym->LimitMin);
+      requireMax(Win, limitAff(*AncestorSym), AncestorSym->LimitMax);
     }
     if (NeedDiv) {
       // Keep the divisibility test's i64 subtraction exact.
-      requireMin(Win, initAff(), -CrossCMax);
-      requireMax(Win, initAff(), CrossCMax);
-      requireMin(Win, limitAff(), -CrossCMax);
-      requireMax(Win, limitAff(), CrossCMax);
+      requireMin(Win, initAff(*SymSrc), -CrossCMax);
+      requireMax(Win, initAff(*SymSrc), CrossCMax);
+      requireMin(Win, limitAff(*SymSrc), -CrossCMax);
+      requireMax(Win, limitAff(*SymSrc), CrossCMax);
     }
 
     AffVal Min, Max;
@@ -1389,22 +1379,19 @@ void hoistLoopChecks(Function &F, const DomTree &DT, CheckOptStats &Stats,
   // loop can borrow the IV ranges of its safe counted ancestors.
   std::vector<LoopShape> Shapes(Loops.size());
   for (size_t I = 0; I < Loops.size(); ++I) {
-    LoopShape &S = Shapes[I];
-    if (analyzeCountedLoop(Loops[I], S.CL)) {
-      S.Constant = true;
-      ++Stats.LoopsCounted;
-    } else if (Cfg.RuntimeLimitHulls &&
-               analyzeSymbolicCountedLoop(Loops[I], S.SCL)) {
-      S.Symbolic = true;
-      ++Stats.LoopsCountedRuntime;
-      if (S.SCL.InitV)
-        ++Stats.LoopsCountedSymInit;
-      if (S.SCL.NeedDivis)
-        ++Stats.LoopsCountedStrided;
-    } else {
+    CountedLoop &CL = Shapes[I].CL;
+    if (!analyzeCountedLoop(Loops[I], Cfg.RuntimeLimitHulls, CL))
       continue;
+    if (!CL.isSymbolic()) {
+      ++Stats.LoopsCounted;
+    } else {
+      ++Stats.LoopsCountedRuntime;
+      if (CL.Init.Sym)
+        ++Stats.LoopsCountedSymInit;
+      if (CL.NeedDivis)
+        ++Stats.LoopsCountedStrided;
     }
-    S.Usable = loopBodyIsSafe(Loops[I]);
+    Shapes[I].Usable = loopBodyIsSafe(Loops[I]);
   }
 
   for (size_t I = 0; I < Loops.size(); ++I) {
@@ -1424,43 +1411,37 @@ void hoistLoopChecks(Function &F, const DomTree &DT, CheckOptStats &Stats,
         continue;
       Encl.push_back(E);
     }
-    const SymbolicCountedLoop *AncestorSym = nullptr;
-    if (!Shapes[I].Symbolic)
+    const CountedLoop &Own = Shapes[I].CL;
+    const CountedLoop *AncestorSym = nullptr;
+    if (!Own.isSymbolic())
       for (size_t E : Encl)
-        if (Shapes[E].Symbolic) {
-          AncestorSym = &Shapes[E].SCL;
+        if (Shapes[E].CL.isSymbolic()) {
+          AncestorSym = &Shapes[E].CL;
           break;
         }
-    const SymbolicCountedLoop *SymSrc =
-        Shapes[I].Symbolic ? &Shapes[I].SCL : AncestorSym;
-    const Value *SymI = SymSrc ? SymSrc->InitV : nullptr;
-    const Value *SymL = SymSrc ? SymSrc->Limit : nullptr;
+    const CountedLoop *SymSrc = Own.isSymbolic() ? &Own : AncestorSym;
+    const Value *SymI = SymSrc ? SymSrc->Init.Sym : nullptr;
+    const Value *SymL = SymSrc ? SymSrc->Limit.Sym : nullptr;
 
     IVBox Enclosing;
     LoopHoister::LoopOfIV EnclosingLoops;
     for (size_t E : Encl) {
-      if (Shapes[E].Constant) {
-        const CountedLoop &CE = Shapes[E].CL;
-        if (CE.BodyCount <= 0)
-          continue;
-        // A dimension whose IV *is* one of the symbols is never widened:
-        // the hull would pair the symbol's one live value with other
-        // iterations' span points — addresses the program never computes.
-        // Dropping the dimension makes in-expression uses of the IV
-        // linearize through the symbol leaf instead, which reads exactly
-        // the current iteration's value.
-        if (CE.IV == SymI || CE.IV == SymL)
-          continue;
-        Enclosing[CE.IV] =
-            IVSpan{AffVal{std::min(CE.Init, CE.LastBody), 0, 0},
-                   AffVal{std::max(CE.Init, CE.LastBody), 0, 0}};
-        EnclosingLoops[CE.IV] = &Loops[E];
-      } else if (Shapes[E].Symbolic && &Shapes[E].SCL == AncestorSym) {
-        Enclosing[AncestorSym->IV] = symbolicSpan(*AncestorSym);
-        EnclosingLoops[AncestorSym->IV] = &Loops[E];
-      }
+      const CountedLoop &CE = Shapes[E].CL;
+      // Only the symbolic ancestor that claimed the dimension widens; of
+      // the exact ones, a zero-trip loop has no span, and a dimension
+      // whose IV *is* one of the symbols is never widened: the hull would
+      // pair the symbol's one live value with other iterations' span
+      // points — addresses the program never computes. Dropping the
+      // dimension makes in-expression uses of the IV linearize through
+      // the symbol leaf instead, which reads exactly the current
+      // iteration's value.
+      if (CE.isSymbolic() ? &CE != AncestorSym
+                          : CE.BodyCount <= 0 || CE.IV == SymI || CE.IV == SymL)
+        continue;
+      Enclosing[CE.IV] = spanOf(CE, false);
+      EnclosingLoops[CE.IV] = &Loops[E];
     }
-    LoopHoister(M, L, Shapes[I], DT, BlockPos, Enclosing, EnclosingLoops,
+    LoopHoister(M, L, Own, DT, BlockPos, Enclosing, EnclosingLoops,
                 AncestorSym, ArgRanges, ArgRangeDischargeUsed, Stats)
         .run();
   }

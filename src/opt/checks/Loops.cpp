@@ -116,7 +116,7 @@ namespace {
 
 /// Matches \p Phi against the [init from the preheader, phi +/- constant
 /// from a latch-side binop] shape, returning the raw preheader incoming
-/// (constant *or* symbolic — the callers decide what they accept).
+/// (constant *or* symbolic — the recognizer decides what it accepts).
 bool matchIVStep(const NaturalLoop &L, PhiInst *Phi, Value *&InitVal,
                  int64_t &Step) {
   if (Phi->numIncoming() != 2 || !isa<IntType>(Phi->type()))
@@ -186,7 +186,7 @@ bool orientExitCondition(const NaturalLoop &L, const BrInst *Br, PhiInst *IV,
 /// tests, together with its oriented stay-predicate and the raw
 /// limit-side operand. Iterating past phis the branch does not test keeps
 /// accumulator phis (`s = s + 1` matches the step shape too) from masking
-/// the real induction variable. Shared by both analyzers.
+/// the real induction variable.
 bool findOrientedIV(const NaturalLoop &L, const BrInst *Br, PhiInst *&IV,
                     Value *&InitVal, int64_t &Step, ICmpInst::Pred &Pred,
                     Value *&LimitSide) {
@@ -194,58 +194,27 @@ bool findOrientedIV(const NaturalLoop &L, const BrInst *Br, PhiInst *&IV,
     auto *Phi = dyn_cast<PhiInst>(I.get());
     if (!Phi)
       break;
-    Value *Init = nullptr;
-    int64_t S = 0;
-    if (!matchIVStep(L, Phi, Init, S))
-      continue;
-    ICmpInst::Pred P;
-    Value *LS = nullptr;
-    if (!orientExitCondition(L, Br, Phi, P, LS))
-      continue;
-    IV = Phi;
-    InitVal = Init;
-    Step = S;
-    Pred = P;
-    LimitSide = LS;
-    return true;
+    if (matchIVStep(L, Phi, InitVal, Step) &&
+        orientExitCondition(L, Br, Phi, Pred, LimitSide)) {
+      IV = Phi;
+      return true;
+    }
   }
   return false;
 }
 
-} // namespace
-
-bool checkopt::analyzeCountedLoop(const NaturalLoop &L, CountedLoop &Out) {
-  // --- Induction variable: header phi = [Init, Preheader], [Next, Latch]
-  // with Next = IV +/- constant, tested by the header's exit branch.
-  auto *Br = dyn_cast<BrInst>(L.Header->terminator());
-  if (!Br || !Br->isConditional())
-    return false;
-
-  PhiInst *IV = nullptr;
-  Value *InitVal = nullptr;
-  int64_t Step = 0;
-  ICmpInst::Pred Pred;
-  Value *LimitSide = nullptr;
-  if (!findOrientedIV(L, Br, IV, InitVal, Step, Pred, LimitSide))
-    return false;
-  const auto *InitCI = dyn_cast<ConstantInt>(InitVal);
-  if (!InitCI)
-    return false;
-  int64_t Init = InitCI->value();
-
-  // --- Exit condition: icmp between the IV and a constant limit.
-  const auto *LimitC = dyn_cast<ConstantInt>(LimitSide);
-  if (!LimitC)
-    return false;
-
+/// The exact form of a loop whose init and limit are both constants:
+/// counts the body iterations, rejecting any sequence that would wrap
+/// its bit width, fail to terminate, or run more than 2^30 times.
+bool exactForm(CountedLoop &Out) {
   // --- Body count C: number of k >= 0 with pred(Init + k*Step, Limit).
   // Everything is computed in 128-bit: near-full-range i64 constants make
   // Lim - Lo overflow int64, and a wrapped count here would erase live
   // checks as "provably dead".
-  const __int128 Lo = Init, Lim = LimitC->value(), S = Step;
+  const __int128 Lo = Out.Init.C, Lim = Out.Limit.C, S = Out.Step;
   __int128 C = 0;
   using P = ICmpInst::Pred;
-  switch (Pred) {
+  switch (Out.Pred) {
   case P::SLT:
     if (S <= 0)
       return false;
@@ -271,15 +240,15 @@ bool checkopt::analyzeCountedLoop(const NaturalLoop &L, CountedLoop &Out) {
     // Matches the signed analysis only when both operands stay non-negative.
     if (S <= 0 || Lo < 0 || Lim < 0)
       return false;
-    C = Pred == P::ULT ? (Lo < Lim ? (Lim - Lo + S - 1) / S : 0)
-                       : (Lo <= Lim ? (Lim - Lo) / S + 1 : 0);
+    C = Out.Pred == P::ULT ? (Lo < Lim ? (Lim - Lo + S - 1) / S : 0)
+                           : (Lo <= Lim ? (Lim - Lo) / S + 1 : 0);
     break;
   case P::UGT:
   case P::UGE:
     if (S >= 0 || Lo < 0 || Lim < 0)
       return false;
-    C = Pred == P::UGT ? (Lo > Lim ? (Lo - Lim + (-S) - 1) / (-S) : 0)
-                       : (Lo >= Lim ? (Lo - Lim) / (-S) + 1 : 0);
+    C = Out.Pred == P::UGT ? (Lo > Lim ? (Lo - Lim + (-S) - 1) / (-S) : 0)
+                           : (Lo >= Lim ? (Lo - Lim) / (-S) + 1 : 0);
     break;
   case P::NE: {
     // Runs until IV == Limit exactly; anything else never terminates (or
@@ -298,38 +267,23 @@ bool checkopt::analyzeCountedLoop(const NaturalLoop &L, CountedLoop &Out) {
 
   // --- Wrap check: the real IV arithmetic is Width-bit; our closed form
   // is only valid if no value in Init..Init+C*Step leaves that range.
-  unsigned Width = cast<IntType>(IV->type())->bits();
+  unsigned Width = cast<IntType>(Out.IV->type())->bits();
   __int128 ExitIV = Lo + C * S;
   if (!fitsWidth(Lo, Width) || !fitsWidth(ExitIV, Width))
     return false;
 
-  Out.IV = IV;
-  Out.Init = Init;
-  Out.Step = Step;
   Out.BodyCount = static_cast<int64_t>(C);
   // LastBody lies between Lo and ExitIV, so the width checks above cover it.
-  Out.LastBody = C > 0 ? static_cast<int64_t>(Lo + (C - 1) * S) : Init;
+  Out.LastBody = C > 0 ? static_cast<int64_t>(Lo + (C - 1) * S) : Out.Init.C;
   Out.ExitIV = static_cast<int64_t>(ExitIV);
   return true;
 }
 
-//===----------------------------------------------------------------------===//
-// Symbolic counted-loop recognition
-//===----------------------------------------------------------------------===//
-
-bool checkopt::analyzeSymbolicCountedLoop(const NaturalLoop &L,
-                                          SymbolicCountedLoop &Out) {
-  auto *Br = dyn_cast<BrInst>(L.Header->terminator());
-  if (!Br || !Br->isConditional())
-    return false;
-
-  PhiInst *IV = nullptr;
-  Value *InitVal = nullptr;
-  int64_t Step = 0;
-  ICmpInst::Pred Pred;
-  Value *LimitSide = nullptr;
-  if (!findOrientedIV(L, Br, IV, InitVal, Step, Pred, LimitSide))
-    return false;
+/// The symbolic form from the raw preheader incoming \p InitVal and the
+/// raw limit-side operand \p LimitSide, at least one of them symbolic.
+bool symbolicForm(const NaturalLoop &L, Value *InitVal, Value *LimitSide,
+                  CountedLoop &Out) {
+  const int64_t Step = Out.Step;
   // Steps large enough to threaten the window arithmetic itself are not
   // worth a guard; EndAdj and the wrap windows below stay exactly
   // representable under this cap.
@@ -337,7 +291,7 @@ bool checkopt::analyzeSymbolicCountedLoop(const NaturalLoop &L,
   if (AbsStep > (int64_t(1) << 30))
     return false;
 
-  unsigned W = cast<IntType>(IV->type())->bits();
+  unsigned W = cast<IntType>(Out.IV->type())->bits();
   if (W > 64)
     return false;
   const int64_t WMax = W >= 64 ? INT64_MAX : (int64_t(1) << (W - 1)) - 1;
@@ -352,32 +306,29 @@ bool checkopt::analyzeSymbolicCountedLoop(const NaturalLoop &L,
   // symbol's identity).
   InitVal = stripSExt(InitVal);
   if (auto *InitCI = dyn_cast<ConstantInt>(InitVal)) {
-    Out.InitV = nullptr;
-    Out.InitC = InitCI->value();
-    if (Out.InitC < WMin || Out.InitC > WMax)
+    Out.Init = {nullptr, InitCI->value()};
+    if (Out.Init.C < WMin || Out.Init.C > WMax)
       return false;
   } else {
     if (!isa<IntType>(InitVal->type()))
       return false;
-    Out.InitV = InitVal;
-    Out.InitC = 0;
+    Out.Init = {InitVal, 0};
   }
 
   // The limit: peel value-preserving sign extensions (the peeled value is
   // canonically equal). A constant limit is allowed only alongside a
-  // symbolic init (both constant is the constant analyzer's territory);
-  // a symbolic one must be available on entry.
+  // symbolic init (both constant is the exact form's territory); a
+  // symbolic one must be available on entry.
   Value *Limit = stripSExt(LimitSide);
   if (auto *LimitCI = dyn_cast<ConstantInt>(Limit)) {
-    if (!Out.InitV)
+    if (!Out.Init.Sym)
       return false;
-    Out.Limit = nullptr;
-    Out.LimitC = LimitCI->value();
+    Out.Limit = {nullptr, LimitCI->value()};
   } else {
-    if (!isa<IntType>(Limit->type()) || !L.isInvariant(Limit) || Limit == IV)
+    if (!isa<IntType>(Limit->type()) || !L.isInvariant(Limit) ||
+        Limit == Out.IV)
       return false;
-    Out.Limit = Limit;
-    Out.LimitC = 0;
+    Out.Limit = {Limit, 0};
   }
 
   // Per-predicate shape. The LimitMin/LimitMax window guarantees the IV
@@ -387,11 +338,10 @@ bool checkopt::analyzeSymbolicCountedLoop(const NaturalLoop &L,
   // SLE/SGE), so bounding L bounds every intermediate — I itself is
   // canonical and needs no window.
   using P = ICmpInst::Pred;
-  switch (Pred) {
+  switch (Out.Pred) {
   case P::SLT: // Body IVs [I, L-Step]; exit value L.
     if (Step <= 0)
       return false;
-    Out.Up = true;
     Out.EndAdj = -Step;
     Out.LimitMin = INT64_MIN;
     Out.LimitMax = WMax;
@@ -399,7 +349,6 @@ bool checkopt::analyzeSymbolicCountedLoop(const NaturalLoop &L,
   case P::SLE: // Body IVs [I, L]; exit value L+Step.
     if (Step <= 0)
       return false;
-    Out.Up = true;
     Out.EndAdj = 0;
     Out.LimitMin = INT64_MIN;
     Out.LimitMax = WMax - Step; // WMax >= 0 > -Step: cannot overflow.
@@ -407,7 +356,6 @@ bool checkopt::analyzeSymbolicCountedLoop(const NaturalLoop &L,
   case P::SGT: // Body IVs [L-Step, I]; exit value L.
     if (Step >= 0)
       return false;
-    Out.Up = false;
     Out.EndAdj = -Step;
     Out.LimitMin = WMin;
     Out.LimitMax = INT64_MAX;
@@ -415,7 +363,6 @@ bool checkopt::analyzeSymbolicCountedLoop(const NaturalLoop &L,
   case P::SGE: // Body IVs [L, I]; exit value L+Step.
     if (Step >= 0)
       return false;
-    Out.Up = false;
     Out.EndAdj = 0;
     Out.LimitMin = WMin - Step; // WMin < 0 < -Step: cannot overflow.
     Out.LimitMax = INT64_MAX;
@@ -428,14 +375,32 @@ bool checkopt::analyzeSymbolicCountedLoop(const NaturalLoop &L,
   }
   // A constant limit must sit inside the wrap window statically; there is
   // no symbol to test it against at run time.
-  if (!Out.Limit && (Out.LimitC < Out.LimitMin || Out.LimitC > Out.LimitMax))
+  if (!Out.Limit.Sym &&
+      (Out.Limit.C < Out.LimitMin || Out.Limit.C > Out.LimitMax))
     return false;
 
-  Out.IV = IV;
-  Out.Step = Step;
-  Out.Pred = Pred;
   Out.NeedDivis = AbsStep != 1;
   return true;
+}
+
+} // namespace
+
+bool checkopt::analyzeCountedLoop(const NaturalLoop &L, bool AllowSymbolic,
+                                  CountedLoop &Out) {
+  auto *Br = dyn_cast<BrInst>(L.Header->terminator());
+  if (!Br || !Br->isConditional())
+    return false;
+  Value *InitVal = nullptr, *LimitSide = nullptr;
+  if (!findOrientedIV(L, Br, Out.IV, InitVal, Out.Step, Out.Pred, LimitSide))
+    return false;
+  const auto *InitCI = dyn_cast<ConstantInt>(InitVal);
+  const auto *LimitCI = dyn_cast<ConstantInt>(LimitSide);
+  if (InitCI && LimitCI) {
+    Out.Init = {nullptr, InitCI->value()};
+    Out.Limit = {nullptr, LimitCI->value()};
+    return exactForm(Out);
+  }
+  return AllowSymbolic && symbolicForm(L, InitVal, LimitSide, Out);
 }
 
 //===----------------------------------------------------------------------===//

@@ -6,10 +6,11 @@
 ///
 /// \file
 /// Loop recognition for the check hoister. Deliberately restrictive: only
-/// loops whose shape lets us *prove* the exact set of induction-variable
-/// values are usable (single latch, dedicated unconditional preheader,
-/// single exit edge from the header, constant init/step/limit). Anything
-/// else is skipped — missing an optimization is fine, a false trap is not.
+/// loops whose shape lets us *prove* the set of induction-variable values
+/// are usable (single latch, dedicated unconditional preheader, single
+/// exit edge from the header, constant step, init and limit each a
+/// constant or a loop-invariant symbol). Anything else is skipped —
+/// missing an optimization is fine, a false trap is not.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -62,46 +63,39 @@ struct NaturalLoop {
 /// (sorted by block count, so nested hoisting cascades outward).
 std::vector<NaturalLoop> findSimpleLoops(Function &F, const DomTree &DT);
 
-/// A loop whose exact iteration-variable sequence is known statically:
-/// IV takes Init, Init+Step, ... ; body blocks run BodyCount times; the
-/// header runs BodyCount+1 times and additionally observes ExitIV.
-struct CountedLoop {
-  PhiInst *IV = nullptr;
-  int64_t Init = 0;
-  int64_t Step = 0;
-  int64_t BodyCount = 0; ///< Executions of non-header loop blocks.
-  int64_t LastBody = 0;  ///< IV value of the final body execution.
-  int64_t ExitIV = 0;    ///< IV value the header sees on the exiting pass.
+/// One endpoint of a counted loop: the run-time value of the
+/// loop-invariant SSA value Sym, or the constant C when Sym is null.
+struct LoopBound {
+  Value *Sym = nullptr;
+  int64_t C = 0;
 };
 
-/// Recognizes \p L as a counted loop: header phi with constant init from
-/// the preheader and `phi +/- constant` from the latch, exit branch
-/// controlled by `icmp IV, constant` (through the frontend's
-/// `(zext i1) != 0` re-test wrapper). Rejects any sequence that would
-/// wrap its bit width or fail to terminate.
-bool analyzeCountedLoop(const NaturalLoop &L, CountedLoop &Out);
-
-/// A counted loop with up to two run-time bounds — the generalized
-/// `for (i = lo; i < hi; i += s)` family. The IV starts at the init value
-/// I (a compile-time constant, or the run-time value of the loop-invariant
-/// SSA value InitV) and steps by the constant Step until the oriented
-/// relational predicate against the limit value L (constant, or the
-/// run-time value of the loop-invariant Limit) fails, so the body's IV
-/// set is an interval with up to two run-time endpoints:
+/// A counted loop: the IV starts at Init and steps by the constant Step
+/// while the oriented stay-predicate Pred(IV, Limit) holds. Init and Limit
+/// are each a constant or a loop-invariant symbol, and the recognizer
+/// fills one of two closed forms.
+///
+/// **Exact** (both endpoints constant): the IV takes Init, Init+Step, ...;
+/// body blocks run BodyCount times; the header runs BodyCount+1 times and
+/// additionally observes ExitIV.
+///
+/// **Symbolic** (at least one endpoint symbolic; the signed relational
+/// predicates only), the generalized `for (i = lo; i < hi; i += s)`
+/// family. The body's IV set is an interval with up to two run-time
+/// endpoints I (init) and L (limit):
 ///
 ///   up   (Step > 0): IV in [I, L + EndAdj]  (EndAdj: SLT -Step, SLE 0)
 ///   down (Step < 0): IV in [L + EndAdj, I]  (EndAdj: SGT -Step, SGE 0)
 ///
-/// At least one endpoint is symbolic (both constant is the constant
-/// analyzer's territory). The closed form is valid only when
+/// The closed form is valid only when
 ///
 ///   (a) the loop runs at least one body iteration — exactly the stay
 ///       predicate Pred(I, L), testable as one icmp on the live values;
 ///   (b) L lies in [LimitMin, LimitMax], the window inside which the IV
 ///       provably reaches the exit value without wrapping its bit width
 ///       (I needs no window: canonical values already fit the IV width;
-///       when the limit is a compile-time constant the window has been
-///       checked statically by the analyzer); and
+///       a constant limit has been checked against the window
+///       statically by the recognizer); and
 ///   (c) when |Step| > 1 (NeedDivis), the span (L - I) is divisible by
 ///       |Step| — otherwise the IV steps *past* the limit and the body
 ///       endpoint L + EndAdj is not the true last IV.
@@ -111,33 +105,43 @@ bool analyzeCountedLoop(const NaturalLoop &L, CountedLoop &Out);
 /// arithmetic-fidelity constraints and either proves it from
 /// inter-procedural argument ranges (over both symbols) or tests it with
 /// an emitted guard.
-struct SymbolicCountedLoop {
+struct CountedLoop {
   PhiInst *IV = nullptr;
-  Value *InitV = nullptr; ///< Loop-invariant symbolic init, or null.
-  int64_t InitC = 0;      ///< Constant init value when InitV is null.
-  Value *Limit = nullptr; ///< Loop-invariant symbolic limit, or null.
-  int64_t LimitC = 0;     ///< Constant limit value when Limit is null.
-  int64_t Step = 0;       ///< Nonzero; |Step| may exceed 1.
-  bool Up = false;        ///< True for Step > 0 loops (SLT/SLE).
+  int64_t Step = 0; ///< Nonzero; |Step| may exceed 1.
   ICmpInst::Pred Pred = ICmpInst::Pred::SLT; ///< Oriented stay-predicate.
+  LoopBound Init, Limit;
+
+  // Exact form.
+  int64_t BodyCount = 0; ///< Executions of non-header loop blocks.
+  int64_t LastBody = 0;  ///< IV value of the final body execution.
+  int64_t ExitIV = 0;    ///< IV value the header sees on the exiting pass.
+
+  // Symbolic form.
   int64_t EndAdj = 0;     ///< Run-time body-IV endpoint = L + EndAdj.
-  bool NeedDivis = false; ///< |Step| > 1: closed form needs (L-I) % |Step| == 0.
+  bool NeedDivis = false; ///< |Step| > 1: needs (L-I) % |Step| == 0.
   int64_t LimitMin = INT64_MIN; ///< IV-wrap window on L (inclusive).
   int64_t LimitMax = INT64_MAX;
+
+  bool isSymbolic() const { return Init.Sym || Limit.Sym; }
 };
 
-/// Recognizes \p L as a symbolic counted loop: header phi whose preheader
-/// incoming is a constant or any SSA value (SSA dominance makes it
-/// available on loop entry by construction), `phi +/- constant` from the
-/// latch, exit branch controlled by `icmp IV, limit` (through the
-/// frontend's re-test wrapper and value-preserving sign extensions on
-/// either side) where the limit is a constant or available on entry to
-/// the loop, and at least one of init/limit is symbolic. Only the signed
-/// relational predicates are accepted: unsigned and equality forms have
-/// no sound interval closed form under unknown bounds. |Step| > 1 is
-/// accepted with NeedDivis set (the hoister must guard divisibility);
-/// a constant limit outside the IV-wrap window is rejected outright.
-bool analyzeSymbolicCountedLoop(const NaturalLoop &L, SymbolicCountedLoop &Out);
+/// Recognizes \p L as a counted loop: a header phi with its init from the
+/// preheader and `phi +/- constant` from the latch, whose exit branch is
+/// `icmp IV, limit` (through the frontend's `(zext i1) != 0` re-test
+/// wrapper and value-preserving sign extensions). When both raw endpoints
+/// are constants the exact form is computed; a sequence that would wrap
+/// its bit width, fail to terminate or run more than 2^30 body
+/// iterations is rejected. Otherwise, and only when \p AllowSymbolic, the
+/// symbolic form: sign extensions are peeled off both endpoints (a symbol
+/// that is a widened copy of another loop's IV is recognized as that IV),
+/// a symbolic limit must be available on entry to the loop, both
+/// endpoints constant after peeling is rejected, only the signed
+/// relational predicates are accepted (unsigned and equality forms have
+/// no sound interval closed form under unknown bounds), |Step| is capped
+/// at 2^30 with NeedDivis set above 1, and a constant limit outside the
+/// IV-wrap window is rejected outright.
+bool analyzeCountedLoop(const NaturalLoop &L, bool AllowSymbolic,
+                        CountedLoop &Out);
 
 /// True when no instruction in the loop can let a run finish *normally*
 /// without executing every remaining iteration: no exit/setjmp/longjmp

@@ -128,17 +128,8 @@ const CallInst *freshMallocSlot(Value *Addr) {
 using PredMap = std::map<const BasicBlock *, std::vector<const BasicBlock *>>;
 
 bool callFreeFromAllocTo(const CallInst *Alloc, const Instruction *MS,
-                         const Function &F, const PredMap &Preds) {
-  const BasicBlock *AllocBB = nullptr, *MSBB = nullptr;
-  for (const auto &BB : F.blocks())
-    for (const auto &I : *BB) {
-      if (I.get() == Alloc)
-        AllocBB = BB.get();
-      if (I.get() == MS)
-        MSBB = BB.get();
-    }
-  if (!AllocBB || !MSBB)
-    return false;
+                         const PredMap &Preds) {
+  const BasicBlock *AllocBB = Alloc->parent(), *MSBB = MS->parent();
 
   auto Hazard = [&](const Instruction *I) {
     if (const auto *C = dyn_cast<CallInst>(I))
@@ -208,7 +199,7 @@ unsigned elideReconstructibleStores(Function &F) {
       if (!MS || !isNullBounds(MS->bounds()))
         continue;
       const CallInst *Alloc = freshMallocSlot(MS->address());
-      if (Alloc && callFreeFromAllocTo(Alloc, MS, F, Preds))
+      if (Alloc && callFreeFromAllocTo(Alloc, MS, Preds))
         Dead.push_back(MS);
     }
   if (Dead.empty())

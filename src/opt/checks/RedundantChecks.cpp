@@ -22,7 +22,6 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "ir/InstOrder.h"
 #include "opt/Dominators.h"
 #include "opt/checks/CheckOpt.h"
 #include "opt/checks/RangeAnalysis.h"
@@ -31,15 +30,6 @@
 
 using namespace softbound;
 using namespace softbound::checkopt;
-
-bool softbound::instDominates(const DomTree &DT, const InstOrder &Ord,
-                              const Instruction *A, const Instruction *B) {
-  if (A == B)
-    return false;
-  if (A->parent() == B->parent())
-    return Ord.precedes(A, B);
-  return DT.dominates(A->parent(), B->parent());
-}
 
 namespace {
 

@@ -12,8 +12,9 @@
 ///     detected — the optimizer never removes a check that would have
 ///     fired — and correct programs keep their exact behaviour.
 ///   * Precision: deterministic elimination counts on the monotonic-loop
-///     and struct-field exemplars, hull placement for counted loops, and
-///     unit tests of the range analysis and instruction-dominance helper.
+///     and struct-field exemplars, hull placement for counted loops, a
+///     loop-shape table pinning which loops count and hoist, and unit
+///     tests of the range analysis.
 ///
 /// Source-level builds go through the PipelinePlan API
 /// (driver/PassManager.h); spec-parser and default-pipeline baseline
@@ -24,7 +25,6 @@
 #include "driver/Pipeline.h"
 #include "ir/IRBuilder.h"
 #include "ir/IRPrinter.h"
-#include "ir/InstOrder.h"
 #include "ir/Verifier.h"
 #include "opt/Dominators.h"
 #include "opt/Passes.h"
@@ -350,38 +350,6 @@ TEST(PointerWalk, DeepChainBuildsAndWalksWithoutHostRecursion) {
   ASSERT_EQ(Left.size(), N);
   EXPECT_EQ(Left.front(), Chain.back()) << "the deepest scope is left first";
   EXPECT_EQ(Left.back(), Chain.front());
-}
-
-//===----------------------------------------------------------------------===//
-// Instruction dominance helper
-//===----------------------------------------------------------------------===//
-
-TEST(InstDominates, OrdersWithinAndAcrossBlocks) {
-  Module M;
-  TypeContext &Ctx = M.ctx();
-  Function *F = M.createFunction("f", Ctx.funcTy(Ctx.voidTy(), {}));
-  BasicBlock *Entry = F->createBlock("entry");
-  BasicBlock *Left = F->createBlock("left");
-  BasicBlock *Right = F->createBlock("right");
-  IRBuilder B(M);
-  B.setInsertPoint(Entry);
-  Instruction *A = B.makeBounds(M.constI64(0), M.constI64(8));
-  Instruction *C = B.makeBounds(M.constI64(0), M.constI64(16));
-  B.condBr(M.constI1(true), Left, Right);
-  B.setInsertPoint(Left);
-  Instruction *InLeft = B.makeBounds(M.constI64(0), M.constI64(24));
-  B.ret();
-  B.setInsertPoint(Right);
-  Instruction *InRight = B.makeBounds(M.constI64(0), M.constI64(32));
-  B.ret();
-
-  DomTree DT(*F);
-  InstOrder Ord(*F);
-  EXPECT_TRUE(instDominates(DT, Ord, A, C));
-  EXPECT_FALSE(instDominates(DT, Ord, C, A));
-  EXPECT_FALSE(instDominates(DT, Ord, A, A)) << "strict dominance";
-  EXPECT_TRUE(instDominates(DT, Ord, A, InLeft));
-  EXPECT_FALSE(instDominates(DT, Ord, InLeft, InRight));
 }
 
 //===----------------------------------------------------------------------===//

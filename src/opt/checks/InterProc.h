@@ -143,8 +143,8 @@ public:
   /// Runs the propagation: computes per-function summaries, walks every
   /// function's dominator tree collecting and consuming facts, and
   /// deletes every check the three mechanisms proved redundant (sweeping
-  /// stranded bounds arithmetic with dce). Instruction order and scalar
-  /// ranges are rebuilt on the current IR. Updates the InterProc*
+  /// stranded bounds arithmetic with dce). Scalar ranges are rebuilt on
+  /// the current IR. Updates the InterProc*
   /// counters of \p Stats and returns the number of spatial checks
   /// deleted (the caller owns the ChecksAfter adjustment and, when it is
   /// nonzero, the entry contract).

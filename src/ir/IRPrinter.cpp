@@ -19,6 +19,8 @@ namespace {
 class NameMap {
 public:
   std::string ref(const Value *V) {
+    if (!V) // Only malformed IR has one; the verifier prints it to say so.
+      return "<null>";
     if (const auto *CI = dyn_cast<ConstantInt>(V))
       return std::to_string(CI->value());
     if (isa<ConstantNull>(V))
@@ -46,7 +48,7 @@ private:
 };
 
 std::string typedRef(NameMap &NM, const Value *V) {
-  return V->type()->str() + " " + NM.ref(V);
+  return V ? V->type()->str() + " " + NM.ref(V) : NM.ref(V);
 }
 
 /// The ", site N" suffix carried by check/metadata instructions once

@@ -82,16 +82,21 @@ private:
                            BB.name());
       }
       SeenHere.insert(&I);
-      checkOperands(I);
-      checkTyping(I);
+      // The typing rules read every operand's type: skip them on an
+      // instruction with a null operand, already reported.
+      if (checkOperands(I))
+        checkTyping(I);
     }
   }
 
-  void checkOperands(const Instruction &I) {
+  /// Reports undefined and null operands; false when one is null.
+  bool checkOperands(const Instruction &I) {
+    bool AllPresent = true;
     for (unsigned K = 0; K < I.numOperands(); ++K) {
       const Value *Op = I.op(K);
       if (!Op) {
         error(I, "null operand " + std::to_string(K));
+        AllPresent = false;
         continue;
       }
       if (isa<Constant>(Op))
@@ -100,6 +105,7 @@ private:
         error(I, "operand " + std::to_string(K) +
                      " is not defined in this function");
     }
+    return AllPresent;
   }
 
   void checkTyping(const Instruction &I) {

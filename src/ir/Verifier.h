@@ -5,9 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Structural and type-level validation of IR modules, run after the
-/// frontend, after each optimization pass (in tests), and after the
-/// SoftBound transformation — instrumented modules must stay well typed.
+/// Structural and type-level validation of IR modules. PipelinePlan::build
+/// runs it after the frontend and after every pass (the SoftBound
+/// transformation included — instrumented modules must stay well typed).
+/// Malformed IR gets diagnostics, never a crash: an instruction with a
+/// null operand is reported as such and skips the typing rules.
 ///
 //===----------------------------------------------------------------------===//
 

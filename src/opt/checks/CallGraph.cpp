@@ -13,6 +13,23 @@
 using namespace softbound;
 using namespace softbound::checkopt;
 
+namespace {
+
+/// True when \p Call itself may end the run normally or resume it
+/// somewhere else: an indirect call (its callee is unknown) or a call to
+/// exit/setjmp/longjmp. Traps (division, checks, step limits) need no
+/// exclusion: a trapped run did not complete normally, which is all the
+/// hoisting argument relies on.
+bool exitsOrJumpsItself(const CallInst &Call) {
+  const Function *Callee = Call.calledFunction();
+  if (!Callee)
+    return true;
+  const std::string &Name = Callee->name();
+  return Name == "exit" || Name == "setjmp" || Name == "longjmp";
+}
+
+} // namespace
+
 CallGraph::CallGraph(Module &M) {
   // Seed a node per defined function so lookups never miss. Module order
   // is recorded so every derived order (DFS roots, SCC ids, bottomUp) is
@@ -43,6 +60,8 @@ CallGraph::CallGraph(Module &M) {
         auto *Call = dyn_cast<CallInst>(I);
         if (Call && Call->isIndirect())
           N.HasIndirect = true;
+        if (Call && exitsOrJumpsItself(*Call))
+          N.ExitsOrJumpsItself = true;
         for (unsigned K = 0; K < I->numOperands(); ++K) {
           auto *Target = dyn_cast<Function>(I->op(K));
           if (!Target)
@@ -138,6 +157,20 @@ CallGraph::CallGraph(Module &M) {
               return NA.Scc != NB.Scc ? NA.Scc < NB.Scc
                                       : NA.ModIdx < NB.ModIdx;
             });
+
+  // The mayExitOrJump summary, one bit per SCC, in bottom-up order: a
+  // callee in an earlier SCC is already settled, and a callee in the same
+  // SCC reads the very bit being accumulated, so every member ends up
+  // with one answer and no walk follows the call chain.
+  SccMayExitOrJump.assign(NextScc, false);
+  for (const Function *F : BottomUp) {
+    const Node &N = Nodes.at(F);
+    bool Any = N.ExitsOrJumpsItself;
+    for (size_t K = 0; K < N.Out.size() && !Any; ++K)
+      Any = SccMayExitOrJump[Nodes.at(Sites[N.Out[K]].Callee).Scc];
+    if (Any)
+      SccMayExitOrJump[N.Scc] = true;
+  }
 }
 
 const CallGraph::Node *CallGraph::node(const Function *F) const {
@@ -180,4 +213,16 @@ bool CallGraph::isRecursive(const Function *F) const {
 unsigned CallGraph::sccId(const Function *F) const {
   const Node *N = node(F);
   return N ? N->Scc : 0;
+}
+
+bool CallGraph::mayExitOrJump(const Function *F) const {
+  const Node *N = node(F);
+  return !N || SccMayExitOrJump[N->Scc]; // Unknown functions: the worst.
+}
+
+bool CallGraph::callMayExitOrJump(const CallInst &Call) const {
+  if (exitsOrJumpsItself(Call))
+    return true;
+  const Function *Callee = Call.calledFunction();
+  return Callee->isDefinition() && mayExitOrJump(Callee);
 }

@@ -6,8 +6,8 @@
 ///
 /// \file
 /// The call graph underneath the inter-procedural bounds propagation
-/// (InterProc.cpp). Direct calls between defined functions form the
-/// edges; everything the graph cannot see is folded into two conservative
+/// (InterProc.cpp), partitioning and loop hull hoisting. Direct calls
+/// between defined functions form the edges; everything the graph cannot see is folded into two conservative
 /// attributes instead of edges:
 ///
 ///   * externallyReachable(F): F can be entered by a caller the analysis
@@ -25,6 +25,10 @@
 /// Tarjan SCCs provide the bottom-up order and the recursion test: a
 /// function is recursive when its SCC has more than one member or calls
 /// itself directly.
+///
+/// The same order settles mayExitOrJump, the summary loop hull hoisting
+/// reads (loopBodyIsSafe, Loops.h): one answer per SCC, no walk down the
+/// call chain. The checkopt driver builds the graph once per run.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -85,6 +89,17 @@ public:
   /// of one SCC are adjacent.
   const std::vector<Function *> &bottomUp() const { return BottomUp; }
 
+  /// True when \p F, directly or through its direct defined callees,
+  /// calls exit/setjmp/longjmp or makes an indirect call (an unknown
+  /// callee could do either). Unknown functions: assume the worst.
+  bool mayExitOrJump(const Function *F) const;
+
+  /// True when executing \p Call may end the run normally or resume it
+  /// elsewhere without returning: an indirect call, a call to
+  /// exit/setjmp/longjmp, or a call to a defined function for which
+  /// mayExitOrJump holds.
+  bool callMayExitOrJump(const CallInst &Call) const;
+
 private:
   struct Node {
     std::vector<unsigned> In;   ///< Sites calling this function.
@@ -92,6 +107,7 @@ private:
     unsigned ModIdx = 0;        ///< Position in module order (determinism).
     bool AddressTaken = false;
     bool HasIndirect = false;
+    bool ExitsOrJumpsItself = false; ///< See exitsOrJumpsItself (.cpp).
     bool External = false;
     bool SelfEdge = false;
     unsigned Scc = 0;
@@ -103,6 +119,7 @@ private:
   std::vector<CallSite> Sites;
   std::map<const Function *, Node> Nodes;
   std::vector<Function *> BottomUp;
+  std::vector<bool> SccMayExitOrJump; ///< mayExitOrJump, by SCC id.
 };
 
 } // namespace checkopt

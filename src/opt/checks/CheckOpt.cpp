@@ -53,7 +53,7 @@ CheckOptStats softbound::optimizeChecks(Module &M, const CheckOptConfig &Cfg) {
     if (F->isDefinition())
       DTs.try_emplace(F.get(), *F);
   std::optional<checkopt::CallGraph> CG;
-  if (Cfg.InterProc || Cfg.Partition)
+  if (Cfg.HoistLoopChecks || Cfg.InterProc || Cfg.Partition)
     CG.emplace(M);
   std::optional<checkopt::InterProcEngine> IP;
   if (Cfg.InterProc)
@@ -79,7 +79,7 @@ CheckOptStats softbound::optimizeChecks(Module &M, const CheckOptConfig &Cfg) {
     // become dominating facts that the elimination walk can use to subsume
     // checks in later loops over the same object.
     if (Cfg.HoistLoopChecks) {
-      checkopt::hoistLoopChecks(F, DT, Stats, Cfg, Ranges, ClosedModule);
+      checkopt::hoistLoopChecks(F, DT, *CG, Stats, Cfg, Ranges, ClosedModule);
       // Identical hull pointers materialized for several checks of the
       // same loop collapse here, letting exact-fact elimination dedup
       // their checks.

@@ -621,6 +621,8 @@ public:
     if (SymSrc) {
       Syms.I = SymSrc->Init.Sym;
       Syms.L = SymSrc->Limit.Sym;
+      RI = rangeOf(SymSrc->Init);
+      RL = rangeOf(SymSrc->Limit);
     }
   }
 
@@ -666,9 +668,8 @@ private:
   /// value: argument ranges peeled through value-preserving sign
   /// extensions and constant +/- chains (each step width-checked — a
   /// shift that could wrap its node's width collapses to full). Constants
-  /// are point ranges. Sets \p UsedArg when an Argument range was read;
-  /// any proof built on the result must then record the entry contract.
-  IntRange rangeOf(const Value *V, bool &UsedArg, int Depth = 0) const {
+  /// are point ranges. Sets RangesUseArg when an Argument range was read.
+  IntRange rangeOf(const Value *V, int Depth = 0) {
     if (Depth > 8)
       return IntRange::full();
     if (auto *C = dyn_cast<ConstantInt>(V))
@@ -679,12 +680,12 @@ private:
       auto It = ArgRanges->find(A->parent());
       if (It == ArgRanges->end())
         return IntRange::full();
-      UsedArg = true;
+      RangesUseArg = true;
       return It->second[A->index()];
     }
     if (auto *CI = dyn_cast<CastInst>(V);
         CI && CI->opcode() == CastInst::Op::SExt)
-      return rangeOf(CI->source(), UsedArg, Depth + 1);
+      return rangeOf(CI->source(), Depth + 1);
     if (auto *B = dyn_cast<BinOpInst>(V)) {
       const ConstantInt *C = nullptr;
       const Value *Other = nullptr;
@@ -704,7 +705,7 @@ private:
         }
       }
       if (C && Other) {
-        IntRange R = rangeOf(Other, UsedArg, Depth + 1);
+        IntRange R = rangeOf(Other, Depth + 1);
         if (R.empty() || R.isFull())
           return R;
         unsigned Bits = cast<IntType>(B->type())->bits();
@@ -722,86 +723,39 @@ private:
   }
 
   /// rangeOf over a loop bound; a constant bound is a point range.
-  IntRange rangeOf(const LoopBound &B) const {
-    return B.Sym ? rangeOf(B.Sym, RangesUsedArg) : IntRange::of(B.C);
+  IntRange rangeOf(const LoopBound &B) {
+    return B.Sym ? rangeOf(B.Sym) : IntRange::of(B.C);
+  }
+
+  /// True when \p P(I, L) holds for every (I, L) in the symbol ranges.
+  /// On the stay-predicate it proves at least one body iteration runs; on
+  /// invertPred of it, that none ever does.
+  bool holdsOverRanges(ICmpInst::Pred P) const {
+    if (!usable(RI) || !usable(RL))
+      return false;
+    switch (P) {
+    case ICmpInst::Pred::SLT:
+      return RI.Hi < RL.Lo;
+    case ICmpInst::Pred::SLE:
+      return RI.Hi <= RL.Lo;
+    case ICmpInst::Pred::SGT:
+      return RI.Lo > RL.Hi;
+    case ICmpInst::Pred::SGE:
+      return RI.Lo >= RL.Hi;
+    default:
+      return false;
+    }
   }
 
   bool usable(const IntRange &R) const { return !R.empty() && !R.isFull(); }
 
-  /// The symbol ranges are fixed for the hoister's lifetime (SymSrc never
-  /// changes), so they are resolved once, on first use. RangesUsedArg
-  /// remembers whether an Argument range was consulted; every proof built
-  /// on the cached ranges reports that through its UsedArg out-flag.
-  void ensureRanges() const {
-    if (RangesCached)
-      return;
-    RangesCached = true;
-    CachedRI = rangeOf(SymSrc->Init);
-    CachedRL = rangeOf(SymSrc->Limit);
-  }
-
-  /// True when the propagated symbol ranges prove the loop can never run
-  /// a body iteration — the stay-predicate is false for every (I, L).
-  bool provablyZeroTrip(bool &UsedArg) const {
-    ensureRanges();
-    const IntRange &RI = CachedRI, &RL = CachedRL;
+  /// True when the symbol ranges prove every (I, L) lands inside \p Win
+  /// — plus the trip and divisibility conditions when requested — the
+  /// static discharge of the region guard.
+  bool rangeDischarges(const SymRegion &Win, bool NeedTrip,
+                       bool NeedDiv) const {
     if (!usable(RI) || !usable(RL))
       return false;
-    if (RangesUsedArg)
-      UsedArg = true;
-    switch (SymSrc->Pred) {
-    case ICmpInst::Pred::SLT:
-      return RI.Lo >= RL.Hi;
-    case ICmpInst::Pred::SLE:
-      return RI.Lo > RL.Hi;
-    case ICmpInst::Pred::SGT:
-      return RI.Hi <= RL.Lo;
-    case ICmpInst::Pred::SGE:
-      return RI.Hi < RL.Lo;
-    default:
-      return false;
-    }
-  }
-
-  /// True when the ranges prove at least one body iteration always runs.
-  bool provablyTrips(const IntRange &RI, const IntRange &RL) const {
-    if (!usable(RI) || !usable(RL))
-      return false;
-    switch (SymSrc->Pred) {
-    case ICmpInst::Pred::SLT:
-      return RI.Hi < RL.Lo;
-    case ICmpInst::Pred::SLE:
-      return RI.Hi <= RL.Lo;
-    case ICmpInst::Pred::SGT:
-      return RI.Lo > RL.Hi;
-    case ICmpInst::Pred::SGE:
-      return RI.Lo >= RL.Hi;
-    default:
-      return false;
-    }
-  }
-
-  /// provablyTrips over the cached symbol ranges.
-  bool provablyTripsNow(bool &UsedArg) const {
-    ensureRanges();
-    if (RangesUsedArg)
-      UsedArg = true;
-    return provablyTrips(CachedRI, CachedRL);
-  }
-
-  /// True when the propagated symbol ranges prove every (I, L) lands
-  /// inside \p Win — plus the trip and divisibility conditions when
-  /// requested — the static discharge of the region guard.
-  bool rangeDischarges(const SymRegion &Win, bool NeedTrip, bool NeedDiv,
-                       bool &UsedArg) const {
-    if (!SymSrc)
-      return false;
-    ensureRanges();
-    const IntRange &RI = CachedRI, &RL = CachedRL;
-    if (!usable(RI) || !usable(RL))
-      return false;
-    if (RangesUsedArg)
-      UsedArg = true;
     if (RI.Lo < Win.I.Lo || RI.Hi > Win.I.Hi || RL.Lo < Win.L.Lo ||
         RL.Hi > Win.L.Hi)
       return false;
@@ -812,7 +766,7 @@ private:
       if (Min < 0)
         return false;
     }
-    if (NeedTrip && !provablyTrips(RI, RL))
+    if (NeedTrip && !holdsOverRanges(SymSrc->Pred))
       return false;
     if (NeedDiv) {
       // Only point ranges can settle divisibility statically.
@@ -822,6 +776,25 @@ private:
       if ((__int128(RL.Lo) - RI.Lo) % S != 0)
         return false;
     }
+    return true;
+  }
+
+  /// Records a guard the symbol ranges discharged: any proof that read an
+  /// Argument range obliges the driver to record the entry contract.
+  void noteDischarge() {
+    ++Stats.RuntimeGuardsDischarged;
+    DischargeUsed |= RangesUseArg;
+  }
+
+  /// Erases the check at \p It when the hoisted loop is symbolic and its
+  /// ranges prove no body iteration ever runs: the check is dead at every
+  /// call site.
+  bool eraseIfZeroTrip(BasicBlock *BB, BasicBlock::iterator &It) {
+    if (!CL.isSymbolic() || !holdsOverRanges(invertPred(CL.Pred)))
+      return false;
+    It = BB->erase(It);
+    ++Stats.LoopChecksHoisted;
+    noteDischarge();
     return true;
   }
 
@@ -838,9 +811,9 @@ private:
   CheckOptStats &Stats;
   const CountedLoop *SymSrc; ///< Owner of the symbols, if any.
   SymPair Syms; ///< The (up to two) symbols usable here.
-  mutable bool RangesCached = false;   ///< ensureRanges() ran.
-  mutable IntRange CachedRI, CachedRL; ///< Symbol ranges (once per loop).
-  mutable bool RangesUsedArg = false;  ///< They consulted an Argument range.
+  IntRange RI = IntRange::full(); ///< Range of the init symbol.
+  IntRange RL = IntRange::full(); ///< Range of the limit symbol.
+  bool RangesUseArg = false; ///< RI or RL read an Argument range.
   std::map<Value *, Value *> ByteViews;
   std::map<const Value *, Value *> Sym64s;
   using GuardKey = std::tuple<int64_t, int64_t, int64_t, int64_t,
@@ -1155,32 +1128,23 @@ void LoopHoister::hoistInBlock(BasicBlock *BB) {
         // the chain's definitions in the preheader, or the And would read
         // its guard operand before it is computed.
         commitAvailChain(Chain);
+        if (eraseIfZeroTrip(BB, It))
+          continue;
         Value *NewGuard = G;
-        bool Discharged = false;
         if (CL.isSymbolic()) {
           // A check hoisted out of a symbolic loop must not run on a
           // zero-trip pass: conjoin the *exact* trip test (false <=> the
           // body, and hence the original check, never executed) — unless
-          // the propagated symbol ranges settle it.
-          bool UsedArg = false;
-          if (provablyZeroTrip(UsedArg)) {
-            // Provably zero-trip at every call site: the check is dead.
-            It = BB->erase(It);
-            ++Stats.LoopChecksHoisted;
-            ++Stats.RuntimeGuardsDischarged;
-            DischargeUsed |= UsedArg;
-            continue;
-          }
-          bool UsedArg2 = false;
-          if (provablyTripsNow(UsedArg2)) {
-            Discharged = true;
-            DischargeUsed |= UsedArg2;
-          } else {
+          // the propagated symbol ranges settle it (an unconstrained
+          // region: only the trip is in question).
+          if (rangeDischarges(SymRegion{}, /*NeedTrip=*/true,
+                              /*NeedDiv=*/false))
+            noteDischarge();
+          else
             NewGuard = G ? insertAtEnd(L.Preheader,
                                        new BinOpInst(BinOpInst::Op::And,
                                                      tripGuard(), G, "hull.g"))
                          : tripGuard();
-          }
         }
         insertAtEnd(L.Preheader,
                     new SpatialCheckInst(Chk->type(), P, Chk->bounds(),
@@ -1189,8 +1153,6 @@ void LoopHoister::hoistInBlock(BasicBlock *BB) {
         ++Stats.HoistedChecksInserted;
         if (NewGuard)
           ++Stats.RuntimeHullChecks;
-        if (Discharged)
-          ++Stats.RuntimeGuardsDischarged;
         ++Stats.LoopChecksHoisted;
         It = BB->erase(It);
         continue;
@@ -1317,24 +1279,12 @@ void LoopHoister::hoistInBlock(BasicBlock *BB) {
     bool WantGuard = NeedTrip || NeedDiv || Win.bounded();
     Value *Guard = nullptr;
     if (WantGuard) {
-      if (NeedTrip) {
-        bool UsedArg = false;
-        if (provablyZeroTrip(UsedArg)) {
-          // Provably zero-trip at every call site: the check is dead.
-          It = BB->erase(It);
-          ++Stats.LoopChecksHoisted;
-          ++Stats.RuntimeGuardsDischarged;
-          DischargeUsed |= UsedArg;
-          continue;
-        }
-      }
-      bool UsedArg = false;
-      if (rangeDischarges(Win, NeedTrip, NeedDiv, UsedArg)) {
-        ++Stats.RuntimeGuardsDischarged;
-        DischargeUsed |= UsedArg;
-      } else {
+      if (eraseIfZeroTrip(BB, It))
+        continue;
+      if (rangeDischarges(Win, NeedTrip, NeedDiv))
+        noteDischarge();
+      else
         Guard = combinedGuard(Win, NeedTrip, NeedDiv);
-      }
     }
 
     emitHull(LP.Root, Min, Chk, Guard);
@@ -1359,8 +1309,9 @@ void LoopHoister::hoistInBlock(BasicBlock *BB) {
 namespace softbound {
 namespace checkopt {
 
-void hoistLoopChecks(Function &F, const DomTree &DT, CheckOptStats &Stats,
-                     const CheckOptConfig &Cfg, const ArgRangeTable *ArgRanges,
+void hoistLoopChecks(Function &F, const DomTree &DT, const CallGraph &CG,
+                     CheckOptStats &Stats, const CheckOptConfig &Cfg,
+                     const ArgRangeTable *ArgRanges,
                      bool &ArgRangeDischargeUsed) {
   std::vector<NaturalLoop> Loops = findSimpleLoops(F, DT);
   Stats.LoopsAnalyzed += Loops.size();
@@ -1391,7 +1342,7 @@ void hoistLoopChecks(Function &F, const DomTree &DT, CheckOptStats &Stats,
       if (CL.NeedDivis)
         ++Stats.LoopsCountedStrided;
     }
-    Shapes[I].Usable = loopBodyIsSafe(Loops[I]);
+    Shapes[I].Usable = loopBodyIsSafe(Loops[I], CG);
   }
 
   for (size_t I = 0; I < Loops.size(); ++I) {

@@ -38,8 +38,10 @@ namespace checkopt {
 ///  * Checks it emits with an i1 guard operand may be skipped at run
 ///    time; they are valid *fact sources for no other pass* (see the
 ///    guarded-check rules in RedundantChecks.cpp / InterProc.cpp).
-///  * \p DT is \p F's dominator tree; hoisting adds and deletes
-///    instructions but never edits the CFG, so it stays valid.
+///  * \p DT is \p F's dominator tree and \p CG the enclosing module's
+///    call graph; hoisting adds and deletes instructions but never edits
+///    the CFG or a call, so both stay valid. Loop-body safety reads
+///    CG's mayExitOrJump summary.
 ///  * \p ArgRanges (optional) must be InterProcEngine::argumentRanges()
 ///    of the enclosing module, computed before any check pass changed a
 ///    call argument's value. When a hull guard is discharged from it,
@@ -47,8 +49,9 @@ namespace checkopt {
 ///    contract on the module (Module::recordInterProcContract with the
 ///    call graph's non-externally-reachable functions) before the module
 ///    runs.
-void hoistLoopChecks(Function &F, const DomTree &DT, CheckOptStats &Stats,
-                     const CheckOptConfig &Cfg, const ArgRangeTable *ArgRanges,
+void hoistLoopChecks(Function &F, const DomTree &DT, const CallGraph &CG,
+                     CheckOptStats &Stats, const CheckOptConfig &Cfg,
+                     const ArgRangeTable *ArgRanges,
                      bool &ArgRangeDischargeUsed);
 
 } // namespace checkopt

@@ -7,6 +7,7 @@
 #include "opt/checks/Loops.h"
 
 #include "opt/Dominators.h"
+#include "opt/checks/CallGraph.h"
 #include "opt/checks/Predicates.h"
 #include "opt/checks/RangeAnalysis.h"
 #include "support/Casting.h"
@@ -249,6 +250,11 @@ bool exactForm(CountedLoop &Out) {
       return false;
     C = Out.Pred == P::UGT ? (Lo > Lim ? (Lo - Lim + (-S) - 1) / (-S) : 0)
                            : (Lo >= Lim ? (Lo - Lim) / (-S) + 1 : 0);
+    // The exit IV must stay non-negative too: a negative one reads as a
+    // huge unsigned value that still passes the test, so the run never
+    // leaves the loop (`i >=u 0` is always true).
+    if (Lo + C * S < 0)
+      return false;
     break;
   case P::NE: {
     // Runs until IV == Limit exactly; anything else never terminates (or
@@ -407,57 +413,11 @@ bool checkopt::analyzeCountedLoop(const NaturalLoop &L, bool AllowSymbolic,
 // Loop-body safety scan
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-/// Calls whose execution can end the run *normally* or resume it somewhere
-/// else — the two ways a run could finish cleanly without executing every
-/// remaining loop iteration. Traps (division, nested checks, step limits,
-/// segfaults) need no exclusion: a trapped run did not complete normally,
-/// which is all the hoisting argument relies on.
-bool isEscapingBuiltin(const std::string &Name) {
-  return Name == "exit" || Name == "setjmp" || Name == "longjmp";
-}
-
-/// True when \p F (a defined function) could, transitively, execute an
-/// escaping call or an indirect call (unknown callee). Cycles in the call
-/// graph are fine: recursion alone cannot escape.
-bool calleeMayEscape(Function *F,
-                     std::map<Function *, bool> &Memo) {
-  auto It = Memo.find(F);
-  if (It != Memo.end())
-    return It->second;
-  Memo[F] = false; // Optimistic for cycles; flipped below if a call escapes.
-  for (auto &BB : F->blocks())
-    for (auto &IP : *BB) {
-      auto *CI = dyn_cast<CallInst>(IP.get());
-      if (!CI)
-        continue;
-      Function *Callee = CI->calledFunction();
-      if (!Callee || isEscapingBuiltin(Callee->name()) ||
-          (Callee->isDefinition() && calleeMayEscape(Callee, Memo))) {
-        Memo[F] = true;
-        return true;
-      }
-    }
-  return Memo[F];
-}
-
-} // namespace
-
-bool checkopt::loopBodyIsSafe(const NaturalLoop &L) {
-  std::map<Function *, bool> Memo;
+bool checkopt::loopBodyIsSafe(const NaturalLoop &L, const CallGraph &CG) {
   for (BasicBlock *BB : L.Blocks)
-    for (auto &IP : *BB) {
-      auto *CI = dyn_cast<CallInst>(IP.get());
-      if (!CI)
-        continue;
-      Function *Callee = CI->calledFunction();
-      if (!Callee) // Indirect call: unknown callee could escape.
+    for (auto &IP : *BB)
+      if (auto *CI = dyn_cast<CallInst>(IP.get());
+          CI && CG.callMayExitOrJump(*CI))
         return false;
-      if (isEscapingBuiltin(Callee->name()))
-        return false;
-      if (Callee->isDefinition() && calleeMayEscape(Callee, Memo))
-        return false;
-    }
   return true;
 }

@@ -30,6 +30,8 @@ class DomTree;
 
 namespace checkopt {
 
+class CallGraph;
+
 /// True when \p V fits a signed \p Bits-wide integer; widths past 64
 /// count as 64.
 inline bool fitsWidth(__int128 V, unsigned Bits) {
@@ -145,14 +147,15 @@ bool analyzeCountedLoop(const NaturalLoop &L, bool AllowSymbolic,
 
 /// True when no instruction in the loop can let a run finish *normally*
 /// without executing every remaining iteration: no exit/setjmp/longjmp
-/// and no indirect calls, transitively through every defined callee.
-/// This is what makes it sound to assume "the program completes
-/// normally => every iteration's checks executed". Instructions that can
-/// only *trap* (division, nested checks, step limits) are deliberately
-/// allowed: a trapped run did not complete, so the hoisted check firing
-/// first merely reports a different — equally fatal — trap kind on a run
-/// that was doomed either way.
-bool loopBodyIsSafe(const NaturalLoop &L);
+/// and no indirect calls, transitively through every defined callee
+/// (each of the loop's calls is read against \p CG's mayExitOrJump
+/// summary of the enclosing module). This is what makes it sound to
+/// assume "the program completes normally => every iteration's checks
+/// executed". Instructions that can only *trap* (division, nested checks,
+/// step limits) are deliberately allowed: a trapped run did not complete,
+/// so the hoisted check firing first merely reports a different —
+/// equally fatal — trap kind on a run that was doomed either way.
+bool loopBodyIsSafe(const NaturalLoop &L, const CallGraph &CG);
 
 } // namespace checkopt
 } // namespace softbound

@@ -1522,6 +1522,89 @@ TEST(LoopShapeTable, UnsignedExitTestsCountHoistAndTrapAsPinned) {
   }
 }
 
+TEST(LoopShapeTable, UnsignedExitThatNeverFailsIsNotCounted) {
+  // `for (i = 15; i >=u 0; i--)`: the exit IV -1 reads as 2^64 - 1, which
+  // still passes the test, so the loop runs on past buf[0]. A counted
+  // form would hoist a [0, 15] hull and delete the check that must trap
+  // at buf[-1]. (uge_const above exits cleanly at IV 0.)
+  const UnsignedLoopCase C{"uge_zero", ICmpInst::Pred::UGE, 15, -1, false, 0,
+                           0, false, 0, 16, 16, {}, {}};
+  for (bool Runtime : {false, true}) {
+    SCOPED_TRACE(Runtime ? "with runtime-limit" : "with hoist only");
+    std::unique_ptr<Module> M = unsignedLoop(C);
+    CheckOptConfig Cfg;
+    Cfg.EliminateDominated = Cfg.RangeSubsumption = false;
+    Cfg.InterProc = Cfg.Partition = false;
+    Cfg.RuntimeLimitHulls = Runtime;
+    CheckOptStats S = optimizeChecks(*M, Cfg);
+    ASSERT_TRUE(verifyModule(*M).empty()) << verifyModule(*M).front();
+    EXPECT_EQ(S.LoopsCounted, 0u);
+    RunResult R = VM(*M, VMConfig{}).run("main", {C.InArg});
+    EXPECT_EQ(R.Trap, TrapKind::SpatialViolation)
+        << trapName(R.Trap) << " " << R.Message;
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Robustness: pathologically deep modules must not overflow the stack
+//===----------------------------------------------------------------------===//
+
+TEST(CheckOptHoist, LoopCallingADeepCallChainIsHoistedWithoutRecursion) {
+  // `for (i = 0; i < 16; i++) { buf[i] = i; f0(); }` where f0 calls f1 ...
+  // f99999 and none of them exits: loop-body safety must read the call
+  // graph's summary, not walk the chain once per call edge on the host
+  // stack.
+  Module M;
+  TypeContext &Ctx = M.ctx();
+  IRBuilder B(M);
+  constexpr unsigned N = 100000;
+  std::vector<Function *> Fs(N);
+  for (unsigned I = 0; I < N; ++I)
+    Fs[I] = M.createFunction(std::string("f").append(std::to_string(I)),
+                             Ctx.funcTy(Ctx.voidTy(), {}));
+  for (unsigned I = 0; I < N; ++I) {
+    B.setInsertPoint(Fs[I]->createBlock("entry"));
+    if (I + 1 < N)
+      B.call(Fs[I + 1], {});
+    B.ret();
+  }
+
+  Type *Arr = Ctx.arrayOf(Ctx.i64(), 16);
+  GlobalVariable *Buf = M.createGlobal("buf", Arr, GlobalInitializer());
+  Function *Main = M.createFunction("main", Ctx.funcTy(Ctx.i64(), {}));
+  BasicBlock *Entry = Main->createBlock("entry");
+  BasicBlock *Header = Main->createBlock("header");
+  BasicBlock *Body = Main->createBlock("body");
+  BasicBlock *Exit = Main->createBlock("exit");
+  auto Elem = [&](Value *Idx) {
+    return B.gep(Arr, Buf, {M.constI64(0), Idx});
+  };
+  B.setInsertPoint(Entry);
+  Value *Bounds = B.makeBounds(Elem(M.constI64(0)), Elem(M.constI64(16)));
+  B.br(Header);
+  B.setInsertPoint(Header);
+  PhiInst *I = B.phi(Ctx.i64(), "i");
+  B.condBr(B.icmp(ICmpInst::Pred::SLT, I, M.constI64(16)), Body, Exit);
+  B.setInsertPoint(Body);
+  Value *P = Elem(I);
+  B.spatialCheck(P, Bounds, 8, true);
+  B.store(I, P);
+  B.call(Fs[0], {});
+  Value *Next = B.add(I, M.constI64(1));
+  B.br(Header);
+  I->addIncoming(M.constI64(0), Entry);
+  I->addIncoming(Next, Body);
+  B.setInsertPoint(Exit);
+  B.ret(M.constI64(0));
+
+  CheckOptConfig Cfg;
+  Cfg.EliminateDominated = Cfg.RangeSubsumption = false;
+  Cfg.InterProc = Cfg.Partition = Cfg.RuntimeLimitHulls = false;
+  CheckOptStats S = optimizeChecks(M, Cfg);
+  EXPECT_EQ(S.LoopsCounted, 1u);
+  EXPECT_EQ(S.LoopChecksHoisted, 1u);
+}
+
 //===----------------------------------------------------------------------===//
 // Precision: the struct-field exemplar
 //===----------------------------------------------------------------------===//

@@ -147,11 +147,13 @@ struct FunctionShape {
   std::set<const Instruction *> Calls;
   bool AddressTaken = false;
   bool ExternallyReachable = false;
+  bool MayExitOrJump = false;
 
   bool operator==(const FunctionShape &O) const {
     return Blocks == O.Blocks && Succs == O.Succs && Calls == O.Calls &&
            AddressTaken == O.AddressTaken &&
-           ExternallyReachable == O.ExternallyReachable;
+           ExternallyReachable == O.ExternallyReachable &&
+           MayExitOrJump == O.MayExitOrJump;
   }
 };
 
@@ -174,6 +176,7 @@ ModuleShape shapeOf(Module &M) {
     }
     S.AddressTaken = CG.isAddressTaken(F.get());
     S.ExternallyReachable = CG.externallyReachable(F.get());
+    S.MayExitOrJump = CG.mayExitOrJump(F.get());
   }
   return Out;
 }

@@ -117,6 +117,10 @@ TEST(CallGraph, DirectEdgesRecursionAndEscape) {
   EXPECT_TRUE(CG.isRecursive(Self));
   EXPECT_FALSE(CG.isRecursive(Leaf));
 
+  EXPECT_TRUE(CG.mayExitOrJump(Main)) << "indirect call";
+  EXPECT_FALSE(CG.mayExitOrJump(Self));
+  EXPECT_FALSE(CG.mayExitOrJump(Leaf));
+
   // Bottom-up: callees before callers.
   unsigned LeafScc = CG.sccId(Leaf), MainScc = CG.sccId(Main);
   EXPECT_LT(LeafScc, MainScc);
@@ -139,6 +143,44 @@ TEST(CallGraph, MutualRecursionFormsOneScc) {
   EXPECT_EQ(CG.sccId(Even), CG.sccId(Odd));
   EXPECT_TRUE(CG.isRecursive(Even));
   EXPECT_TRUE(CG.isRecursive(Odd));
+}
+
+TEST(CallGraph, ExitOrJumpSummaryIsSharedAcrossAnScc) {
+  // top -> a <-> b, and b calls exit: both members of the {a, b} cycle,
+  // and everything that reaches it, may end the run without returning;
+  // the unrelated leaf may not.
+  Module M;
+  TypeContext &Ctx = M.ctx();
+  IRBuilder B(M);
+  Function *Exit = M.createFunction("exit", Ctx.funcTy(Ctx.voidTy(), {}));
+  Function *Leaf = M.createFunction("leaf", Ctx.funcTy(Ctx.voidTy(), {}));
+  Function *A = M.createFunction("a", Ctx.funcTy(Ctx.voidTy(), {}));
+  Function *Bf = M.createFunction("b", Ctx.funcTy(Ctx.voidTy(), {}));
+  Function *Top = M.createFunction("top", Ctx.funcTy(Ctx.voidTy(), {}));
+  B.setInsertPoint(Leaf->createBlock("entry"));
+  B.ret();
+  B.setInsertPoint(A->createBlock("entry"));
+  B.call(Leaf, {});
+  B.call(Bf, {});
+  B.ret();
+  B.setInsertPoint(Bf->createBlock("entry"));
+  B.call(A, {});
+  CallInst *ExitCall = B.call(Exit, {});
+  B.ret();
+  B.setInsertPoint(Top->createBlock("entry"));
+  CallInst *TopCall = B.call(A, {});
+  CallInst *LeafCall = B.call(Leaf, {});
+  B.ret();
+
+  checkopt::CallGraph CG(M);
+  ASSERT_EQ(CG.sccId(A), CG.sccId(Bf));
+  EXPECT_TRUE(CG.mayExitOrJump(A));
+  EXPECT_TRUE(CG.mayExitOrJump(Bf));
+  EXPECT_TRUE(CG.mayExitOrJump(Top));
+  EXPECT_FALSE(CG.mayExitOrJump(Leaf));
+  EXPECT_TRUE(CG.callMayExitOrJump(*ExitCall));
+  EXPECT_TRUE(CG.callMayExitOrJump(*TopCall));
+  EXPECT_FALSE(CG.callMayExitOrJump(*LeafCall));
 }
 
 //===----------------------------------------------------------------------===//
@@ -541,6 +583,7 @@ TEST(CallGraph, DeepCallChainDoesNotOverflowHostStack) {
   EXPECT_EQ(CG.sccId(Fs[0]), N - 1);
   EXPECT_FALSE(CG.isRecursive(Fs[0]));
   EXPECT_FALSE(CG.externallyReachable(Fs[1]));
+  EXPECT_FALSE(CG.mayExitOrJump(Fs[0]));
 }
 
 TEST(InterProcPrecision, DeepCfgChainIsWalkedIteratively) {

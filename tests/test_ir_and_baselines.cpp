@@ -187,6 +187,139 @@ TEST(Verifier, CatchesNullOperand) {
   EXPECT_TRUE(reports(Errors, "null operand 2")) << joined(Errors);
 }
 
+/// One instruction kind the typing rules read, built into an otherwise
+/// valid module around `f(i64 a)`, and the operand the test nulls out.
+struct NullOperandCase {
+  const char *Kind;
+  unsigned Operand;
+  Instruction *(*Build)(VerifierFixture &X);
+};
+
+Value *ptrArg(VerifierFixture &X) {
+  return X.B.castOp(CastInst::Op::IntToPtr, X.F->arg(0),
+                    X.M.ctx().ptrTo(X.M.ctx().i8()), "p");
+}
+Value *bounds64(VerifierFixture &X) {
+  return X.B.makeBounds(X.M.constI64(0), X.M.constI64(64));
+}
+
+const NullOperandCase NullOperandCases[] = {
+    {"load", 0,
+     [](VerifierFixture &X) -> Instruction * {
+       return X.B.load(X.M.ctx().i8(), ptrArg(X));
+     }},
+    {"store", 0,
+     [](VerifierFixture &X) -> Instruction * {
+       Value *P = X.B.castOp(CastInst::Op::IntToPtr, X.F->arg(0),
+                             X.M.ctx().ptrTo(X.M.ctx().i64()), "p");
+       return X.B.store(X.F->arg(0), P);
+     }},
+    {"gep", 1,
+     [](VerifierFixture &X) -> Instruction * {
+       return X.B.gep(X.M.ctx().i8(), ptrArg(X), {X.F->arg(0)});
+     }},
+    {"add", 1,
+     [](VerifierFixture &X) -> Instruction * {
+       return X.B.binop(BinOpInst::Op::Add, X.F->arg(0), X.M.constI64(1));
+     }},
+    {"icmp", 1,
+     [](VerifierFixture &X) -> Instruction * {
+       return X.B.icmp(ICmpInst::Pred::SLT, X.F->arg(0), X.M.constI64(1));
+     }},
+    {"inttoptr", 0,
+     [](VerifierFixture &X) -> Instruction * {
+       return cast<Instruction>(ptrArg(X));
+     }},
+    {"phi", 0,
+     [](VerifierFixture &X) -> Instruction * {
+       BasicBlock *Join = X.F->createBlock("join");
+       X.B.br(Join);
+       X.B.setInsertPoint(Join);
+       PhiInst *P = X.B.phi(X.M.ctx().i64());
+       P->addIncoming(X.F->arg(0), X.Entry);
+       X.B.ret();
+       return P;
+     }},
+    {"call", 1,
+     [](VerifierFixture &X) -> Instruction * {
+       TypeContext &Ctx = X.M.ctx();
+       Function *G =
+           X.M.createFunction("g", Ctx.funcTy(Ctx.voidTy(), {Ctx.i64()}));
+       return X.B.call(G, {X.F->arg(0)});
+     }},
+    {"ret", 0,
+     [](VerifierFixture &X) -> Instruction * {
+       TypeContext &Ctx = X.M.ctx();
+       Function *G = X.M.createFunction("g", Ctx.funcTy(Ctx.i64(), {}));
+       X.B.setInsertPoint(G->createBlock("entry"));
+       return X.B.ret(X.M.constI64(0));
+     }},
+    {"br", 0,
+     [](VerifierFixture &X) -> Instruction * {
+       BasicBlock *T = X.F->createBlock("t");
+       BasicBlock *E = X.F->createBlock("e");
+       BrInst *Br = X.B.condBr(
+           X.B.icmp(ICmpInst::Pred::SLT, X.F->arg(0), X.M.constI64(1)), T, E);
+       X.B.setInsertPoint(T);
+       X.B.ret();
+       X.B.setInsertPoint(E);
+       X.B.ret();
+       return Br;
+     }},
+    {"make.bounds", 0,
+     [](VerifierFixture &X) -> Instruction * {
+       return cast<Instruction>(bounds64(X));
+     }},
+    {"spatial.check", 0,
+     [](VerifierFixture &X) -> Instruction * {
+       return X.B.spatialCheck(ptrArg(X), bounds64(X), 8, true);
+     }},
+    {"funcptr.check", 1,
+     [](VerifierFixture &X) -> Instruction * {
+       return X.B.funcPtrCheck(ptrArg(X), bounds64(X));
+     }},
+    {"meta.load", 0,
+     [](VerifierFixture &X) -> Instruction * {
+       return X.B.metaLoad(ptrArg(X));
+     }},
+    {"meta.store", 1,
+     [](VerifierFixture &X) -> Instruction * {
+       return X.B.metaStore(ptrArg(X), bounds64(X));
+     }},
+    {"pack.pb", 0,
+     [](VerifierFixture &X) -> Instruction * {
+       return X.B.packPB(ptrArg(X), bounds64(X));
+     }},
+    {"extract.ptr", 0,
+     [](VerifierFixture &X) -> Instruction * {
+       return X.B.extractPtr(X.M.ctx().ptrTo(X.M.ctx().i8()),
+                             X.B.packPB(ptrArg(X), bounds64(X)));
+     }},
+    {"extract.bounds", 0,
+     [](VerifierFixture &X) -> Instruction * {
+       return X.B.extractBounds(X.B.packPB(ptrArg(X), bounds64(X)));
+     }},
+};
+
+TEST(Verifier, ReportsANullOperandOfEveryTypedKindWithoutCrashing) {
+  // The typing rules read operand types and the diagnostic prints the
+  // instruction: both must survive the null the operand rule reports.
+  for (const NullOperandCase &C : NullOperandCases) {
+    SCOPED_TRACE(C.Kind);
+    VerifierFixture X;
+    Instruction *I = C.Build(X);
+    X.B.setInsertPoint(X.Entry);
+    if (!X.B.blockTerminated())
+      X.B.ret();
+    ASSERT_TRUE(X.errors().empty()) << joined(X.errors());
+    I->setOp(C.Operand, nullptr);
+    std::vector<std::string> Errors = X.errors();
+    EXPECT_TRUE(reports(Errors, "null operand " + std::to_string(C.Operand)))
+        << joined(Errors);
+    EXPECT_TRUE(reports(Errors, "<null>")) << joined(Errors);
+  }
+}
+
 TEST(Verifier, CatchesTerminatorInTheMiddleOfABlock) {
   VerifierFixture X;
   BasicBlock *Next = X.F->createBlock("next");

@@ -124,6 +124,39 @@ TEST(CallGraph, DirectEdgesRecursionAndEscape) {
   // Bottom-up: callees before callers.
   unsigned LeafScc = CG.sccId(Leaf), MainScc = CG.sccId(Main);
   EXPECT_LT(LeafScc, MainScc);
+  EXPECT_EQ(CG.bottomUp(),
+            (std::vector<Function *>{Leaf, Self, Escaped, Main}));
+
+  // Two cycles, {p, r} and {s, q}, in module order s, p, q, r, main, with
+  // q calling p and main calling q. Tarjan finishes r before p and q
+  // before s, and the cycle holding s (first in module order) completes
+  // second: bottomUp is (SCC id, module order), so ties within an SCC go
+  // by module order.
+  Module M2;
+  auto Void = [&](const char *Name) {
+    return M2.createFunction(Name, M2.ctx().funcTy(M2.ctx().voidTy(), {}));
+  };
+  Function *S = Void("s"), *P = Void("p"), *Q = Void("q"), *R = Void("r"),
+           *Top = Void("main");
+  IRBuilder B2(M2);
+  auto Body = [&](Function *F, std::vector<Function *> Callees) {
+    B2.setInsertPoint(F->createBlock("entry"));
+    for (Function *Callee : Callees)
+      B2.call(Callee, {});
+    B2.ret();
+  };
+  Body(S, {Q});
+  Body(P, {R});
+  Body(Q, {S, P});
+  Body(R, {P});
+  Body(Top, {Q});
+  checkopt::CallGraph CG2(M2);
+  EXPECT_EQ(CG2.bottomUp(), (std::vector<Function *>{P, R, S, Q, Top}));
+  EXPECT_EQ(CG2.sccId(P), 0u);
+  EXPECT_EQ(CG2.sccId(R), 0u);
+  EXPECT_EQ(CG2.sccId(S), 1u);
+  EXPECT_EQ(CG2.sccId(Q), 1u);
+  EXPECT_EQ(CG2.sccId(Top), 2u);
 }
 
 TEST(CallGraph, MutualRecursionFormsOneScc) {

@@ -73,7 +73,6 @@ public:
   }
 
   uint64_t totalComparisons() const { return Comparisons; }
-  size_t liveObjects() const { return Objects.size(); }
 
 private:
   /// Fixed per-check overhead before tree traversal (call + range math).

@@ -47,6 +47,11 @@ private:
   unsigned Next = 0;
 };
 
+/// A branch target or phi incoming block; null only in malformed IR.
+std::string blockRef(const BasicBlock *BB) {
+  return BB ? BB->name() : "<null>";
+}
+
 std::string typedRef(NameMap &NM, const Value *V) {
   return V ? V->type()->str() + " " + NM.ref(V) : NM.ref(V);
 }
@@ -116,7 +121,7 @@ std::string renderInst(NameMap &NM, const Instruction &I) {
     S += "phi " + I.type()->str();
     for (unsigned K = 0; K < P.numIncoming(); ++K) {
       S += K ? ", [" : " [";
-      S += NM.ref(P.incomingValue(K)) + ", " + P.incomingBlock(K)->name() +
+      S += NM.ref(P.incomingValue(K)) + ", " + blockRef(P.incomingBlock(K)) +
            "]";
     }
     break;
@@ -140,10 +145,10 @@ std::string renderInst(NameMap &NM, const Instruction &I) {
   case ValueKind::Br: {
     const auto &B = cast<BrInst>(I);
     if (B.isConditional())
-      S += "br " + NM.ref(B.condition()) + ", " + B.successor(0)->name() +
-           ", " + B.successor(1)->name();
+      S += "br " + NM.ref(B.condition()) + ", " + blockRef(B.successor(0)) +
+           ", " + blockRef(B.successor(1));
     else
-      S += "br " + B.successor(0)->name();
+      S += "br " + blockRef(B.successor(0));
     break;
   }
   case ValueKind::Unreachable:

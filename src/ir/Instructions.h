@@ -331,7 +331,6 @@ public:
 
   unsigned numIncoming() const { return numOperands(); }
   Value *incomingValue(unsigned I) const { return op(I); }
-  void setIncomingValue(unsigned I, Value *V) { setOp(I, V); }
   BasicBlock *incomingBlock(unsigned I) const { return Blocks[I]; }
   void setIncomingBlock(unsigned I, BasicBlock *BB) { Blocks[I] = BB; }
 
@@ -378,10 +377,8 @@ public:
 
   FunctionType *calleeType() const { return CalleeTy; }
   Value *callee() const { return op(0); }
-  void setCallee(Value *V) { setOp(0, V); }
   unsigned numArgs() const { return numOperands() - 1; }
   Value *arg(unsigned I) const { return op(I + 1); }
-  void setArg(unsigned I, Value *V) { setOp(I + 1, V); }
   void appendArg(Value *V) { mutableOps().push_back(V); }
 
   /// Returns the statically known callee, or null for indirect calls.
@@ -431,10 +428,6 @@ public:
   BasicBlock *successor(unsigned I) const {
     assert(I < numSuccessors() && "successor index out of range");
     return Succs[I];
-  }
-  void setSuccessor(unsigned I, BasicBlock *BB) {
-    assert(I < numSuccessors() && "successor index out of range");
-    Succs[I] = BB;
   }
 
   static bool classof(const Value *V) { return V->kind() == ValueKind::Br; }

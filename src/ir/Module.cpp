@@ -93,11 +93,6 @@ GlobalVariable *Module::createGlobal(const std::string &Name, Type *ValueTy,
   return Out;
 }
 
-GlobalVariable *Module::getGlobal(const std::string &Name) const {
-  auto It = GlobalMap.find(Name);
-  return It == GlobalMap.end() ? nullptr : It->second;
-}
-
 GlobalVariable *Module::createStringLiteral(const std::string &Str) {
   GlobalInitializer Init;
   Init.Bytes.assign(Str.begin(), Str.end());

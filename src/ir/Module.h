@@ -70,8 +70,6 @@ public:
   GlobalVariable *createGlobal(const std::string &Name, Type *ValueTy,
                                GlobalInitializer Init, bool Constant = false);
 
-  GlobalVariable *getGlobal(const std::string &Name) const;
-
   const std::vector<std::unique_ptr<GlobalVariable>> &globals() const {
     return Globals;
   }

@@ -56,12 +56,6 @@ public:
   bool isPtrPair() const { return Kind == TypeKind::PtrPair; }
   /// True for types whose values fit a single 64-bit VM register.
   bool isScalar() const { return isInt() || isPointer(); }
-  /// True for types that may live in simulated program memory.
-  bool isStorable() const {
-    return isInt() || isPointer() || isArray() || isStruct();
-  }
-  /// True for aggregate types (addressed via GEP, never SSA values).
-  bool isAggregate() const { return isArray() || isStruct(); }
 
   /// Size of one value of this type in simulated memory, in bytes.
   uint64_t sizeInBytes() const;
@@ -132,7 +126,6 @@ private:
 class StructType : public Type {
 public:
   const std::string &name() const { return Name; }
-  bool isUnion() const { return Union; }
   bool isOpaque() const { return !HasBody; }
   unsigned numFields() const { return Fields.size(); }
   Type *field(unsigned I) const {

@@ -86,8 +86,6 @@ protected:
   Value(ValueKind Kind, Type *Ty, std::string Name = "")
       : Kind(Kind), Ty(Ty), Name(std::move(Name)) {}
 
-  void setType(Type *T) { Ty = T; }
-
 private:
   ValueKind Kind;
   Type *Ty;
@@ -104,7 +102,6 @@ public:
 
   Function *parent() const { return Parent; }
   unsigned index() const { return Index; }
-  void setIndex(unsigned I) { Index = I; }
 
   static bool classof(const Value *V) {
     return V->kind() == ValueKind::Argument;

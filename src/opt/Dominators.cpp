@@ -1,4 +1,4 @@
-//===- opt/Dominators.cpp - dominator tree and frontiers --------------------===//
+//===- opt/Dominators.cpp - reverse postorder and dominator tree ------------===//
 //
 // Part of the SoftBound reproduction. MIT license.
 //
@@ -6,16 +6,19 @@
 
 #include "opt/Dominators.h"
 
-#include <algorithm>
-
 using namespace softbound;
 
-DomTree::DomTree(Function &F) {
-  // Postorder DFS from entry over successor edges, on an explicit stack
-  // so a deep CFG cannot exhaust the host stack. A block is marked on
-  // entry and emitted once all its successors are done: the order the
-  // recursive formulation yields.
-  std::set<BasicBlock *> Visited;
+namespace {
+
+using Positions = std::unordered_map<const BasicBlock *, unsigned>;
+
+/// Postorder DFS from entry over successor edges, on an explicit stack so
+/// a deep CFG cannot exhaust the host stack. A block is marked on entry
+/// and emitted once all its successors are done: the order the recursive
+/// formulation yields. Returns the reverse of that order; \p Seen gains
+/// every reachable block, each mapped to 0.
+std::vector<BasicBlock *> reachableInReversePostorder(Function &F,
+                                                      Positions &Seen) {
   std::vector<BasicBlock *> Post;
   struct Visit {
     BasicBlock *BB;
@@ -23,93 +26,87 @@ DomTree::DomTree(Function &F) {
     size_t Next = 0;
   };
   std::vector<Visit> Stack;
-  BasicBlock *Entry = F.entry();
-  Visited.insert(Entry);
-  Stack.push_back({Entry, Entry->successors()});
+  auto Discover = [&](BasicBlock *BB) {
+    if (Seen.try_emplace(BB, 0).second)
+      Stack.push_back({BB, BB->successors()});
+  };
+  Discover(F.entry());
   while (!Stack.empty()) {
     Visit &Top = Stack.back();
     if (Top.Next < Top.Succs.size()) {
-      BasicBlock *S = Top.Succs[Top.Next++];
-      if (Visited.insert(S).second)
-        Stack.push_back({S, S->successors()}); // Invalidates Top.
+      Discover(Top.Succs[Top.Next++]); // May invalidate Top.
       continue;
     }
     Post.push_back(Top.BB);
     Stack.pop_back();
   }
+  return {Post.rbegin(), Post.rend()};
+}
 
-  RPO.assign(Post.rbegin(), Post.rend());
-  for (size_t I = 0; I < RPO.size(); ++I)
-    Order[RPO[I]] = static_cast<int>(I);
+} // namespace
 
-  for (auto *BB : RPO)
-    for (auto *S : BB->successors())
-      if (Visited.count(S))
-        Preds[S].push_back(BB);
+std::vector<BasicBlock *> softbound::reversePostorder(Function &F) {
+  Positions Seen;
+  return reachableInReversePostorder(F, Seen);
+}
 
-  // Cooper–Harvey–Kennedy iteration.
-  IDom[Entry] = Entry;
-  auto Intersect = [&](BasicBlock *A, BasicBlock *B) {
+DomTree::DomTree(Function &F) {
+  RPO = reachableInReversePostorder(F, Pos);
+  const unsigned N = static_cast<unsigned>(RPO.size());
+  for (unsigned I = 0; I < N; ++I)
+    Pos.find(RPO[I])->second = I;
+
+  // Every successor of a reachable block is reachable.
+  std::vector<std::vector<unsigned>> PredPos(N);
+  Preds.resize(N);
+  for (unsigned I = 0; I < N; ++I)
+    for (BasicBlock *S : RPO[I]->successors()) {
+      unsigned J = Pos.find(S)->second;
+      PredPos[J].push_back(I);
+      Preds[J].push_back(RPO[I]);
+    }
+
+  // Cooper–Harvey–Kennedy iteration over positions: a dominator precedes
+  // what it dominates in reverse postorder.
+  constexpr unsigned None = ~0u;
+  IDom.assign(N, None);
+  IDom[0] = 0;
+  auto Intersect = [&](unsigned A, unsigned B) {
     while (A != B) {
-      while (Order[A] > Order[B])
+      while (A > B)
         A = IDom[A];
-      while (Order[B] > Order[A])
+      while (B > A)
         B = IDom[B];
     }
     return A;
   };
-
-  bool Changed = true;
-  while (Changed) {
+  for (bool Changed = true; Changed;) {
     Changed = false;
-    for (auto *BB : RPO) {
-      if (BB == Entry)
-        continue;
-      BasicBlock *NewIDom = nullptr;
-      for (auto *P : Preds[BB]) {
-        if (!IDom.count(P))
-          continue;
-        NewIDom = NewIDom ? Intersect(P, NewIDom) : P;
-      }
-      if (!NewIDom)
-        continue;
-      auto It = IDom.find(BB);
-      if (It == IDom.end() || It->second != NewIDom) {
-        IDom[BB] = NewIDom;
+    for (unsigned I = 1; I < N; ++I) {
+      unsigned New = None;
+      for (unsigned P : PredPos[I])
+        if (IDom[P] != None)
+          New = New == None ? P : Intersect(P, New);
+      if (New != None && New != IDom[I]) {
+        IDom[I] = New;
         Changed = true;
       }
     }
   }
-  IDom[Entry] = nullptr; // External convention: entry has no idom.
 
-  for (auto &[BB, Dom] : IDom)
-    if (Dom)
-      Kids[Dom].push_back(BB);
-  // Deterministic child order.
-  for (auto &[BB, Ch] : Kids)
-    std::sort(Ch.begin(), Ch.end(),
-              [&](BasicBlock *A, BasicBlock *B) { return Order[A] < Order[B]; });
-
-  // Dominance frontiers.
-  for (auto *BB : RPO) {
-    const auto &P = Preds[BB];
-    if (P.size() < 2)
-      continue;
-    for (auto *Runner : P) {
-      while (Runner && Runner != IDom[BB]) {
-        DF[Runner].insert(BB);
-        Runner = IDom[Runner];
-      }
-    }
-  }
+  Kids.resize(N);
+  for (unsigned I = 1; I < N; ++I)
+    Kids[IDom[I]].push_back(RPO[I]);
 }
 
 bool DomTree::dominates(BasicBlock *A, BasicBlock *B) const {
-  while (B) {
-    if (A == B)
-      return true;
-    auto It = IDom.find(B);
-    B = It == IDom.end() ? nullptr : It->second;
-  }
-  return false;
+  if (A == B)
+    return B != nullptr;
+  auto ItA = Pos.find(A), ItB = Pos.find(B);
+  if (ItA == Pos.end() || ItB == Pos.end())
+    return false;
+  unsigned PA = ItA->second, PB = ItB->second;
+  while (PB > PA)
+    PB = IDom[PB];
+  return PB == PA;
 }

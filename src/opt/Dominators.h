@@ -1,14 +1,14 @@
-//===- opt/Dominators.h - dominator tree and frontiers ----------*- C++ -*-===//
+//===- opt/Dominators.h - reverse postorder and dominator tree --*- C++ -*-===//
 //
 // Part of the SoftBound reproduction. MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Dominator tree (Cooper–Harvey–Kennedy iterative algorithm), dominance
-/// frontiers for mem2reg's SSA construction, and the one preorder walk of
-/// the tree that mem2reg renaming and the check optimizer's fact
-/// propagation share.
+/// The reverse postorder of a function's reachable blocks, the dominator
+/// tree over it (Cooper–Harvey–Kennedy iterative algorithm), and the one
+/// preorder walk of the tree that mem2reg renaming and the check
+/// optimizer's fact propagation share.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,58 +17,58 @@
 
 #include "ir/Function.h"
 
-#include <map>
-#include <set>
 #include <type_traits>
+#include <unordered_map>
 #include <vector>
 
 namespace softbound {
 
-/// Dominator information for one function.
+/// Blocks reachable from \p F's entry, in reverse postorder. Iterative: a
+/// deep CFG must not overflow the host stack.
+std::vector<BasicBlock *> reversePostorder(Function &F);
+
+/// Dominator information for one function. Every answer is kept by a
+/// block's position in rpo(); unreachable blocks have none.
 class DomTree {
 public:
   explicit DomTree(Function &F);
 
-  /// Immediate dominator, or null for the entry block.
+  /// Immediate dominator, or null for the entry and unreachable blocks.
   BasicBlock *idom(BasicBlock *BB) const {
-    auto It = IDom.find(BB);
-    return It == IDom.end() ? nullptr : It->second;
+    auto It = Pos.find(BB);
+    return It == Pos.end() || It->second == 0 ? nullptr
+                                              : RPO[IDom[It->second]];
   }
 
-  /// True if A dominates B (reflexive).
+  /// True if A dominates B (reflexive, also for an unreachable block).
   bool dominates(BasicBlock *A, BasicBlock *B) const;
-
-  /// Dominance frontier of a block.
-  const std::set<BasicBlock *> &frontier(BasicBlock *BB) const {
-    static const std::set<BasicBlock *> Empty;
-    auto It = DF.find(BB);
-    return It == DF.end() ? Empty : It->second;
-  }
 
   /// Dominator-tree children, in reverse postorder.
   const std::vector<BasicBlock *> &children(BasicBlock *BB) const {
-    static const std::vector<BasicBlock *> Empty;
-    auto It = Kids.find(BB);
-    return It == Kids.end() ? Empty : It->second;
+    return at(Kids, BB);
   }
 
   /// Blocks in reverse postorder (reachable blocks only).
   const std::vector<BasicBlock *> &rpo() const { return RPO; }
 
-  /// Predecessors of reachable blocks.
+  /// Reachable predecessors in reverse postorder, one entry per edge.
   const std::vector<BasicBlock *> &preds(BasicBlock *BB) const {
-    static const std::vector<BasicBlock *> Empty;
-    auto It = Preds.find(BB);
-    return It == Preds.end() ? Empty : It->second;
+    return at(Preds, BB);
   }
 
 private:
-  std::map<BasicBlock *, BasicBlock *> IDom;
-  std::map<BasicBlock *, std::set<BasicBlock *>> DF;
-  std::map<BasicBlock *, std::vector<BasicBlock *>> Kids;
-  std::map<BasicBlock *, std::vector<BasicBlock *>> Preds;
-  std::map<BasicBlock *, int> Order; ///< RPO index.
+  const std::vector<BasicBlock *> &
+  at(const std::vector<std::vector<BasicBlock *>> &ByPos,
+     BasicBlock *BB) const {
+    static const std::vector<BasicBlock *> Empty;
+    auto It = Pos.find(BB);
+    return It == Pos.end() ? Empty : ByPos[It->second];
+  }
+
   std::vector<BasicBlock *> RPO;
+  std::unordered_map<const BasicBlock *, unsigned> Pos; ///< Index in RPO.
+  std::vector<unsigned> IDom; ///< By position; the entry's is itself.
+  std::vector<std::vector<BasicBlock *>> Kids, Preds; ///< By position.
 };
 
 /// Preorder walk of the dominator tree below \p Root: \p Enter(BB) runs

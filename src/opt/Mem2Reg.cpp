@@ -18,6 +18,7 @@
 
 #include <map>
 #include <set>
+#include <unordered_map>
 
 using namespace softbound;
 
@@ -43,6 +44,28 @@ bool isPromotable(const AllocaInst *AI, Function &F) {
   return true;
 }
 
+/// Dominance frontiers of the reachable blocks (Cooper–Harvey–Kennedy): a
+/// join is in the frontier of every block on a predecessor's idom chain
+/// below the join's own idom. Only reachable joins appear, so every phi
+/// placed from them lies on the renaming walk.
+std::unordered_map<BasicBlock *, std::vector<BasicBlock *>>
+frontiers(const DomTree &DT) {
+  std::unordered_map<BasicBlock *, std::vector<BasicBlock *>> DF;
+  for (BasicBlock *BB : DT.rpo()) {
+    const std::vector<BasicBlock *> &Preds = DT.preds(BB);
+    if (Preds.size() < 2)
+      continue;
+    BasicBlock *Stop = DT.idom(BB);
+    for (BasicBlock *Runner : Preds)
+      for (; Runner && Runner != Stop; Runner = DT.idom(Runner)) {
+        std::vector<BasicBlock *> &Front = DF[Runner];
+        if (Front.empty() || Front.back() != BB) // One join at a time.
+          Front.push_back(BB);
+      }
+  }
+  return DF;
+}
+
 } // namespace
 
 void softbound::mem2reg(Function &F) {
@@ -59,6 +82,7 @@ void softbound::mem2reg(Function &F) {
     return;
 
   DomTree DT(F);
+  auto DF = frontiers(DT);
 
   std::map<AllocaInst *, unsigned> Index;
   for (unsigned I = 0; I < Promotable.size(); ++I)
@@ -79,7 +103,10 @@ void softbound::mem2reg(Function &F) {
     while (!Work.empty()) {
       BasicBlock *BB = Work.back();
       Work.pop_back();
-      for (auto *Front : DT.frontier(BB)) {
+      auto It = DF.find(BB);
+      if (It == DF.end())
+        continue;
+      for (auto *Front : It->second) {
         if (!HasPhi.insert(Front).second)
           continue;
         auto Phi = std::make_unique<PhiInst>(AI->allocatedType(),
@@ -107,9 +134,7 @@ void softbound::mem2reg(Function &F) {
   // Entering a block records each variable it redefines with the value to
   // restore once its dominated subtree is renamed.
   using SavedDefs = std::vector<std::pair<unsigned, Value *>>;
-  std::set<BasicBlock *> Visited;
   auto Enter = [&](BasicBlock *BB) {
-    Visited.insert(BB);
     SavedDefs Saved;
 
     for (auto It = BB->begin(); It != BB->end();) {
@@ -165,18 +190,6 @@ void softbound::mem2reg(Function &F) {
     for (auto It = Saved.rbegin(); It != Saved.rend(); ++It)
       Cur[It->first] = It->second;
   });
-
-  // Phis placed in unreachable blocks never got incoming values; drop them
-  // (simplifyCFG removes those blocks anyway).
-  for (auto &BB : F.blocks()) {
-    if (Visited.count(BB.get()))
-      continue;
-    for (auto &I : *BB) {
-      auto *Phi = dyn_cast<PhiInst>(I.get());
-      if (Phi && PhiVar.count(Phi))
-        Repl.record(Phi, Mod->undef(Phi->type()));
-    }
-  }
   Repl.apply(F);
 
   // Remove the promoted allocas.

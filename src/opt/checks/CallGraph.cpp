@@ -31,37 +31,38 @@ bool exitsOrJumpsItself(const CallInst &Call) {
 } // namespace
 
 CallGraph::CallGraph(Module &M) {
-  // Seed a node per defined function so lookups never miss. Module order
-  // is recorded so every derived order (DFS roots, SCC ids, bottomUp) is
-  // deterministic across runs — the bench-regression gate compares
-  // counts produced under order-sensitive widening.
+  // Number the defined functions in module order, so every derived order
+  // (DFS roots, SCC ids, bottomUp) is deterministic across runs — the
+  // bench-regression gate compares counts produced under order-sensitive
+  // widening.
   std::vector<Function *> InModuleOrder;
   for (const auto &F : M.functions())
     if (F->isDefinition()) {
-      Nodes[F.get()].ModIdx = static_cast<unsigned>(InModuleOrder.size());
+      Position.emplace(F.get(), static_cast<unsigned>(InModuleOrder.size()));
       InModuleOrder.push_back(F.get());
     }
+  const unsigned N = static_cast<unsigned>(InModuleOrder.size());
+  Nodes.resize(N);
+  auto markAddressTaken = [&](const Function *F) {
+    if (auto It = Position.find(F); It != Position.end())
+      Nodes[It->second].AddressTaken = true;
+  };
 
   // A function whose address is baked into a global initializer escapes
   // exactly like one stored by an instruction.
   for (const auto &G : M.globals())
     for (const auto &R : G->initializer().Relocs)
       if (auto *F = dyn_cast<Function>(R.Target))
-        if (auto It = Nodes.find(F); It != Nodes.end())
-          It->second.AddressTaken = true;
+        markAddressTaken(F);
 
-  for (const auto &F : M.functions()) {
-    if (!F->isDefinition())
-      continue;
-    Node &N = Nodes[F.get()];
+  for (unsigned Pos = 0; Pos < N; ++Pos) {
+    Function *F = InModuleOrder[Pos];
     for (const auto &BB : F->blocks()) {
       for (const auto &IP : *BB) {
         Instruction *I = IP.get();
         auto *Call = dyn_cast<CallInst>(I);
-        if (Call && Call->isIndirect())
-          N.HasIndirect = true;
         if (Call && exitsOrJumpsItself(*Call))
-          N.ExitsOrJumpsItself = true;
+          Nodes[Pos].ExitsOrJumpsItself = true;
         for (unsigned K = 0; K < I->numOperands(); ++K) {
           auto *Target = dyn_cast<Function>(I->op(K));
           if (!Target)
@@ -70,17 +71,13 @@ CallGraph::CallGraph(Module &M) {
             // Direct callee position: an edge when the target is defined.
             if (Target->isDefinition()) {
               unsigned Id = static_cast<unsigned>(Sites.size());
-              Sites.push_back({Call, F.get(), Target});
-              N.Out.push_back(Id);
-              Nodes[Target].In.push_back(Id);
-              if (Target == F.get())
-                N.SelfEdge = true;
+              Sites.push_back({Call, F, Target});
+              Nodes[Pos].Out.push_back(Id);
+              Nodes[Position.at(Target)].In.push_back(Id);
             }
             continue;
           }
-          // Any other use leaks the address.
-          if (auto It = Nodes.find(Target); It != Nodes.end())
-            It->second.AddressTaken = true;
+          markAddressTaken(Target); // Any other use leaks the address.
         }
       }
     }
@@ -88,75 +85,75 @@ CallGraph::CallGraph(Module &M) {
 
   // External reachability: entry, escaped, or never called from IR.
   Function *Entry = M.entryFunction();
-  for (auto &[F, N] : Nodes)
-    N.External = F == Entry || N.AddressTaken || N.In.empty();
+  for (unsigned Pos = 0; Pos < N; ++Pos) {
+    Node &Nd = Nodes[Pos];
+    Nd.External = InModuleOrder[Pos] == Entry || Nd.AddressTaken ||
+                  Nd.In.empty();
+  }
 
   // Tarjan SCCs, assigning ids in completion order — callees complete
   // before their callers, so ascending sccId is bottom-up. Iterative with
   // explicit DFS frames: call-graph depth is program-sized, and a long
   // call chain must not overflow the host stack in a default-on pass.
+  constexpr unsigned Unvisited = ~0u;
   unsigned NextIndex = 0, NextScc = 0;
-  std::map<const Function *, unsigned> Index, Low;
-  std::vector<const Function *> Stack;
-  std::map<const Function *, bool> OnStack;
+  std::vector<unsigned> Index(N, Unvisited), Low(N), Stack;
+  std::vector<bool> OnStack(N, false);
   struct Frame {
-    const Function *F;
+    unsigned Pos;
     size_t NextOut;
   };
   std::vector<Frame> Frames;
-  auto discover = [&](const Function *F) {
-    Index[F] = Low[F] = NextIndex++;
-    Stack.push_back(F);
-    OnStack[F] = true;
-    Frames.push_back({F, 0});
+  auto discover = [&](unsigned Pos) {
+    Index[Pos] = Low[Pos] = NextIndex++;
+    Stack.push_back(Pos);
+    OnStack[Pos] = true;
+    Frames.push_back({Pos, 0});
   };
-  for (Function *Root : InModuleOrder) {
-    if (Index.count(Root))
+  for (unsigned Root = 0; Root < N; ++Root) {
+    if (Index[Root] != Unvisited)
       continue;
     discover(Root);
     while (!Frames.empty()) {
       Frame &Top = Frames.back();
-      const std::vector<unsigned> &Out = Nodes[Top.F].Out;
+      const std::vector<unsigned> &Out = Nodes[Top.Pos].Out;
       if (Top.NextOut < Out.size()) {
-        const Function *Callee = Sites[Out[Top.NextOut++]].Callee;
-        if (!Index.count(Callee))
+        unsigned Callee = Position.at(Sites[Out[Top.NextOut++]].Callee);
+        if (Index[Callee] == Unvisited)
           discover(Callee); // Invalidates Top; re-fetched next turn.
         else if (OnStack[Callee])
-          Low[Top.F] = std::min(Low[Top.F], Index[Callee]);
+          Low[Top.Pos] = std::min(Low[Top.Pos], Index[Callee]);
         continue;
       }
       // Subtree complete: fold this node's low-link into its DFS parent
       // (the recursive formulation's post-call min), then test for root.
-      const Function *F = Top.F;
+      unsigned Pos = Top.Pos;
       Frames.pop_back();
       if (!Frames.empty())
-        Low[Frames.back().F] = std::min(Low[Frames.back().F], Low[F]);
-      if (Low[F] == Index[F]) {
-        unsigned Members = 0;
-        const Function *Member;
-        std::vector<const Function *> Scc;
+        Low[Frames.back().Pos] = std::min(Low[Frames.back().Pos], Low[Pos]);
+      if (Low[Pos] == Index[Pos]) {
+        unsigned Member;
         do {
           Member = Stack.back();
           Stack.pop_back();
           OnStack[Member] = false;
           Nodes[Member].Scc = NextScc;
-          Scc.push_back(Member);
-          ++Members;
-        } while (Member != F);
-        for (const Function *S : Scc)
-          Nodes[S].SccNontrivial = Members > 1;
+        } while (Member != Pos);
         ++NextScc;
       }
     }
   }
 
-  BottomUp = InModuleOrder;
-  std::sort(BottomUp.begin(), BottomUp.end(),
-            [this](const Function *A, const Function *B) {
-              const Node &NA = Nodes.at(A), &NB = Nodes.at(B);
-              return NA.Scc != NB.Scc ? NA.Scc < NB.Scc
-                                      : NA.ModIdx < NB.ModIdx;
-            });
+  // Bottom-up order: module order bucketed by SCC id (a stable counting
+  // sort), so members of one SCC are adjacent and keep module order.
+  std::vector<unsigned> Start(NextScc + 1, 0);
+  for (const Node &Nd : Nodes)
+    ++Start[Nd.Scc + 1];
+  for (unsigned Id = 0; Id < NextScc; ++Id)
+    Start[Id + 1] += Start[Id];
+  BottomUp.resize(N);
+  for (unsigned Pos = 0; Pos < N; ++Pos)
+    BottomUp[Start[Nodes[Pos].Scc]++] = InModuleOrder[Pos];
 
   // The mayExitOrJump summary, one bit per SCC, in bottom-up order: a
   // callee in an earlier SCC is already settled, and a callee in the same
@@ -164,18 +161,18 @@ CallGraph::CallGraph(Module &M) {
   // with one answer and no walk follows the call chain.
   SccMayExitOrJump.assign(NextScc, false);
   for (const Function *F : BottomUp) {
-    const Node &N = Nodes.at(F);
-    bool Any = N.ExitsOrJumpsItself;
-    for (size_t K = 0; K < N.Out.size() && !Any; ++K)
-      Any = SccMayExitOrJump[Nodes.at(Sites[N.Out[K]].Callee).Scc];
+    const Node &Nd = *node(F);
+    bool Any = Nd.ExitsOrJumpsItself;
+    for (size_t K = 0; K < Nd.Out.size() && !Any; ++K)
+      Any = SccMayExitOrJump[node(Sites[Nd.Out[K]].Callee)->Scc];
     if (Any)
-      SccMayExitOrJump[N.Scc] = true;
+      SccMayExitOrJump[Nd.Scc] = true;
   }
 }
 
 const CallGraph::Node *CallGraph::node(const Function *F) const {
-  auto It = Nodes.find(F);
-  return It == Nodes.end() ? nullptr : &It->second;
+  auto It = Position.find(F);
+  return It == Position.end() ? nullptr : &Nodes[It->second];
 }
 
 const std::vector<unsigned> &CallGraph::callersOf(const Function *F) const {
@@ -195,19 +192,9 @@ bool CallGraph::isAddressTaken(const Function *F) const {
   return N && N->AddressTaken;
 }
 
-bool CallGraph::hasIndirectCallSites(const Function *F) const {
-  const Node *N = node(F);
-  return N && N->HasIndirect;
-}
-
 bool CallGraph::externallyReachable(const Function *F) const {
   const Node *N = node(F);
   return !N || N->External; // Unknown functions: assume the worst.
-}
-
-bool CallGraph::isRecursive(const Function *F) const {
-  const Node *N = node(F);
-  return N && (N->SelfEdge || N->SccNontrivial);
 }
 
 unsigned CallGraph::sccId(const Function *F) const {

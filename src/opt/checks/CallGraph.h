@@ -7,8 +7,8 @@
 /// \file
 /// The call graph underneath the inter-procedural bounds propagation
 /// (InterProc.cpp), partitioning and loop hull hoisting. Direct calls
-/// between defined functions form the edges; everything the graph cannot see is folded into two conservative
-/// attributes instead of edges:
+/// between defined functions form the edges; everything the graph cannot
+/// see is folded into one conservative attribute instead of edges:
 ///
 ///   * externallyReachable(F): F can be entered by a caller the analysis
 ///     will never inspect — the VM entry function, any address-taken
@@ -17,18 +17,17 @@
 ///     or a builtin/declaration. Summaries for such functions must assume
 ///     nothing about their arguments and their callee-side checks can
 ///     never be elided.
-///   * hasIndirectCallSites(F): F contains a call through a pointer. The
-///     *edge* is not recorded (the target set is unknowable), which is
-///     sound because every possible target is address-taken and therefore
-///     already externallyReachable.
 ///
-/// Tarjan SCCs provide the bottom-up order and the recursion test: a
-/// function is recursive when its SCC has more than one member or calls
-/// itself directly.
+/// A call through a pointer records no edge (the target set is
+/// unknowable), which is sound because every possible target is
+/// address-taken and therefore already externallyReachable.
 ///
-/// The same order settles mayExitOrJump, the summary loop hull hoisting
-/// reads (loopBodyIsSafe, Loops.h): one answer per SCC, no walk down the
-/// call chain. The checkopt driver builds the graph once per run.
+/// Defined functions are numbered once, in module order, and every
+/// per-function answer is kept by that number. Tarjan SCCs provide the
+/// bottom-up order. The same order settles mayExitOrJump, the summary
+/// loop hull hoisting reads (loopBodyIsSafe, Loops.h): one answer per
+/// SCC, no walk down the call chain. The checkopt driver builds the graph
+/// once per run.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,7 +36,7 @@
 
 #include "ir/Module.h"
 
-#include <map>
+#include <unordered_map>
 #include <vector>
 
 namespace softbound {
@@ -68,17 +67,11 @@ public:
   /// passed, compared, or given bounds for an indirect call).
   bool isAddressTaken(const Function *F) const;
 
-  /// True when \p F contains a call whose callee is not a static Function.
-  bool hasIndirectCallSites(const Function *F) const;
-
   /// True when some caller of \p F is outside the graph: the VM entry
   /// function, address-taken functions, builtins/declarations, and
   /// defined functions with no recorded call site (nothing links to them,
   /// but the harness may still invoke them directly).
   bool externallyReachable(const Function *F) const;
-
-  /// True when \p F can reenter itself: self edge or non-trivial SCC.
-  bool isRecursive(const Function *F) const;
 
   /// SCC id of \p F; ids are assigned in bottom-up (callee-first) order,
   /// so sorting functions by sccId yields a valid order for bottom-up
@@ -104,20 +97,19 @@ private:
   struct Node {
     std::vector<unsigned> In;   ///< Sites calling this function.
     std::vector<unsigned> Out;  ///< Sites inside this function.
-    unsigned ModIdx = 0;        ///< Position in module order (determinism).
     bool AddressTaken = false;
-    bool HasIndirect = false;
     bool ExitsOrJumpsItself = false; ///< See exitsOrJumpsItself (.cpp).
     bool External = false;
-    bool SelfEdge = false;
     unsigned Scc = 0;
-    bool SccNontrivial = false;
   };
 
+  /// \p F's node, or null when \p F is not a defined function.
   const Node *node(const Function *F) const;
 
   std::vector<CallSite> Sites;
-  std::map<const Function *, Node> Nodes;
+  /// Defined function to its position in module order.
+  std::unordered_map<const Function *, unsigned> Position;
+  std::vector<Node> Nodes; ///< By position.
   std::vector<Function *> BottomUp;
   std::vector<bool> SccMayExitOrJump; ///< mayExitOrJump, by SCC id.
 };

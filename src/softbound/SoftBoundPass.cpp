@@ -580,8 +580,7 @@ void SoftBoundTransform::instrumentFunction(Function &F) {
 
   // Walk blocks in reverse postorder so defs are seen before (non-phi)
   // uses; SSA dominance guarantees operand bounds exist when needed.
-  DomTree DT(F);
-  for (BasicBlock *BB : DT.rpo()) {
+  for (BasicBlock *BB : reversePostorder(F)) {
     for (auto It = BB->begin(); It != BB->end();) {
       Instruction *I = It->get();
       if (Synthetic.count(I)) {

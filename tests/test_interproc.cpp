@@ -106,16 +106,11 @@ TEST(CallGraph, DirectEdgesRecursionAndEscape) {
 
   EXPECT_FALSE(CG.isAddressTaken(Leaf));
   EXPECT_TRUE(CG.isAddressTaken(Escaped));
-  EXPECT_TRUE(CG.hasIndirectCallSites(Main));
-  EXPECT_FALSE(CG.hasIndirectCallSites(Leaf));
 
   EXPECT_TRUE(CG.externallyReachable(Main)) << "entry function";
   EXPECT_TRUE(CG.externallyReachable(Escaped)) << "address escapes";
   EXPECT_FALSE(CG.externallyReachable(Leaf));
   EXPECT_FALSE(CG.externallyReachable(Self));
-
-  EXPECT_TRUE(CG.isRecursive(Self));
-  EXPECT_FALSE(CG.isRecursive(Leaf));
 
   EXPECT_TRUE(CG.mayExitOrJump(Main)) << "indirect call";
   EXPECT_FALSE(CG.mayExitOrJump(Self));
@@ -174,8 +169,6 @@ TEST(CallGraph, MutualRecursionFormsOneScc) {
   ASSERT_NE(Even, nullptr);
   ASSERT_NE(Odd, nullptr);
   EXPECT_EQ(CG.sccId(Even), CG.sccId(Odd));
-  EXPECT_TRUE(CG.isRecursive(Even));
-  EXPECT_TRUE(CG.isRecursive(Odd));
 }
 
 TEST(CallGraph, ExitOrJumpSummaryIsSharedAcrossAnScc) {
@@ -614,7 +607,6 @@ TEST(CallGraph, DeepCallChainDoesNotOverflowHostStack) {
   // Completion order: the leaf finishes first, the root last.
   EXPECT_EQ(CG.sccId(Fs[N - 1]), 0u);
   EXPECT_EQ(CG.sccId(Fs[0]), N - 1);
-  EXPECT_FALSE(CG.isRecursive(Fs[0]));
   EXPECT_FALSE(CG.externallyReachable(Fs[1]));
   EXPECT_FALSE(CG.mayExitOrJump(Fs[0]));
 }

@@ -376,6 +376,29 @@ TEST(Verifier, CatchesBranchToAnotherFunctionsBlock) {
       << joined(Errors);
 }
 
+TEST(Verifier, ReportsANullBranchTargetWithoutCrashing) {
+  VerifierFixture X;
+  X.B.br(nullptr);
+  std::vector<std::string> Errors = X.errors();
+  EXPECT_TRUE(reports(Errors, "branch to block outside function"))
+      << joined(Errors);
+  EXPECT_TRUE(reports(Errors, "br <null>'")) << joined(Errors);
+}
+
+TEST(Verifier, ReportsANullPhiIncomingBlockWithoutCrashing) {
+  VerifierFixture X;
+  BasicBlock *Join = X.F->createBlock("join");
+  X.B.br(Join);
+  X.B.setInsertPoint(Join);
+  PhiInst *Phi = X.B.phi(X.M.ctx().i64(), "p");
+  Phi->addIncoming(X.F->arg(0), nullptr);
+  X.B.ret();
+  std::vector<std::string> Errors = X.errors();
+  EXPECT_TRUE(reports(Errors, "phi incoming block not in function"))
+      << joined(Errors);
+  EXPECT_TRUE(reports(Errors, "<null>]")) << joined(Errors);
+}
+
 /// `f` holding one spatial check and one meta.load, the two carrying
 /// module-assigned sites 0 and 1.
 struct SiteFixture : VerifierFixture {
